@@ -42,6 +42,14 @@ _MS_TO_US = 1000.0
 _FRAME_SNAP_REL = 1e-9
 
 
+def check_finite(**values: float | None) -> None:
+    """Reject NaN and infinite inputs: a range check such as `x <= 0` is
+    false for NaN and true-or-false for inf without meaning either."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 class RingSaturatedError(ValueError):
     """TTRT does not exceed the ring latency: the token never arrives with
     budget to spend and the configuration has no usable capacity."""
@@ -61,6 +69,8 @@ class RingParameters:
     frame_time_ms: float | None = None
 
     def __post_init__(self) -> None:
+        check_finite(ttrt_ms=self.ttrt_ms, ring_latency_ms=self.ring_latency_ms,
+                     frame_time_ms=self.frame_time_ms)
         if self.n_active < 1:
             raise ValueError(f"n_active must be >= 1, got {self.n_active}")
         if self.ttrt_ms <= 0:
@@ -85,6 +95,8 @@ class PhysicalRing:
     station_delay_us: float = STATION_DELAY_US
 
     def __post_init__(self) -> None:
+        check_finite(fiber_km=self.fiber_km, propagation_us_per_km=self.propagation_us_per_km,
+                     station_delay_us=self.station_delay_us)
         if self.fiber_km < 0:
             raise ValueError(f"fiber_km must be >= 0, got {self.fiber_km}")
         if not 0 <= self.mac_count <= MAX_MAC_COUNT:
@@ -255,6 +267,7 @@ def validate_ttrt(
         ("sync_allocation_ms", sync_allocation_ms),
         ("max_frame_time_ms", max_frame_time_ms),
     ):
+        check_finite(**{name: value})
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     if not T_MAX_MS <= t_max_ms <= T_MAX_COUNTER_MS:
@@ -286,6 +299,7 @@ def validate_ttrt(
 
     advisory = None
     if service_interval_ms is not None:
+        check_finite(service_interval_ms=service_interval_ms)
         if service_interval_ms <= 0:
             raise ValueError(f"service_interval_ms must be > 0, got {service_interval_ms}")
         advisory = service_interval_ms / 2.0

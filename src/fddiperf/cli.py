@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
+import math
 import sys
 
 from . import analytical, metrics, presets, simcore, workload
@@ -191,21 +193,21 @@ def _analytical_row(row: dict, n_active: int, ttrt_ms: float, d_ms: float,
     return row
 
 
-def _simulated_row(row: dict, config: RingConfig, load, duration_ms: float,
-                   seed: int, n_active: int) -> dict:
-    result = simcore.run(
-        config,
-        load,
-        duration_ms=duration_ms,
-        seed=seed,
-        warmup_fraction=metrics.WARMUP_FRACTION,
-    )
-    report = metrics.summarize(
+def _simulate(config: RingConfig, load, duration_ms: float, seed: int,
+              n_active: int) -> metrics.MetricsReport:
+    """One simulator run, summarized with the access-delay bound for
+    n_active stations."""
+    result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
+    return metrics.summarize(
         result,
         offered_load_mbps=load.total_offered_load_mbps(config.n_stations),
         n_active=n_active,
         max_frame_bytes=load.max_frame_bytes,
     )
+
+
+def _simulated_row(row: dict, report: metrics.MetricsReport) -> dict:
+    """Fill the metric columns of a row from a simulated run's report."""
     row["efficiency"] = report.efficiency
     row["efficiency_pct_rounded"] = paper_round(report.efficiency * 100.0)
     row["throughput_mbps"] = report.throughput_mbps
@@ -360,16 +362,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.dump_config:
         sys.stdout.write(res.dump())
 
-    result = simcore.run(
-        config, load, duration_ms=duration, seed=seed,
-        warmup_fraction=metrics.WARMUP_FRACTION,
-    )
-    report = metrics.summarize(
-        result,
-        offered_load_mbps=load.total_offered_load_mbps(macs),
-        n_active=n_active if isinstance(load, SaturationWorkload) else macs,
-        max_frame_bytes=load.max_frame_bytes,
-    )
+    bound_active = n_active if isinstance(load, SaturationWorkload) else macs
+    report = _simulate(config, load, duration, seed, bound_active)
     _print_report(report)
 
     if args.out:
@@ -389,8 +383,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             replication=0,
             seed=seed,
         )
-        _simulated_row(row, config, load, duration, seed, n_active)
-        _write_rows([row], args.out)
+        _write_rows([_simulated_row(row, report)], args.out)
     return 0
 
 
@@ -434,7 +427,8 @@ def _figure_rows(figure: str, res: Resolver, seed: int, replications: int) -> li
                         async_overflow=config.async_overflow,
                         duration_ms=duration, replication=rep, seed=seed + rep,
                     )
-                    rows.append(_simulated_row(row, config, load, duration, seed + rep, n))
+                    report = _simulate(config, load, duration, seed + rep, n)
+                    rows.append(_simulated_row(row, report))
         return rows
 
     if figure in ("fig4", "fig5"):
@@ -489,6 +483,8 @@ def _parse_grid(raw: str, cast) -> list:
         raise CliError(f"bad grid {raw!r}: {exc}") from None
     if not values:
         raise CliError("grid is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"grid values must be finite, got {raw!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise CliError("grid values must be strictly increasing")
     return values
@@ -601,9 +597,8 @@ def _custom_rows(res: Resolver) -> list[dict]:
                     row["error"] = SATURATED_MARKER
                     rows.append(row)
                     continue
-                rows.append(
-                    _simulated_row(row, config, load, duration, seed + rep, point_active)
-                )
+                report = _simulate(config, load, duration, seed + rep, point_active)
+                rows.append(_simulated_row(row, report))
     return rows
 
 
@@ -732,7 +727,10 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="base RNG seed")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every
+    later call to main()."""
     parser = argparse.ArgumentParser(
         prog="fddiperf",
         description="Timed-token ring performance toolkit: closed-form models, "
@@ -799,7 +797,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError,) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

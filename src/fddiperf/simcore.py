@@ -12,10 +12,32 @@ Time is integer nanoseconds throughout, so runs are bit-for-bit
 reproducible across platforms and the busy/overhead/idle time accounting
 closes exactly. At 100 Mbps one byte is exactly 80 ns on the wire.
 
-Stations without an attached traffic source can never transmit; the event
-loop therefore folds their repeat delays into a single hop to the next
-sourced station. The timing is arithmetically identical to visiting every
-station, only the event count shrinks.
+The model is event driven: token visits, frame completions and burst
+arrivals, taken in the order of (time, order of scheduling). The loop
+computes that order without putting token visits or frame completions on
+a queue. Only pending bursts, one per traffic source, sit in a heap, and
+the token's next event is compared against the earliest of them:
+
+- Stations without a traffic source never transmit, so the token leaps
+  from one sourced station to the next in a single step.
+- A visit to a station with nothing to send is a few integer updates in
+  an inline loop. While the whole ring is idle the token moves forward by
+  whole rotations in one step: every pass then measures a rotation of
+  exactly the ring's idle period, so the counters and each station's
+  rotation clock follow in closed form up to the next burst.
+- A holding period is one step. An always-backlogged station sends
+  ceil(THT / F) frames with overflow and floor(THT / F) without; queued
+  frames are sent in a plain loop over the queue.
+- Bursts are brought in, in time order, just before the first token event
+  at or after them, so every station decision sees the queues the
+  event-by-event order would show it. A burst landing at the same
+  nanosecond as a token event goes first exactly when its own scheduling
+  preceded that event's: the burst was drawn earlier than the token's
+  previous event, or at the same instant and ahead of it. That ordering
+  is kept per station, which reproduces the event-by-event tie order in
+  full.
+- The warm-up snapshot is taken arithmetically when the first event at or
+  after the mark is reached; events exactly at the mark stay outside it.
 """
 
 from __future__ import annotations
@@ -24,18 +46,26 @@ from dataclasses import dataclass, field
 from collections import deque
 from heapq import heappush, heappop
 
-from .analytical import PROPAGATION_US_PER_KM, STATION_DELAY_US, T_MAX_COUNTER_MS, T_MIN_MS
+from .analytical import (
+    PROPAGATION_US_PER_KM,
+    STATION_DELAY_US,
+    T_MAX_COUNTER_MS,
+    T_MIN_MS,
+    check_finite,
+)
 from .workload import SaturatedFeed
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_BYTE = 80  # 8 bits at 100 Mbps
 
-# Event kinds, dispatched in (timestamp, sequence) order.
-TOKEN_ARRIVAL = 0
-TRANSMISSION_COMPLETE = 1
-FRAME_ARRIVAL = 2
-MEASUREMENT_BOUNDARY = 3
+# Share of simulated time discarded as warm-up before measuring.
+WARMUP_FRACTION = 0.10
+
+# Scheduling instants before t = 0: the token is injected ahead of every
+# source's first burst.
+_INJECTED = -2
+_FIRST_DRAW = -1
 
 
 class SimulationError(RuntimeError):
@@ -77,6 +107,10 @@ class RingConfig:
     release_after_stripping: bool = False
 
     def __post_init__(self) -> None:
+        check_finite(ttrt_ms=self.ttrt_ms, station_delay_us=self.station_delay_us,
+                     token_time_us=self.token_time_us)
+        for d in self.segment_delays_us:
+            check_finite(segment_delay_us=d)
         n = len(self.stations)
         if n < 1:
             raise ValueError("a ring needs at least one station")
@@ -117,6 +151,7 @@ class RingConfig:
         """
         if n_stations < 1:
             raise ValueError("n_stations must be >= 1")
+        check_finite(fiber_km=fiber_km, propagation_us_per_km=propagation_us_per_km)
         if fiber_km < 0:
             raise ValueError("fiber_km must be >= 0")
         total_ns = int(round(fiber_km * propagation_us_per_km * NS_PER_US))
@@ -198,12 +233,26 @@ def _ns_from_ms(ms: float) -> int:
     return int(round(ms * NS_PER_MS))
 
 
+def _rotation_error(trt: int, station: int, ttrt_ns: int) -> InvariantViolation:
+    return InvariantViolation(
+        f"rotation of {trt} ns at station {station} reached twice the "
+        f"TTRT ({ttrt_ns} ns) despite a rule-2-compliant setup"
+    )
+
+
+def _by_station(bits: list[int], stops: list[int], n: int) -> tuple[int, ...]:
+    out = [0] * n
+    for k, st in enumerate(stops):
+        out[st] = bits[k]
+    return tuple(out)
+
+
 def run(
     config: RingConfig,
     workload=None,
     duration_ms: float = 1000.0,
     seed: int = 0,
-    warmup_fraction: float = 0.10,
+    warmup_fraction: float = WARMUP_FRACTION,
 ) -> RunResult:
     """Simulate from t=0 (token injected at station 0, all rotation clocks
     zeroed) to t=duration. Deterministic given (config, workload, seed).
@@ -218,96 +267,72 @@ def run(
     tt_ns = _ns_from_us(config.token_time_us)
     seg_ns = [_ns_from_us(u) for u in config.segment_delays_us]
     ttrt_ns = _ns_from_ms(config.ttrt_ms)
+    two_ttrt = 2 * ttrt_ns
+    check_finite(duration_ms=duration_ms)
     duration_ns = _ns_from_ms(duration_ms)
     if duration_ns <= 0:
         raise ValueError(f"duration_ms must be > 0, got {duration_ms}")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    strip_ns = 0
     d_ns = sum(seg_ns) + n * sd_ns
-    if config.release_after_stripping:
-        strip_ns = d_ns
+    strip_ns = d_ns if config.release_after_stripping else 0
     hop_ns = [sd_ns + tt_ns + s for s in seg_ns]
+    period = sum(hop_ns)  # one idle rotation
 
     sources = list(workload.bind(n, seed)) if workload is not None else [None] * n
     if len(sources) != n:
         raise ValueError(f"workload bound {len(sources)} stations, ring has {n}")
-    sat_bytes = [0] * n
-    gens: list[object | None] = [None] * n
-    for i, src in enumerate(sources):
-        if src is None:
-            continue
+    # The token only stops at sourced stations (station 0 on a ring without
+    # any); per-stop state is indexed by position k in `stops`.
+    stops = [i for i in range(n) if sources[i] is not None] or [0]
+    nst = len(stops)
+    leap = [sum(hop_ns[a:b]) for a, b in zip(stops, stops[1:])]
+    leap.append(sum(hop_ns[stops[-1]:]) + sum(hop_ns[:stops[0]]))
+    if min(leap) <= 0:
+        raise ValueError("the token must take time to travel between sourced stations")
+    sat = [0] * nst  # frame bytes of an always-backlogged stop
+    feeds: list[object | None] = [None] * nst
+    for k, st in enumerate(stops):
+        src = sources[st]
         if isinstance(src, SaturatedFeed):
-            sat_bytes[i] = src.frame_bytes
+            sat[k] = src.frame_bytes
         else:
-            gens[i] = src
-    sourced = [i for i in range(n) if sources[i] is not None]
-    stops = sourced if sourced else [0]
-    has_sat = any(sat_bytes)
-
-    # Fold hops through sourceless stations into one leap per stop.
-    next_stop: dict[int, int] = {}
-    leap_ns: dict[int, int] = {}
-    for idx, st in enumerate(stops):
-        nxt = stops[(idx + 1) % len(stops)]
-        total = 0
-        j = st
-        while True:
-            total += hop_ns[j]
-            j = (j + 1) % n
-            if j == nxt:
-                break
-        next_stop[st] = nxt
-        leap_ns[st] = total
+            feeds[k] = src
+    has_sat = any(sat)
 
     max_frame_ns = (workload.max_frame_bytes if workload is not None else 0) * NS_PER_BYTE
     trt_enforced = ttrt_ns >= d_ns + n * tt_ns + tt_ns + max_frame_ns
-
-    heap: list[tuple[int, int, int, int, object]] = []
-    seq = 0
-
-    # Token injection: it appears at station 0 and repeats through
-    # sourceless stations until the first stop.
-    if 0 in next_stop:
-        heappush(heap, (0, seq, TOKEN_ARRIVAL, 0, None))
-    else:
-        t0, j = 0, 0
-        while sources[j] is None:
-            t0 += hop_ns[j]
-            j += 1
-        heappush(heap, (t0, seq, TOKEN_ARRIVAL, j, None))
-    seq += 1
 
     mark_ns = int(duration_ns * warmup_fraction)
     if mark_ns >= duration_ns:
         raise ValueError("warm-up must end before the run does")
     boundary: RunSnapshot | None = None
-    if mark_ns > 0:
-        heappush(heap, (mark_ns, seq, MEASUREMENT_BOUNDARY, -1, None))
-        seq += 1
+    if mark_ns == 0:
+        boundary = RunSnapshot(0, 0, 0, tuple(0 for _ in range(n)))
 
-    for i in range(n):
-        g = gens[i]
-        if g is None:
+    # Pending bursts (time, stop, frame sizes), at most one per source;
+    # drawn[k] is when stop k's pending burst was scheduled.
+    pending: list[tuple[int, int, list[int]]] = []
+    drawn = [_FIRST_DRAW] * nst
+    for k in range(nst):
+        feed = feeds[k]
+        if feed is None:
             continue
-        first = g.next_burst(0)
+        first = feed.next_burst(0)
         if first is not None:
-            at_ns, sizes = first
-            heappush(heap, (at_ns, seq, FRAME_ARRIVAL, i, sizes))
-            seq += 1
+            heappush(pending, (first[0], k, first[1]))
+    # ahead[k]: stop k's last burst went ahead of a token event at its instant.
+    ahead = [False] * nst
 
-    last_arrival = [0] * n
-    queues: list[deque] = [deque() for _ in range(n)]
-    want_since = [-1] * n
-    for i in range(n):
-        if sat_bytes[i]:
-            want_since[i] = 0  # saturated stations want the token from t=0
+    last_arrival = [0] * nst
+    queues: list[deque] = [deque() for _ in range(nst)]
+    want_since = [0 if sb else -1 for sb in sat]  # saturated stops want the token from t=0
     nonempty = 0
 
     completed_bits = 0
     completed_frames = 0
-    station_bits = [0] * n
+    bits = [0] * nst
     response_samples: list[tuple[int, int]] = []
     access_samples: list[tuple[int, int]] = []
     rotation_count = 0
@@ -320,141 +345,215 @@ def run(
     holding = -1
     hold_start = 0
     hold_tht = 0
+    sat_frames = 0
     cur_arrival = 0
     cur_size = 0
-    cur_synthetic = False
     seg_start = 0
-    seg_idle = nonempty == 0 and not has_sat
+    seg_idle = not has_sat
 
-    while heap and heap[0][0] <= duration_ns:
-        t, _, kind, st, payload = heappop(heap)
+    # The token's next event is a visit to stop k at t or, while stop k
+    # holds, the completion of its frame(s) at t. A burst due at t is ordered
+    # against it by the token's previous event: the pass of stop k - 1 at
+    # t - leap[k - 1], or parent_t, which is the injection or the release
+    # before the visit at after_t, or the capture or previous completion.
+    k = 0
+    t = sum(hop_ns[:stops[0]])
+    parent_t = _INJECTED
+    after_t = t
+    end_ns = duration_ns + 1
+    limit = 0  # first instant at which the slow path below must run
 
-        if kind == TOKEN_ARRIVAL:
-            trt = t - last_arrival[st]
-            last_arrival[st] = t
-            rotation_count += 1
-            if trt > max_rotation:
-                max_rotation = trt
-            if trt >= 2 * ttrt_ns:
-                trt_violations += 1
-                if trt_enforced:
-                    raise InvariantViolation(
-                        f"rotation of {trt} ns at station {st} reached twice the "
-                        f"TTRT ({ttrt_ns} ns) despite a rule-2-compliant setup"
-                    )
-            sb = sat_bytes[st]
-            q = queues[st]
-            usable = False
-            tht = 0
-            if sb or q:
-                tht = ttrt_ns - trt
-                if tht > 0:
-                    first_ns = (sb if sb else q[0][1]) * NS_PER_BYTE
-                    usable = overflow or first_ns <= tht
-            if usable:
-                ws = want_since[st]
-                access_samples.append((ws if ws >= 0 else t, t))
-                want_since[st] = -1
-                dt = t - seg_start
-                if seg_idle:
-                    idle_total += dt
-                else:
-                    overhead_total += dt
-                holding = st
-                hold_start = t
-                hold_tht = tht
-                if sb:
-                    cur_arrival, cur_size, cur_synthetic = t, sb, True
-                else:
-                    cur_arrival, cur_size = q.popleft()
-                    cur_synthetic = False
-                    if not q:
-                        nonempty -= 1
-                heappush(
-                    heap,
-                    (t + cur_size * NS_PER_BYTE, seq, TRANSMISSION_COMPLETE, st, None),
-                )
-                seq += 1
+    while True:
+        if t >= limit:
+            if holding < 0:
+                parent = parent_t if t == after_t else t - leap[k - 1]
             else:
-                heappush(heap, (t + leap_ns[st], seq, TOKEN_ARRIVAL, next_stop[st], None))
-                seq += 1
-
-        elif kind == TRANSMISSION_COMPLETE:
-            if holding != st:
-                raise InvariantViolation(
-                    f"transmission completed at station {st} while station "
-                    f"{holding} holds the token"
-                )
-            completed_bits += cur_size * 8
-            station_bits[st] += cur_size * 8
-            completed_frames += 1
-            if not cur_synthetic:
-                response_samples.append((cur_arrival, t))
-            sb = sat_bytes[st]
-            q = queues[st]
-            elapsed = t - hold_start
-            next_size = sb if sb else (q[0][1] if q else 0)
-            cont = False
-            if next_size:
-                if overflow:
-                    cont = elapsed < hold_tht
+                parent = parent_t
+            upto = min(t, duration_ns)
+            held = None
+            while pending and pending[0][0] <= upto:
+                at, kb, sizes = heappop(pending)
+                d = drawn[kb]
+                if at == t:
+                    first = d < parent or (d == parent and ahead[kb])
+                elif holding >= 0 and sat[k] and at > hold_start:
+                    # landed on an earlier completion of a saturated holding?
+                    frame_ns = sat[k] * NS_PER_BYTE
+                    prev = at - frame_ns
+                    first = (at - hold_start) % frame_ns == 0 and (
+                        d < prev or (d == prev and ahead[kb]))
                 else:
-                    cont = elapsed + next_size * NS_PER_BYTE <= hold_tht
-            if cont:
-                if sb:
-                    cur_arrival, cur_size, cur_synthetic = t, sb, True
-                else:
-                    cur_arrival, cur_size = q.popleft()
-                    cur_synthetic = False
+                    first = False
+                ahead[kb] = first
+                if at == t and kb == k and not first:
+                    held = (at, kb, sizes)  # the token event at t goes first
+                    continue
+                q = queues[kb]
+                if sizes:
                     if not q:
-                        nonempty -= 1
-                heappush(
-                    heap,
-                    (t + cur_size * NS_PER_BYTE, seq, TRANSMISSION_COMPLETE, st, None),
-                )
-                seq += 1
-            else:
-                busy_total += t - hold_start
-                holding = -1
+                        nonempty += 1
+                        if holding != kb and want_since[kb] < 0:
+                            want_since[kb] = at
+                        if holding < 0 and seg_idle:
+                            idle_total += at - seg_start
+                            seg_start = at
+                            seg_idle = False
+                    for size in sizes:
+                        q.append((at, size))
+                nb = feeds[kb].next_burst(at)
+                if nb is not None:
+                    heappush(pending, (nb[0], kb, nb[1]))
+                    drawn[kb] = at
+            if held is not None:
+                heappush(pending, held)
+            if boundary is None and t >= mark_ns:
+                snap_bits = completed_bits
+                snap_busy = busy_total
+                snap_station = list(bits)
+                if holding >= 0:
+                    snap_busy += mark_ns - hold_start
+                    if sat[k]:
+                        sent = (mark_ns - hold_start - 1) // (sat[k] * NS_PER_BYTE)
+                        snap_bits += sent * sat[k] * 8
+                        snap_station[k] += sent * sat[k] * 8
+                boundary = RunSnapshot(
+                    mark_ns, snap_bits, snap_busy, _by_station(snap_station, stops, n))
+            if t > duration_ns:
+                break
+            limit = pending[0][0] if pending and pending[0][0] < end_ns else end_ns
+            if boundary is None and mark_ns < limit:
+                limit = mark_ns
+
+        if holding < 0:
+            if not has_sat and not nonempty and t + period <= limit:
+                # Idle ring: every stop is passed once per period until the
+                # limit, so its counters and rotation clock follow in closed
+                # form; the token resumes at the first pass at or after it.
+                tk = t
+                kk = k
+                t = limit + period
+                repeats = 0
+                for _ in range(nst):
+                    passes = (limit - 1 - tk) // period + 1
+                    trt = tk - last_arrival[kk]
+                    if trt > max_rotation:
+                        max_rotation = trt
+                    if trt >= two_ttrt:
+                        trt_violations += 1
+                        if trt_enforced:
+                            raise _rotation_error(trt, stops[kk], ttrt_ns)
+                    last_arrival[kk] = tk + (passes - 1) * period
+                    repeats += passes - 1
+                    if tk + passes * period < t:
+                        t = tk + passes * period
+                        k = kk
+                    tk += leap[kk]
+                    kk += 1
+                    if kk == nst:
+                        kk = 0
+                rotation_count += nst + repeats
+                if repeats:
+                    # an enforced bound implies period < TTRT, so these
+                    # rotations can only be counted, never raised
+                    if period > max_rotation:
+                        max_rotation = period
+                    if period >= two_ttrt:
+                        trt_violations += repeats
+                continue
+            while True:
+                trt = t - last_arrival[k]
+                last_arrival[k] = t
+                rotation_count += 1
+                if trt > max_rotation:
+                    max_rotation = trt
+                if trt >= two_ttrt:
+                    trt_violations += 1
+                    if trt_enforced:
+                        raise _rotation_error(trt, stops[k], ttrt_ns)
+                sb = sat[k]
+                q = queues[k]
                 if sb or q:
-                    want_since[st] = t
-                seg_start = t
-                seg_idle = nonempty == 0 and not has_sat
-                heappush(
-                    heap,
-                    (t + strip_ns + leap_ns[st], seq, TOKEN_ARRIVAL, next_stop[st], None),
+                    tht = ttrt_ns - trt
+                    if tht > 0 and (overflow or (sb or q[0][1]) * NS_PER_BYTE <= tht):
+                        ws = want_since[k]
+                        access_samples.append((ws if ws >= 0 else t, t))
+                        want_since[k] = -1
+                        if seg_idle:
+                            idle_total += t - seg_start
+                        else:
+                            overhead_total += t - seg_start
+                        holding = k
+                        hold_start = t
+                        hold_tht = tht
+                        if sb:
+                            frame_ns = sb * NS_PER_BYTE
+                            sat_frames = -(-tht // frame_ns) if overflow else tht // frame_ns
+                            t += sat_frames * frame_ns
+                            parent_t = t - frame_ns
+                        else:
+                            cur_arrival, cur_size = q.popleft()
+                            if not q:
+                                nonempty -= 1
+                            parent_t = t
+                            t += cur_size * NS_PER_BYTE
+                        break
+                t += leap[k]
+                k += 1
+                if k == nst:
+                    k = 0
+                if t >= limit:
+                    break
+            continue
+
+        # stop k holds the token; its frame(s) complete at t
+        sb = sat[k]
+        q = queues[k]
+        if sb:
+            sent_bits = sat_frames * sb * 8
+            completed_bits += sent_bits
+            bits[k] += sent_bits
+            completed_frames += sat_frames
+        else:
+            while True:
+                completed_bits += cur_size * 8
+                bits[k] += cur_size * 8
+                completed_frames += 1
+                response_samples.append((cur_arrival, t))
+                more = q and (
+                    t - hold_start < hold_tht if overflow
+                    else t - hold_start + q[0][1] * NS_PER_BYTE <= hold_tht
                 )
-                seq += 1
-
-        elif kind == FRAME_ARRIVAL:
-            q = queues[st]
-            was_empty = not q
-            for size in payload:
-                q.append((t, size))
-            if was_empty and payload:
-                nonempty += 1
-                if holding != st and want_since[st] < 0:
-                    want_since[st] = t
-                if holding == -1 and seg_idle:
-                    idle_total += t - seg_start
-                    seg_start = t
-                    seg_idle = False
-            nb = gens[st].next_burst(t)
-            if nb is not None:
-                at_ns, sizes = nb
-                heappush(heap, (at_ns, seq, FRAME_ARRIVAL, st, sizes))
-                seq += 1
-
-        else:  # MEASUREMENT_BOUNDARY
-            busy_now = busy_total + (t - hold_start if holding >= 0 else 0)
-            boundary = RunSnapshot(t, completed_bits, busy_now, tuple(station_bits))
-
-    if not heap:
-        raise SimulationError(
-            "event queue drained before the end of the run: the token was lost"
-        )
+                if not more:
+                    break
+                cur_arrival, cur_size = q.popleft()
+                if not q:
+                    nonempty -= 1
+                parent_t = t
+                t += cur_size * NS_PER_BYTE
+                if t >= limit:
+                    break
+            if more:
+                continue  # a frame is in flight past the limit
+        busy_total += t - hold_start
+        holding = -1
+        if sb or q:
+            want_since[k] = t
+        seg_start = t
+        seg_idle = not nonempty and not has_sat
+        parent_t = t
+        t += strip_ns + leap[k]
+        after_t = t
+        k += 1
+        if k == nst:
+            k = 0
 
     if holding >= 0:
+        sb = sat[holding]
+        if sb:
+            sent = (duration_ns - hold_start) // (sb * NS_PER_BYTE)
+            completed_bits += sent * sb * 8
+            bits[holding] += sent * sb * 8
+            completed_frames += sent
         busy_total += duration_ns - hold_start
     else:
         dt = duration_ns - seg_start
@@ -469,16 +568,13 @@ def run(
             f"overhead {overhead_total} != duration {duration_ns}"
         )
 
-    if boundary is None:
-        boundary = RunSnapshot(0, 0, 0, tuple(0 for _ in range(n)))
-
     return RunResult(
         config=config,
         duration_ns=duration_ns,
         seed=seed,
         completed_bits=completed_bits,
         completed_frames=completed_frames,
-        station_bits=tuple(station_bits),
+        station_bits=_by_station(bits, stops, n),
         response_samples=response_samples,
         access_samples=access_samples,
         rotation_count=rotation_count,

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES
+from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, check_finite
 
 _NS_PER_MS = 1_000_000
 
@@ -57,6 +57,7 @@ class WicWorkload:
     stations: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_finite(mean_interburst_ms=self.mean_interburst_ms)
         if self.mean_interburst_ms <= 0:
             raise ValueError(f"mean_interburst_ms must be > 0, got {self.mean_interburst_ms}")
         if self.burst_size < 1:

@@ -244,3 +244,50 @@ def test_sweep_csv_reproducible(tmp_path):
     assert _run(args + ["--out", str(a)]) == 0
     assert _run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_out_runs_the_simulation_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_run = cli.simcore.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli.simcore, "run", counting_run)
+    out = tmp_path / "sim.csv"
+    rc = _run([
+        "simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic",
+        "--load-pct", "40", "--active", "5", "--duration-ms", "100", "--out", str(out),
+    ])
+    assert rc == 0
+    assert len(calls) == 1
+    row = _read_csv(out)[0]
+    # stdout and the CSV row come from the same report
+    printed = capsys.readouterr().out
+    assert f"efficiency: {float(row['efficiency'])!r}" in printed
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--var", "ttrt", "--grid", "nan,inf", "--preset", "typical"],
+    ["sweep", "--var", "ttrt", "--grid", "4,inf", "--preset", "typical"],
+    ["analyze", "--ttrt", "inf", "--preset", "typical"],
+    ["analyze", "--ttrt", "nan", "--preset", "typical"],
+])
+def test_non_finite_input_is_one_error_line(argv, capsys):
+    assert _run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert "finite" in err[0]
+
+
+def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
+    cli._build_parser.cache_clear()
+    assert _run(["analyze", "--preset", "typical", "--ttrt", "4"]) == 0
+    assert _run(["analyze", "--preset", "typical", "--ttrt", "8"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        _run(["analyze", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert cli._build_parser.cache_info().misses == 1
