@@ -29,7 +29,6 @@ from .simcore import (
     RingConfig,
     RunResult,
     SimulationError,
-    StationConfig,
     run,
 )
 from .workload import SaturationWorkload, ScriptedWorkload, WicWorkload
@@ -49,7 +48,6 @@ __all__ = [
     "SaturationWorkload",
     "ScriptedWorkload",
     "SimulationError",
-    "StationConfig",
     "TtrtValidation",
     "WicWorkload",
     "asymptotic_efficiency",

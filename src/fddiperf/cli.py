@@ -4,14 +4,15 @@ Subcommands:
 
   analyze   closed-form efficiency / max access delay for one configuration
   simulate  one simulator run with a saturation or bursty workload
-  sweep     parameter sweeps to CSV, including the named figure presets
+  sweep     CSV sweeps: a figure preset (a presets.FIGURES entry) or --var/--grid
   table1    recompute the golden reference table and verify every cell
   validate  check a requested TTRT against the standard's rules
 
 Values may come from an INI config file (--config); explicit flags always
-override file values, and --dump-config prints the fully resolved
-configuration for provenance. Sweep output echoes every input including
-the seed, so any CSV row can be reproduced on its own.
+override file values, and --dump-config prints each key the command read,
+resolved, for provenance. Every sweep runs through one engine, and its
+output echoes every input including the seed, so any CSV row can be
+reproduced on its own.
 
 Exit codes: 0 success, 1 validation failure / golden mismatch / saturated
 configuration, 2 bad input.
@@ -23,7 +24,6 @@ import argparse
 import configparser
 import csv
 import functools
-import io
 import math
 import sys
 
@@ -99,9 +99,7 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         with open(out_path, "w", newline="") as fh:
             emit(fh)
     else:
-        buf = io.StringIO()
-        emit(buf)
-        sys.stdout.write(buf.getvalue())
+        emit(sys.stdout)
 
 
 class Resolver:
@@ -148,21 +146,40 @@ class Resolver:
         return "\n".join(lines)
 
 
-def _resolve_ring(res: Resolver) -> tuple[str, int, float]:
-    """Returns (preset name or '', mac_count, fiber_km)."""
-    preset_name = res.get("ring", "preset")
+# sweep variable -> (the row column its grid values set, their type)
+SWEEP_VARS: dict[str, tuple[str, type]] = {
+    "ttrt": ("ttrt_ms", float),
+    "extent": ("fiber_km", float),
+    "total_stations": ("mac_count", int),
+    "active_macs": ("n_active", int),
+    "frame_size": ("frame_bytes", int),
+}
+
+
+def _resolve_ring(res: Resolver, swept: str = "") -> tuple[str, int | None, float | None]:
+    """Returns (preset name or '', mac_count, fiber_km). The ring dimension
+    a sweep varies, named by its row column in swept, may stay None."""
+    preset_name = res.get("ring", "preset") or ""
     macs = res.get("ring", "macs", cast=int)
     fiber = res.get("ring", "fiber_km", cast=float)
     if preset_name:
         if preset_name not in PRESETS:
             raise CliError(f"unknown preset {preset_name!r}; choices: {', '.join(PRESETS)}")
         p = PRESETS[preset_name]
-        return preset_name, macs if macs is not None else p.mac_count, (
-            fiber if fiber is not None else p.fiber_km
-        )
-    if macs is None or fiber is None:
+        macs = p.mac_count if macs is None else macs
+        fiber = p.fiber_km if fiber is None else fiber
+    if (macs is None and swept != "mac_count") or (fiber is None and swept != "fiber_km"):
         raise CliError("give --preset, or both --macs and --fiber-km")
-    return "", macs, fiber
+    return preset_name, macs, fiber
+
+
+def _active(n_active: int | None, macs: int) -> int:
+    """The active count (every MAC by default) checked against the ring; zero
+    MACs, the closed form's idealised zero-latency ring, bounds none."""
+    n_active = macs if n_active is None else n_active
+    if n_active < 1 or n_active > macs > 0:
+        raise CliError(f"active count {n_active} outside [1, {macs}]")
+    return n_active
 
 
 def _base_row(**kwargs) -> dict:
@@ -171,17 +188,22 @@ def _base_row(**kwargs) -> dict:
     return row
 
 
-def _analytical_row(row: dict, n_active: int, ttrt_ms: float, d_ms: float,
-                    frame_bytes: int | None) -> dict:
-    """Fill the metric columns of a row from the closed-form model; mark the
-    row instead of failing when latency swallows the TTRT."""
+def _ring_latency_ms(row: dict) -> float:
+    ring = PhysicalRing(fiber_km=row["fiber_km"], mac_count=row["mac_count"])
+    return analytical.ring_latency(ring)
+
+
+def _analytical_row(row: dict) -> dict:
+    """Fill the metric columns of a row from the closed-form model for its
+    ring, active count, TTRT and frame size (the overflow model when a frame
+    size is set); mark the row instead of failing when latency swallows the
+    TTRT."""
+    row["mode"] = "analytical"
+    frame_bytes = row["frame_bytes"]
     try:
-        if frame_bytes:
-            result = analytical.overflow_model(
-                RingParameters(n_active, ttrt_ms, d_ms, analytical.frame_time_ms(frame_bytes))
-            )
-        else:
-            result = analytical.basic_model(RingParameters(n_active, ttrt_ms, d_ms))
+        p = RingParameters(row["n_active"], row["ttrt_ms"], _ring_latency_ms(row),
+                           analytical.frame_time_ms(frame_bytes) if frame_bytes else None)
+        result = analytical.overflow_model(p) if frame_bytes else analytical.basic_model(p)
     except RingSaturatedError:
         row["error"] = SATURATED_MARKER
         return row
@@ -195,19 +217,32 @@ def _analytical_row(row: dict, n_active: int, ttrt_ms: float, d_ms: float,
 
 def _simulate(config: RingConfig, load, duration_ms: float, seed: int,
               n_active: int) -> metrics.MetricsReport:
-    """One simulator run, summarized with the access-delay bound for
-    n_active stations."""
+    """One simulator run, summarized with the access-delay bound for the
+    stations that send: n_active saturated ones, or every station."""
     result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
     return metrics.summarize(
         result,
         offered_load_mbps=load.total_offered_load_mbps(config.n_stations),
-        n_active=n_active,
+        n_active=n_active if isinstance(load, SaturationWorkload) else config.n_stations,
         max_frame_bytes=load.max_frame_bytes,
     )
 
 
-def _simulated_row(row: dict, report: metrics.MetricsReport) -> dict:
-    """Fill the metric columns of a row from a simulated run's report."""
+def _simulated_row(row: dict, config: RingConfig, load,
+                   report: metrics.MetricsReport | None) -> dict:
+    """Fill the run-input columns of a row from the config and workload of a
+    run, and its metric columns from the run's report; with no report, mark
+    the row as saturated by latency."""
+    row.update(
+        mode="simulated",
+        frame_bytes=getattr(load, "frame_bytes", None),
+        interburst_ms=getattr(load, "mean_interburst_ms", None),
+        token_time_us=config.token_time_us,
+        async_overflow=config.async_overflow,
+    )
+    if report is None:
+        row["error"] = SATURATED_MARKER
+        return row
     row["efficiency"] = report.efficiency
     row["efficiency_pct_rounded"] = paper_round(report.efficiency * 100.0)
     row["throughput_mbps"] = report.throughput_mbps
@@ -230,68 +265,51 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     res = Resolver(args, args.config)
     preset_name, macs, fiber = _resolve_ring(res)
     ttrt = res.get("ring", "ttrt", default=8.0, cast=float)
-    n_active = res.get("ring", "active", cast=int)
+    n_active = _active(res.get("ring", "active", cast=int), macs)
     frame_bytes = res.get("workload", "frame_bytes", cast=int)
-    if n_active is None:
-        n_active = macs
     if args.dump_config:
         sys.stdout.write(res.dump())
 
-    ring = PhysicalRing(fiber_km=fiber, mac_count=macs)
-    d_ms = analytical.ring_latency(ring)
+    row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
+                    ttrt_ms=ttrt, frame_bytes=frame_bytes)
+    d_ms = _ring_latency_ms(row)
     print(f"ring: {preset_name or 'custom'} ({macs} MACs, {fiber:g} km fiber)")
     print(f"ring_latency_ms: {d_ms!r} (rounds to {paper_round(d_ms):g})")
     print(f"n_active: {n_active}")
     print(f"ttrt_ms: {ttrt:g}")
     try:
-        p = RingParameters(n_active, ttrt, d_ms)
-        eff = analytical.efficiency(p)
-        delay_ms = analytical.max_access_delay(p)
+        basic = analytical.basic_model(RingParameters(n_active, ttrt, d_ms))
     except RingSaturatedError as exc:
         print(f"error: {SATURATED_MARKER}: {exc}", file=sys.stderr)
         return 1
+    eff, delay_ms = basic.efficiency, basic.max_access_delay_ms
     print(f"efficiency: {eff!r} ({paper_round(eff * 100.0):.2f}%)")
     print(
         f"max_access_delay_ms: {delay_ms!r} "
         f"({paper_round(delay_ms / 1000.0):.2f} s)"
     )
-    k = None
+    row = _analytical_row(row)
     if frame_bytes:
-        ovf = analytical.overflow_model(
-            RingParameters(n_active, ttrt, d_ms, analytical.frame_time_ms(frame_bytes))
-        )
-        k = ovf.frames_per_opportunity
-        print(f"overflow_frames_per_opportunity: {k}")
-        print(f"overflow_efficiency: {ovf.efficiency!r}")
-        print(f"overflow_max_access_delay_ms: {ovf.max_access_delay_ms!r}")
-
+        print(f"overflow_frames_per_opportunity: {row['frames_per_opportunity']}")
+        print(f"overflow_efficiency: {row['efficiency']!r}")
+        print(f"overflow_max_access_delay_ms: {row['max_access_delay_ms']!r}")
     if args.out:
-        row = _base_row(
-            mode="analytical",
-            preset=preset_name,
-            mac_count=macs,
-            fiber_km=fiber,
-            n_active=n_active,
-            ttrt_ms=ttrt,
-            frame_bytes=frame_bytes,
-        )
-        _write_rows([_analytical_row(row, n_active, ttrt, d_ms, frame_bytes)], args.out)
+        _write_rows([row], args.out)
     return 0
 
 
 # --------------------------------------------------------------- simulate
 
-def _build_sim_config(res: Resolver, ttrt: float, macs: int, fiber: float) -> RingConfig:
-    token_us = res.get("ring", "token_time_us", default=0.88, cast=float)
-    no_overflow = res.get("ring", "no_overflow", default=False, cast=bool)
-    allow_any = res.get("ring", "allow_any_ttrt", default=False, cast=bool)
+def _build_sim_config(res: Resolver, row: dict, any_ttrt: bool = False) -> RingConfig:
+    """The simulator's ring for a row's MACs, fiber and TTRT; any_ttrt is
+    the default of allow_any_ttrt."""
     return RingConfig.uniform(
-        n_stations=macs,
-        fiber_km=fiber,
-        ttrt_ms=ttrt,
-        token_time_us=token_us,
-        async_overflow=not no_overflow,
-        allow_any_ttrt=allow_any,
+        n_stations=row["mac_count"],
+        fiber_km=row["fiber_km"],
+        ttrt_ms=row["ttrt_ms"],
+        token_time_us=res.get("ring", "token_time_us", default=0.88, cast=float),
+        async_overflow=not res.get("ring", "no_overflow", default=False, cast=bool),
+        allow_any_ttrt=res.get("ring", "allow_any_ttrt", default=any_ttrt, cast=bool),
     )
 
 
@@ -350,133 +368,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     res = Resolver(args, args.config)
     preset_name, macs, fiber = _resolve_ring(res)
     ttrt = res.get("ring", "ttrt", default=8.0, cast=float)
-    n_active = res.get("ring", "active", cast=int)
-    if n_active is None:
-        n_active = macs
-    if not 1 <= n_active <= macs:
-        raise CliError(f"--active must be in [1, {macs}]")
+    n_active = _active(res.get("ring", "active", cast=int), macs)
     duration = res.get("run", "duration_ms", default=DEFAULT_DURATION_MS, cast=float)
     seed = res.get("run", "seed", default=DEFAULT_SEED, cast=int)
-    config = _build_sim_config(res, ttrt, macs, fiber)
+    row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
+                    ttrt_ms=ttrt, duration_ms=duration, replication=0, seed=seed)
+    config = _build_sim_config(res, row)
     load = _build_workload(res, macs, n_active)
+    row["load_pct"] = res.resolved.get(("workload", "load_pct"))
     if args.dump_config:
         sys.stdout.write(res.dump())
 
-    bound_active = n_active if isinstance(load, SaturationWorkload) else macs
-    report = _simulate(config, load, duration, seed, bound_active)
+    report = _simulate(config, load, duration, seed, n_active)
     _print_report(report)
-
     if args.out:
-        row = _base_row(
-            mode="simulated",
-            preset=preset_name,
-            mac_count=macs,
-            fiber_km=fiber,
-            n_active=n_active,
-            ttrt_ms=ttrt,
-            frame_bytes=getattr(load, "frame_bytes", None),
-            load_pct=res.resolved.get(("workload", "load_pct")),
-            interburst_ms=getattr(load, "mean_interburst_ms", None),
-            token_time_us=config.token_time_us,
-            async_overflow=config.async_overflow,
-            duration_ms=duration,
-            replication=0,
-            seed=seed,
-        )
-        _write_rows([_simulated_row(row, report)], args.out)
+        _write_rows([_simulated_row(row, config, load, report)], args.out)
     return 0
 
 
 # ------------------------------------------------------------------ sweep
 
-def _figure_rows(figure: str, res: Resolver, seed: int, replications: int) -> list[dict]:
-    rows: list[dict] = []
-    if figure in ("fig1", "fig2"):
-        for name in ("typical", "big", "largest"):
-            p = PRESETS[name]
-            d_ms = p.ring_latency_ms()
-            for ttrt in presets.FIG_TTRT_GRID_MS:
-                row = _base_row(
-                    figure=figure, mode="analytical", preset=name,
-                    sweep_var="ttrt", sweep_value=ttrt,
-                    mac_count=p.mac_count, fiber_km=p.fiber_km,
-                    n_active=p.mac_count, ttrt_ms=ttrt,
-                )
-                rows.append(_analytical_row(row, p.mac_count, ttrt, d_ms, None))
-        return rows
-
-    if figure == "fig3":
-        duration = res.get("run", "duration_ms", default=presets.FIG3_DURATION_MS, cast=float)
-        n = presets.FIG3_STATIONS
-        for load_pct in presets.FIG3_LOAD_PCT:
-            load = WicWorkload.for_utilization(load_pct / 100.0, n)
-            for ttrt in presets.FIG3_TTRT_GRID_MS:
-                config = RingConfig.uniform(
-                    n_stations=n, fiber_km=presets.FIG3_FIBER_KM, ttrt_ms=ttrt,
-                    allow_any_ttrt=True,
-                )
-                for rep in range(replications):
-                    row = _base_row(
-                        figure=figure, mode="simulated", preset="",
-                        sweep_var="ttrt", sweep_value=ttrt,
-                        mac_count=n, fiber_km=presets.FIG3_FIBER_KM,
-                        n_active=n, ttrt_ms=ttrt,
-                        load_pct=load_pct,
-                        interburst_ms=load.mean_interburst_ms,
-                        token_time_us=config.token_time_us,
-                        async_overflow=config.async_overflow,
-                        duration_ms=duration, replication=rep, seed=seed + rep,
-                    )
-                    report = _simulate(config, load, duration, seed + rep, n)
-                    rows.append(_simulated_row(row, report))
-        return rows
-
-    if figure in ("fig4", "fig5"):
-        n = presets.EXTENT_STATIONS
-        for extent_km in presets.EXTENT_GRID_KM:
-            d_ms = analytical.ring_latency(PhysicalRing(fiber_km=extent_km, mac_count=n))
-            row = _base_row(
-                figure=figure, mode="analytical", preset="",
-                sweep_var="extent_km", sweep_value=extent_km,
-                mac_count=n, fiber_km=extent_km, n_active=n,
-                ttrt_ms=presets.FIGURE_TTRT_MS,
-            )
-            rows.append(_analytical_row(row, n, presets.FIGURE_TTRT_MS, d_ms, None))
-        return rows
-
-    if figure in ("fig6", "fig7"):
-        p = PRESETS["largest"]
-        d_ms = p.ring_latency_ms()
-        for active in presets.ACTIVE_MACS_GRID:
-            row = _base_row(
-                figure=figure, mode="analytical", preset=p.name,
-                sweep_var="active_macs", sweep_value=active,
-                mac_count=p.mac_count, fiber_km=p.fiber_km,
-                n_active=active, ttrt_ms=presets.FIGURE_TTRT_MS,
-            )
-            rows.append(_analytical_row(row, active, presets.FIGURE_TTRT_MS, d_ms, None))
-        return rows
-
-    if figure in ("fig8", "fig9"):
-        p = PRESETS["largest"]
-        d_ms = p.ring_latency_ms()
-        for frame_bytes in presets.FRAME_SIZE_GRID_BYTES:
-            row = _base_row(
-                figure=figure, mode="analytical", preset=p.name,
-                sweep_var="frame_bytes", sweep_value=frame_bytes,
-                mac_count=p.mac_count, fiber_km=p.fiber_km,
-                n_active=p.mac_count, ttrt_ms=presets.FIGURE_TTRT_MS,
-                frame_bytes=frame_bytes,
-            )
-            rows.append(
-                _analytical_row(row, p.mac_count, presets.FIGURE_TTRT_MS, d_ms, frame_bytes)
-            )
-        return rows
-
-    raise CliError(f"unknown figure {figure!r}; choices: {', '.join(presets.FIGURES)}")
-
-
-def _parse_grid(raw: str, cast) -> list:
+def _parse_grid(raw: str, cast) -> tuple:
     try:
         values = [cast(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
@@ -487,130 +399,96 @@ def _parse_grid(raw: str, cast) -> list:
         raise CliError(f"grid values must be finite, got {raw!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise CliError("grid values must be strictly increasing")
-    return values
+    return tuple(values)
 
 
-def _custom_rows(res: Resolver) -> list[dict]:
-    var = res.get("sweep", "var")
+def _custom_sweep(res: Resolver, var: str | None, grid: str | None) -> presets.Figure:
+    """The unnamed Figure a --var/--grid sweep describes."""
     if not var:
         raise CliError("give --figure or --var/--grid")
-    grid_raw = res.get("sweep", "grid")
-    if not grid_raw:
+    if var not in SWEEP_VARS:
+        raise CliError(f"unknown sweep variable {var!r}; choices: {', '.join(SWEEP_VARS)}")
+    if not grid:
         raise CliError("--var needs --grid")
     mode = res.get("sweep", "mode", default="analytical")
     if mode not in ("analytical", "simulate", "both"):
         raise CliError(f"unknown mode {mode!r}")
+    column, cast = SWEEP_VARS[var]
+    return presets.Figure(
+        description="",
+        var=var,
+        sweep_var=var,
+        grid=_parse_grid(grid, cast),
+        rings=(_resolve_ring(res, swept=column),),
+        loads=(res.get("workload", "load_pct", cast=float),),
+        mode=mode,
+        ttrt_ms=res.get("ring", "ttrt", default=8.0, cast=float),
+        n_active=res.get("ring", "active", cast=int),
+        frame_bytes=res.get("workload", "frame_bytes", cast=int),
+    )
+
+
+def _sweep_rows(spec: presets.Figure, figure: str, res: Resolver) -> list[dict]:
+    """Every row of a sweep: ring, then load, then grid point, each point
+    giving its closed-form row and/or one simulated row per replication.
+    Figure presets probe TTRTs outside the legal window on purpose, so they
+    allow any TTRT by default."""
+    column = SWEEP_VARS[spec.var][0]
     replications = res.get("sweep", "replications", default=1, cast=int)
     if replications < 1:
         raise CliError("--replications must be >= 1")
-    seed = res.get("run", "seed", default=DEFAULT_SEED, cast=int)
-    duration = res.get("run", "duration_ms", default=DEFAULT_DURATION_MS, cast=float)
-    # the swept variable supplies its own ring dimension, so only require
-    # the ones that stay fixed
-    preset_name = res.get("ring", "preset") or ""
-    if preset_name and preset_name not in PRESETS:
-        raise CliError(f"unknown preset {preset_name!r}; choices: {', '.join(PRESETS)}")
-    macs = res.get("ring", "macs", cast=int)
-    fiber = res.get("ring", "fiber_km", cast=float)
-    if preset_name:
-        p = PRESETS[preset_name]
-        macs = macs if macs is not None else p.mac_count
-        fiber = fiber if fiber is not None else p.fiber_km
-    if macs is None and var != "total_stations":
-        raise CliError("give --preset or --macs")
-    if fiber is None:
-        if var != "extent":
-            raise CliError("give --preset or --fiber-km")
-        fiber = 0.0
-    ttrt = res.get("ring", "ttrt", default=8.0, cast=float)
-    n_active = res.get("ring", "active", cast=int)
-    frame_bytes = res.get("workload", "frame_bytes", cast=int)
-    sim_frame = frame_bytes if frame_bytes is not None else DEFAULT_SAT_FRAME_BYTES
-    load_pct = res.get("workload", "load_pct", cast=float)
-
-    cast = int if var in ("total_stations", "active_macs", "frame_size") else float
-    grid = _parse_grid(grid_raw, cast)
-
+    simulate = spec.mode != "analytical"
+    if simulate:
+        seed = res.get("run", "seed", default=DEFAULT_SEED, cast=int)
+        duration = res.get("run", "duration_ms", default=DEFAULT_DURATION_MS, cast=float)
     rows: list[dict] = []
-    for value in grid:
-        point_macs, point_fiber, point_ttrt = macs, fiber, ttrt
-        point_frame = frame_bytes
-        if var == "ttrt":
-            point_ttrt = value
-        elif var == "extent":
-            point_fiber = value
-        elif var == "total_stations":
-            point_macs = value
-        elif var == "active_macs":
-            pass
-        elif var == "frame_size":
-            point_frame = value
-        else:
-            raise CliError(
-                f"unknown sweep variable {var!r}; choices: ttrt, extent, "
-                "total_stations, active_macs, frame_size"
-            )
-        point_active = value if var == "active_macs" else (
-            n_active if n_active is not None else point_macs
-        )
-        if not 1 <= point_active <= point_macs:
-            raise CliError(f"active count {point_active} outside [1, {point_macs}]")
-        d_ms = analytical.ring_latency(PhysicalRing(fiber_km=point_fiber, mac_count=point_macs))
-
-        common = dict(
-            preset=preset_name, sweep_var=var, sweep_value=value,
-            mac_count=point_macs, fiber_km=point_fiber,
-            n_active=point_active, ttrt_ms=point_ttrt,
-        )
-        if mode in ("analytical", "both"):
-            row = _base_row(figure="", mode="analytical", frame_bytes=point_frame, **common)
-            rows.append(_analytical_row(row, point_active, point_ttrt, d_ms, point_frame))
-        if mode in ("simulate", "both"):
-            try:
-                config = RingConfig.uniform(
-                    n_stations=point_macs, fiber_km=point_fiber, ttrt_ms=point_ttrt,
-                    token_time_us=res.get("ring", "token_time_us", default=0.88, cast=float),
-                    async_overflow=not res.get("ring", "no_overflow", default=False, cast=bool),
-                    allow_any_ttrt=res.get("ring", "allow_any_ttrt", default=False, cast=bool),
+    for preset_name, macs, fiber in spec.rings:
+        for load_pct in spec.loads:
+            for value in spec.grid:
+                point = _base_row(
+                    figure=figure, preset=preset_name, sweep_var=spec.sweep_var,
+                    sweep_value=value, mac_count=macs, fiber_km=fiber,
+                    n_active=spec.n_active, ttrt_ms=spec.ttrt_ms, frame_bytes=spec.frame_bytes,
                 )
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
-            if load_pct is not None:
-                load = WicWorkload.for_utilization(load_pct / 100.0, point_macs)
-            else:
-                load = SaturationWorkload(
-                    frame_bytes=point_frame if point_frame else sim_frame,
-                    stations=tuple(range(point_active)),
-                )
-            for rep in range(replications):
-                row = _base_row(
-                    figure="", mode="simulated",
-                    frame_bytes=getattr(load, "frame_bytes", None),
-                    load_pct=load_pct,
-                    interburst_ms=getattr(load, "mean_interburst_ms", None),
-                    token_time_us=config.token_time_us,
-                    async_overflow=config.async_overflow,
-                    duration_ms=duration, replication=rep, seed=seed + rep,
-                    **common,
-                )
-                if point_ttrt <= d_ms:
-                    row["error"] = SATURATED_MARKER
-                    rows.append(row)
+                point[column] = value
+                point["n_active"] = _active(point["n_active"], point["mac_count"])
+                if spec.mode != "simulate":
+                    rows.append(_analytical_row(dict(point)))
+                if not simulate:
                     continue
-                report = _simulate(config, load, duration, seed + rep, point_active)
-                rows.append(_simulated_row(row, report))
+                config = _build_sim_config(res, point, any_ttrt=bool(figure))
+                if load_pct is not None:
+                    load = WicWorkload.for_utilization(load_pct / 100.0, point["mac_count"])
+                else:
+                    frame_bytes = point["frame_bytes"]
+                    load = SaturationWorkload(
+                        frame_bytes=DEFAULT_SAT_FRAME_BYTES if frame_bytes is None else frame_bytes,
+                        stations=tuple(range(point["n_active"])),
+                    )
+                saturated = point["ttrt_ms"] <= _ring_latency_ms(point)
+                for rep in range(replications):
+                    row = dict(point, load_pct=load_pct, duration_ms=duration,
+                               replication=rep, seed=seed + rep)
+                    report = None if saturated else _simulate(
+                        config, load, duration, seed + rep, point["n_active"])
+                    rows.append(_simulated_row(row, config, load, report))
     return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     res = Resolver(args, args.config)
-    figure = res.get("sweep", "figure")
-    seed = res.get("run", "seed", default=DEFAULT_SEED, cast=int)
-    replications = res.get("sweep", "replications", default=1, cast=int)
+    figure = res.get("sweep", "figure") or ""
+    var = res.get("sweep", "var")
+    grid = res.get("sweep", "grid")
     if figure:
-        rows = _figure_rows(figure, res, seed, replications)
+        if var or grid:
+            raise CliError("--figure takes no --var or --grid")
+        if figure not in presets.FIGURES:
+            raise CliError(f"unknown figure {figure!r}; choices: {', '.join(presets.FIGURES)}")
+        spec = presets.FIGURES[figure]
     else:
-        rows = _custom_rows(res)
+        spec = _custom_sweep(res, var, grid)
+    rows = _sweep_rows(spec, figure, res)
     if args.dump_config:
         sys.stdout.write(res.dump())
     _write_rows(rows, args.out)
@@ -794,10 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (CliError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

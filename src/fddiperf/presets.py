@@ -30,11 +30,9 @@ class Preset:
         # a DAS runs two MACs in the wrapped ring
         return self.sas_count + 2 * self.das_count
 
-    def physical_ring(self) -> PhysicalRing:
-        return PhysicalRing(fiber_km=self.fiber_km, mac_count=self.mac_count)
-
     def ring_latency_ms(self) -> float:
-        return analytical.ring_latency(self.physical_ring())
+        ring = PhysicalRing(fiber_km=self.fiber_km, mac_count=self.mac_count)
+        return analytical.ring_latency(ring)
 
 
 PRESETS: dict[str, Preset] = {
@@ -149,20 +147,59 @@ ACTIVE_MACS_GRID: tuple[int, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 FRAME_SIZE_GRID_BYTES: tuple[int, ...] = (100, 250, 500, 1000, 2000, 4500)
 FIGURE_TTRT_MS = 8.0  # fixed TTRT for the extent / active-MAC / frame sweeps
 
-FIGURES: dict[str, str] = {
-    "fig1": "efficiency vs TTRT for the three preset rings (analytical)",
-    "fig2": "max access delay vs TTRT for the three preset rings (analytical)",
-    "fig3": "mean response time vs TTRT under the bursty workload at three "
-    "load levels (simulated, 40 stations)",
-    "fig4": "efficiency vs ring extent, 100 stations in a star (analytical)",
-    "fig5": "max access delay vs ring extent (analytical)",
-    "fig6": "efficiency vs number of active MACs on the largest ring (analytical)",
-    "fig7": "max access delay vs number of active MACs (analytical)",
-    "fig8": "efficiency vs frame size on the largest ring (analytical)",
-    "fig9": "max access delay vs frame size (analytical)",
+
+@dataclass(frozen=True)
+class Figure:
+    """A sweep as data: every ring, at every load, at every grid point.
+
+    var is the swept input (ttrt, extent, total_stations, active_macs or
+    frame_size) and sweep_var the label the CSV gives it. A ring is (preset
+    or '', MACs, fiber km), None where the sweep sets it. A load is a bursty
+    (WIC) utilization in percent, or None: the closed form, or saturated
+    stations when simulated. mode is analytical, simulate or both. The
+    inputs not swept are ttrt_ms, n_active (None: every MAC) and frame_bytes
+    (None: the basic model). A custom --var/--grid sweep is an unnamed Figure.
+    """
+
+    description: str
+    var: str
+    sweep_var: str
+    grid: tuple
+    rings: tuple[tuple[str, int | None, float | None], ...]
+    loads: tuple[float | None, ...] = (None,)
+    mode: str = "analytical"
+    ttrt_ms: float = FIGURE_TTRT_MS
+    n_active: int | None = None
+    frame_bytes: int | None = None
+
+
+_RINGS = {name: (name, p.mac_count, p.fiber_km) for name, p in PRESETS.items()}
+# Each pair of closed-form figures plots two columns of the same rows.
+_TTRT = dict(var="ttrt", sweep_var="ttrt", grid=FIG_TTRT_GRID_MS,
+             rings=tuple(_RINGS.values()))
+_EXTENT = dict(var="extent", sweep_var="extent_km", grid=EXTENT_GRID_KM,
+               rings=(("", EXTENT_STATIONS, None),))
+_ACTIVE = dict(var="active_macs", sweep_var="active_macs", grid=ACTIVE_MACS_GRID,
+               rings=(_RINGS["largest"],))
+_FRAME = dict(var="frame_size", sweep_var="frame_bytes", grid=FRAME_SIZE_GRID_BYTES,
+              rings=(_RINGS["largest"],))
+
+FIGURES: dict[str, Figure] = {
+    "fig1": Figure("efficiency vs TTRT for the three preset rings (analytical)", **_TTRT),
+    "fig2": Figure("max access delay vs TTRT for the three preset rings (analytical)",
+                   **_TTRT),
+    "fig3": Figure(
+        "mean response time vs TTRT under the bursty workload at three load levels "
+        "(simulated, 40 stations)",
+        var="ttrt", sweep_var="ttrt", grid=FIG3_TTRT_GRID_MS,
+        rings=(("", FIG3_STATIONS, FIG3_FIBER_KM),), loads=FIG3_LOAD_PCT, mode="simulate",
+    ),
+    "fig4": Figure("efficiency vs ring extent, 100 stations in a star (analytical)",
+                   **_EXTENT),
+    "fig5": Figure("max access delay vs ring extent (analytical)", **_EXTENT),
+    "fig6": Figure("efficiency vs number of active MACs on the largest ring (analytical)",
+                   **_ACTIVE),
+    "fig7": Figure("max access delay vs number of active MACs (analytical)", **_ACTIVE),
+    "fig8": Figure("efficiency vs frame size on the largest ring (analytical)", **_FRAME),
+    "fig9": Figure("max access delay vs frame size (analytical)", **_FRAME),
 }
-
-
-def star_fiber_km(radius_km: float, n_stations: int) -> float:
-    """Fiber path length of a star-wired ring: out and back per station."""
-    return 2.0 * radius_km * n_stations

@@ -78,26 +78,17 @@ class InvariantViolation(SimulationError):
 
 
 @dataclass(frozen=True)
-class StationConfig:
-    """Per-station placeholder in ring order; the protocol itself is
-    parameterized ring-wide."""
-
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class RingConfig:
     """Ring layout and MAC parameters.
 
     segment_delays_us[i] is the propagation delay of the hop leaving
-    station i (the last entry wraps back to station 0). token_time_us is
-    charged at every hop; set it to 0 to compare against the closed-form
-    model, which ignores token transmission time. allow_any_ttrt bypasses
-    the T_min/T_max legality check for sweeps that probe the region near
-    the ring latency.
+    station i (the last entry wraps back to station 0), so the ring has one
+    station per entry. token_time_us is charged at every hop; set it to 0 to
+    compare against the closed-form model, which ignores token transmission
+    time. allow_any_ttrt bypasses the T_min/T_max legality check for sweeps
+    that probe the region near the ring latency.
     """
 
-    stations: tuple[StationConfig, ...]
     segment_delays_us: tuple[float, ...]
     ttrt_ms: float
     station_delay_us: float = STATION_DELAY_US
@@ -111,13 +102,8 @@ class RingConfig:
                      token_time_us=self.token_time_us)
         for d in self.segment_delays_us:
             check_finite(segment_delay_us=d)
-        n = len(self.stations)
-        if n < 1:
+        if not self.segment_delays_us:
             raise ValueError("a ring needs at least one station")
-        if len(self.segment_delays_us) != n:
-            raise ValueError(
-                f"{n} stations need {n} segment delays, got {len(self.segment_delays_us)}"
-            )
         if any(d < 0 for d in self.segment_delays_us):
             raise ValueError("segment delays must be >= 0")
         if self.station_delay_us < 0 or self.token_time_us < 0:
@@ -160,7 +146,6 @@ class RingConfig:
             (base + (1 if i < extra else 0)) / NS_PER_US for i in range(n_stations)
         )
         return cls(
-            stations=tuple(StationConfig() for _ in range(n_stations)),
             segment_delays_us=seg_us,
             ttrt_ms=ttrt_ms,
             station_delay_us=station_delay_us,
@@ -172,7 +157,7 @@ class RingConfig:
 
     @property
     def n_stations(self) -> int:
-        return len(self.stations)
+        return len(self.segment_delays_us)
 
     @property
     def ring_latency_ms(self) -> float:

@@ -34,6 +34,15 @@ def _station_rng(seed: int, station: int) -> random.Random:
     return random.Random(f"{seed}/{station}")
 
 
+def _bound_stations(stations, n_stations: int) -> set[int]:
+    """The station ids a source binds to (every station when None), each
+    checked to lie on the ring."""
+    chosen = set(range(n_stations)) if stations is None else set(stations)
+    if any(s < 0 or s >= n_stations for s in chosen):
+        raise ValueError(f"station ids out of range for a {n_stations}-station ring")
+    return chosen
+
+
 @dataclass(frozen=True)
 class SaturatedFeed:
     """Marker feed: the station always has another frame of this size."""
@@ -104,9 +113,7 @@ class WicWorkload:
         return count * self.offered_load_mbps()
 
     def bind(self, n_stations: int, seed: int) -> list["WicGenerator | None"]:
-        chosen = set(range(n_stations)) if self.stations is None else set(self.stations)
-        if any(s < 0 or s >= n_stations for s in chosen):
-            raise ValueError(f"station ids out of range for a {n_stations}-station ring")
+        chosen = _bound_stations(self.stations, n_stations)
         return [
             WicGenerator(self, _station_rng(seed, i)) if i in chosen else None
             for i in range(n_stations)
@@ -155,9 +162,7 @@ class SaturationWorkload:
         return math.inf
 
     def bind(self, n_stations: int, seed: int) -> list[SaturatedFeed | None]:
-        chosen = set(range(n_stations)) if self.stations is None else set(self.stations)
-        if any(s < 0 or s >= n_stations for s in chosen):
-            raise ValueError(f"station ids out of range for a {n_stations}-station ring")
+        chosen = _bound_stations(self.stations, n_stations)
         return [SaturatedFeed(self.frame_bytes) if i in chosen else None for i in range(n_stations)]
 
 
@@ -195,8 +200,7 @@ class ScriptedWorkload:
         return None
 
     def bind(self, n_stations: int, seed: int) -> list["_ScriptedGenerator | None"]:
-        if any(s < 0 or s >= n_stations for s in self.script):
-            raise ValueError(f"station ids out of range for a {n_stations}-station ring")
+        _bound_stations(self.script, n_stations)
         feeds: list[_ScriptedGenerator | None] = [None] * n_stations
         for st, bursts in self.script.items():
             ordered = sorted(bursts, key=lambda b: b[0])

@@ -291,3 +291,40 @@ def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "typical", "--ttrt", "8", "--active", "50"],
+    ["analyze", "--preset", "typical", "--ttrt", "8", "--active", "0"],
+    ["sweep", "--figure", "fig3", "--replications", "0"],
+    ["sweep", "--figure", "fig1", "--replications", "0"],
+    ["sweep", "--figure", "fig1", "--var", "ttrt"],
+    ["sweep", "--figure", "fig4", "--grid", "1,2"],
+])
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_dump_config_lists_the_keys_a_sweep_reads(tmp_path, capsys):
+    out = tmp_path / "fig3.csv"
+    assert _run([
+        "sweep", "--figure", "fig3", "--duration-ms", "20", "--token-time-us", "0",
+        "--dump-config", "--out", str(out),
+    ]) == 0
+    dump = capsys.readouterr().out
+    assert "token_time_us = 0.0" in dump
+    assert "allow_any_ttrt = true" in dump
+    assert {r["token_time_us"] for r in _read_csv(out)} == {"0.0"}
+
+    assert _run([
+        "sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--dump-config",
+        "--out", str(out),
+    ]) == 0
+    dump = capsys.readouterr().out
+    assert "duration_ms" not in dump
+    assert "seed" not in dump

@@ -15,7 +15,7 @@ import pytest
 
 from fddiperf import metrics, simcore
 from fddiperf.analytical import RingParameters, frame_time_ms, overflow_model
-from fddiperf.simcore import NS_PER_MS, RingConfig, StationConfig, run
+from fddiperf.simcore import NS_PER_MS, RingConfig, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 
@@ -26,11 +26,7 @@ def _single_station_config(ttrt_ms=5.0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RingConfig(stations=(), segment_delays_us=(), ttrt_ms=8.0)
-    with pytest.raises(ValueError):
-        RingConfig(
-            stations=(StationConfig(),), segment_delays_us=(1.0, 2.0), ttrt_ms=8.0
-        )
+        RingConfig(segment_delays_us=(), ttrt_ms=8.0)
     with pytest.raises(ValueError):
         RingConfig.uniform(4, 10.0, ttrt_ms=2.0)  # below T_min
     RingConfig.uniform(4, 10.0, ttrt_ms=2.0, allow_any_ttrt=True)
@@ -185,7 +181,6 @@ def test_skip_chain_matches_full_ring():
     # same two active stations on a 2-station ring with identical latency
     seg_total_us = 10.0 * 5.085 + 6 * 1.0  # fold six idle station delays
     dense = RingConfig(
-        stations=(StationConfig(), StationConfig()),
         segment_delays_us=(seg_total_us / 2 + 0.0, seg_total_us / 2),
         ttrt_ms=ttrt,
         token_time_us=0.0,

@@ -18,7 +18,7 @@ import hashlib
 import pytest
 
 from fddiperf.presets import FIG3_FIBER_KM, FIG3_STATIONS, PRESETS
-from fddiperf.simcore import RingConfig, StationConfig, run
+from fddiperf.simcore import RingConfig, run
 from fddiperf.workload import SaturatedFeed, SaturationWorkload, ScriptedWorkload, WicWorkload
 
 
@@ -134,7 +134,6 @@ def _variant_cases() -> dict:
 def _scripted_cases() -> dict:
     dense_us = 10.0 * 5.085 + 6 * 1.0
     dense = RingConfig(
-        stations=(StationConfig(), StationConfig()),
         segment_delays_us=(dense_us / 2, dense_us / 2),
         ttrt_ms=8.0,
         token_time_us=0.0,
