@@ -28,7 +28,6 @@ from .simcore import (
     InvariantViolation,
     RingConfig,
     RunResult,
-    SimulationError,
     run,
 )
 from .workload import SaturationWorkload, ScriptedWorkload, WicWorkload
@@ -47,7 +46,6 @@ __all__ = [
     "SampleStats",
     "SaturationWorkload",
     "ScriptedWorkload",
-    "SimulationError",
     "TtrtValidation",
     "WicWorkload",
     "asymptotic_efficiency",

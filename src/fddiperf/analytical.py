@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 PROPAGATION_US_PER_KM = 5.085
 STATION_DELAY_US = 1.0
 LINE_RATE_MBPS = 100.0
-TOKEN_TIME_MS = 0.00088  # 11-byte token, preamble included
+TOKEN_TIME_US = 0.88  # 11-byte token, preamble included
+TOKEN_TIME_MS = TOKEN_TIME_US / 1000.0
 MAX_FRAME_BYTES = 4500
 MAX_FRAME_TIME_MS = 0.360
 MAX_RING_LATENCY_MS = 1.773  # maximum-size ring per the standard

@@ -8,11 +8,14 @@ Subcommands:
   table1    recompute the golden reference table and verify every cell
   validate  check a requested TTRT against the standard's rules
 
-Values may come from an INI config file (--config); explicit flags always
-override file values, and --dump-config prints each key the command read,
-resolved, for provenance. Every sweep runs through one engine, and its
-output echoes every input including the seed, so any CSV row can be
-reproduced on its own.
+Each option's flag, INI section, type, help and default are declared once,
+in OPTIONS, and COMMANDS lists the options each subcommand takes. Values may
+come from an INI config file (--config), whose keys must name an option in
+its own section; explicit flags override file values. A command reads every
+option it uses before it computes anything, and rejects a flag it was given
+but did not use. --dump-config prints each key the command read, resolved,
+for provenance. Every sweep runs through one engine, and its output echoes
+every input including the seed, so any CSV row can be reproduced on its own.
 
 Exit codes: 0 success, 1 validation failure / golden mismatch / saturated
 configuration, 2 bad input.
@@ -26,12 +29,13 @@ import csv
 import functools
 import math
 import sys
+from typing import Callable, NamedTuple
 
-from . import analytical, metrics, presets, simcore, workload
+from . import analytical, metrics, presets, simcore
 from .analytical import PhysicalRing, RingParameters, RingSaturatedError
 from .presets import PRESETS, paper_round
 from .simcore import RingConfig
-from .workload import SaturationWorkload, WicWorkload
+from .workload import DEFAULT_LARGE_FRAME_BYTES, SaturationWorkload, WicWorkload
 
 CSV_COLUMNS = [
     "figure",
@@ -69,10 +73,6 @@ CSV_COLUMNS = [
 
 SATURATED_MARKER = "saturated_by_latency"
 
-DEFAULT_SEED = 1
-DEFAULT_DURATION_MS = 1000.0
-DEFAULT_SAT_FRAME_BYTES = 512
-
 
 class CliError(Exception):
     """Bad input that argparse cannot catch itself."""
@@ -102,73 +102,133 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         emit(sys.stdout)
 
 
-class Resolver:
-    """Layered lookup: CLI flag, then config file, then built-in default."""
+class Option(NamedTuple):
+    """The flag --key-with-dashes, and the INI key of the same name."""
 
-    def __init__(self, args: argparse.Namespace, config_path: str | None):
-        self._args = args
-        self._file: dict[tuple[str, str], str] = {}
-        self.resolved: dict[tuple[str, str], object] = {}
-        if config_path:
+    section: str | None  # None: command line only
+    type: type  # bool: an on/off flag
+    help: str
+    default: object = None
+    repeat: bool = False  # the flag may be given again; its values make a list
+
+
+# sweep variable -> (the row column its grid values set, the option it replaces)
+SWEEP_VARS: dict[str, tuple[str, str]] = {
+    "ttrt": ("ttrt_ms", "ttrt"),
+    "extent": ("fiber_km", "fiber_km"),
+    "total_stations": ("mac_count", "macs"),
+    "active_macs": ("n_active", "active"),
+    "frame_size": ("frame_bytes", "frame_bytes"),
+}
+
+OPTIONS: dict[str, Option] = {
+    "preset": Option("ring", str, " | ".join(PRESETS)),
+    "macs": Option("ring", int, "total MACs on the ring"),
+    "fiber_km": Option("ring", float, "total fiber length"),
+    "ttrt": Option("ring", float, "target token rotation time (ms)", presets.FIGURE_TTRT_MS),
+    "active": Option("ring", int, "number of active MACs"),
+    "token_time_us": Option("ring", float, "per-hop token time", analytical.TOKEN_TIME_US),
+    "no_overflow": Option("ring", bool, "start no frame the holding budget cannot fit", False),
+    "allow_any_ttrt": Option("ring", bool, "permit TTRT outside 4..167.77 ms", False),
+    "ring_latency_ms": Option("ring", float, "use this latency directly"),
+    "max_ring": Option(None, bool, "validate against the maximum-size ring", False),
+    "sync_ms": Option(None, float, "synchronous allocation (summed)", repeat=True),
+    "service_interval_ms": Option(None, float, "required service interval (tightest wins)",
+                                  repeat=True),
+    "t_max_ms": Option("ring", float, "station T_max (165..167.77216)", analytical.T_MAX_MS),
+    "workload": Option("workload", str, "saturation or wic", "saturation"),
+    "frame_bytes": Option("workload", int, "frame size (validate: the largest) in bytes"),
+    "load_pct": Option("workload", float, "wic target utilization, percent"),
+    "interburst_ms": Option("workload", float, "wic mean burst gap"),
+    "duration_ms": Option("run", float, "simulated time per run", simcore.DEFAULT_DURATION_MS),
+    "seed": Option("run", int, "base RNG seed", 1),
+    "figure": Option("sweep", str, "named recipe: " + ", ".join(presets.FIGURES)),
+    "var": Option("sweep", str, " | ".join(SWEEP_VARS)),
+    "grid": Option("sweep", str, "comma-separated, strictly increasing values"),
+    "mode": Option("sweep", str, "analytical | simulate | both", "analytical"),
+    "replications": Option("sweep", int, "simulated repeats per point", 1),
+    "config": Option(None, str, "INI config file; flags override its values"),
+    "dump_config": Option(None, bool, "print the fully resolved configuration", False),
+    "out": Option(None, str, "write CSV to this path"),
+}
+# Every subcommand takes these and may leave them unused.
+COMMON = ("config", "dump_config", "out")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+class Resolver:
+    """Layered lookup of OPTIONS: flag, then config file, then default."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self._file: dict[str, str] = {}
+        self.resolved: dict[str, object] = {}
+        if args.config:
             cp = configparser.ConfigParser()
-            if not cp.read(config_path):
-                raise CliError(f"cannot read config file {config_path!r}")
+            if not cp.read(args.config):
+                raise CliError(f"cannot read config file {args.config!r}")
             for section in cp.sections():
                 for key, value in cp.items(section):
-                    self._file[(section, key)] = value
+                    if key not in OPTIONS or OPTIONS[key].section != section:
+                        raise CliError(f"config [{section}] {key}: no such key in [{section}]")
+                    self._file[key] = value
 
-    def get(self, section: str, key: str, default=None, cast=str):
-        value = getattr(self._args, key, None)
-        if value is None and (section, key) in self._file:
-            raw = self._file[(section, key)]
-            if cast is bool:
+    def get(self, key: str, default=None):
+        """The flag, else the config file, else default, else OPTIONS' default."""
+        opt = OPTIONS[key]
+        value = getattr(self.args, key)
+        if value is None and key in self._file:
+            raw = self._file[key]
+            if opt.type is bool:
                 value = raw.strip().lower() in ("1", "true", "yes", "on")
             else:
                 try:
-                    value = cast(raw)
+                    value = opt.type(raw)
                 except ValueError as exc:
-                    raise CliError(f"config [{section}] {key} = {raw!r}: {exc}") from None
+                    raise CliError(f"config [{opt.section}] {key} = {raw!r}: {exc}") from None
+        if value is None and key in COMMANDS[self.args.command].required:
+            raise CliError(f"{self.args.command} needs {_flag(key)}")
         if value is None:
-            value = default
-        self.resolved[(section, key)] = value
+            value = opt.default if default is None else default
+        self.resolved[key] = value
         return value
 
-    def dump(self) -> str:
-        sections: dict[str, list[tuple[str, object]]] = {}
-        for (section, key), value in sorted(self.resolved.items()):
-            sections.setdefault(section, []).append((key, value))
+    def finish(self) -> None:
+        """Reject the flags given that the command did not read, then print
+        --dump-config: each key the command read, resolved."""
+        command = self.args.command
+        unused = [_flag(key) for key in COMMANDS[command].options
+                  if key not in self.resolved and getattr(self.args, key) is not None]
+        if unused:
+            raise CliError(f"{command} cannot use {', '.join(unused)} with these inputs")
+        if not self.args.dump_config:
+            return
+        sections: dict[str, list[str]] = {}
+        for key, value in sorted(self.resolved.items()):
+            if OPTIONS[key].section:
+                sections.setdefault(OPTIONS[key].section, []).append(f"{key} = {_fmt(value)}")
         lines = []
-        for section, items in sections.items():
-            lines.append(f"[{section}]")
-            for key, value in items:
-                lines.append(f"{key} = {_fmt(value) if value is not None else ''}")
-            lines.append("")
-        return "\n".join(lines)
-
-
-# sweep variable -> (the row column its grid values set, their type)
-SWEEP_VARS: dict[str, tuple[str, type]] = {
-    "ttrt": ("ttrt_ms", float),
-    "extent": ("fiber_km", float),
-    "total_stations": ("mac_count", int),
-    "active_macs": ("n_active", int),
-    "frame_size": ("frame_bytes", int),
-}
+        for section, items in sorted(sections.items()):
+            lines += [f"[{section}]", *items, ""]
+        sys.stdout.write("\n".join(lines))
 
 
 def _resolve_ring(res: Resolver, swept: str = "") -> tuple[str, int | None, float | None]:
-    """Returns (preset name or '', mac_count, fiber_km). The ring dimension
-    a sweep varies, named by its row column in swept, may stay None."""
-    preset_name = res.get("ring", "preset") or ""
-    macs = res.get("ring", "macs", cast=int)
-    fiber = res.get("ring", "fiber_km", cast=float)
+    """Returns (preset name or '', mac_count, fiber_km). The ring option a
+    sweep varies, named in swept, is not read and may stay None."""
+    preset_name = res.get("preset") or ""
+    macs = None if swept == "macs" else res.get("macs")
+    fiber = None if swept == "fiber_km" else res.get("fiber_km")
     if preset_name:
         if preset_name not in PRESETS:
             raise CliError(f"unknown preset {preset_name!r}; choices: {', '.join(PRESETS)}")
         p = PRESETS[preset_name]
         macs = p.mac_count if macs is None else macs
         fiber = p.fiber_km if fiber is None else fiber
-    if (macs is None and swept != "mac_count") or (fiber is None and swept != "fiber_km"):
+    if (macs is None and swept != "macs") or (fiber is None and swept != "fiber_km"):
         raise CliError("give --preset, or both --macs and --fiber-km")
     return preset_name, macs, fiber
 
@@ -261,14 +321,12 @@ def _simulated_row(row: dict, config: RingConfig, load,
 
 # ---------------------------------------------------------------- analyze
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    res = Resolver(args, args.config)
+def cmd_analyze(res: Resolver) -> int:
     preset_name, macs, fiber = _resolve_ring(res)
-    ttrt = res.get("ring", "ttrt", default=8.0, cast=float)
-    n_active = _active(res.get("ring", "active", cast=int), macs)
-    frame_bytes = res.get("workload", "frame_bytes", cast=int)
-    if args.dump_config:
-        sys.stdout.write(res.dump())
+    ttrt = res.get("ttrt")
+    n_active = _active(res.get("active"), macs)
+    frame_bytes = res.get("frame_bytes")
+    res.finish()
 
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=ttrt, frame_bytes=frame_bytes)
@@ -293,40 +351,37 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"overflow_frames_per_opportunity: {row['frames_per_opportunity']}")
         print(f"overflow_efficiency: {row['efficiency']!r}")
         print(f"overflow_max_access_delay_ms: {row['max_access_delay_ms']!r}")
-    if args.out:
-        _write_rows([row], args.out)
+    if res.args.out:
+        _write_rows([row], res.args.out)
     return 0
 
 
 # --------------------------------------------------------------- simulate
 
-def _build_sim_config(res: Resolver, row: dict, any_ttrt: bool = False) -> RingConfig:
-    """The simulator's ring for a row's MACs, fiber and TTRT; any_ttrt is
-    the default of allow_any_ttrt."""
-    return RingConfig.uniform(
-        n_stations=row["mac_count"],
-        fiber_km=row["fiber_km"],
-        ttrt_ms=row["ttrt_ms"],
-        token_time_us=res.get("ring", "token_time_us", default=0.88, cast=float),
-        async_overflow=not res.get("ring", "no_overflow", default=False, cast=bool),
-        allow_any_ttrt=res.get("ring", "allow_any_ttrt", default=any_ttrt, cast=bool),
+def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, dict]:
+    """The run length, the base seed and the RingConfig keywords shared by
+    every run of a command; any_ttrt is the default of allow_any_ttrt."""
+    ring = dict(
+        token_time_us=res.get("token_time_us"),
+        async_overflow=not res.get("no_overflow"),
+        allow_any_ttrt=res.get("allow_any_ttrt", default=any_ttrt),
     )
+    return res.get("duration_ms"), res.get("seed"), ring
 
 
-def _build_workload(res: Resolver, macs: int, n_active: int):
-    kind = res.get("workload", "workload", default="saturation")
-    if kind == "saturation":
-        frame_bytes = res.get("workload", "frame_bytes", default=DEFAULT_SAT_FRAME_BYTES, cast=int)
-        return SaturationWorkload(frame_bytes=frame_bytes, stations=tuple(range(n_active)))
-    if kind == "wic":
-        load_pct = res.get("workload", "load_pct", cast=float)
-        interburst = res.get("workload", "interburst_ms", cast=float)
-        if interburst is not None:
-            return WicWorkload(mean_interburst_ms=interburst)
-        if load_pct is not None:
-            return WicWorkload.for_utilization(load_pct / 100.0, macs)
-        raise CliError("wic workload needs --load-pct or --interburst-ms")
-    raise CliError(f"unknown workload {kind!r}; choices: saturation, wic")
+def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: float | None = None):
+    """The traffic of a simulated row: bursty (WIC) traffic on every station
+    with the given mean burst gap or target utilization, else saturated
+    stations (the row's active count) sending frames of the row's size."""
+    if interburst_ms is not None:
+        return WicWorkload(mean_interburst_ms=interburst_ms)
+    if load_pct is not None:
+        return WicWorkload.for_utilization(load_pct / 100.0, row["mac_count"])
+    frame_bytes = row["frame_bytes"]
+    return SaturationWorkload(
+        frame_bytes=DEFAULT_LARGE_FRAME_BYTES if frame_bytes is None else frame_bytes,
+        stations=tuple(range(row["n_active"])),
+    )
 
 
 def _print_report(report: metrics.MetricsReport) -> None:
@@ -364,25 +419,30 @@ def _print_report(report: metrics.MetricsReport) -> None:
     print(f"seed: {report.seed}")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    res = Resolver(args, args.config)
+def cmd_simulate(res: Resolver) -> int:
     preset_name, macs, fiber = _resolve_ring(res)
-    ttrt = res.get("ring", "ttrt", default=8.0, cast=float)
-    n_active = _active(res.get("ring", "active", cast=int), macs)
-    duration = res.get("run", "duration_ms", default=DEFAULT_DURATION_MS, cast=float)
-    seed = res.get("run", "seed", default=DEFAULT_SEED, cast=int)
+    n_active = _active(res.get("active"), macs)
+    duration, seed, ring = _sim_settings(res)
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
-                    ttrt_ms=ttrt, duration_ms=duration, replication=0, seed=seed)
-    config = _build_sim_config(res, row)
-    load = _build_workload(res, macs, n_active)
-    row["load_pct"] = res.resolved.get(("workload", "load_pct"))
-    if args.dump_config:
-        sys.stdout.write(res.dump())
+                    ttrt_ms=res.get("ttrt"), duration_ms=duration, replication=0, seed=seed)
+    kind, interburst = res.get("workload"), None
+    if kind == "saturation":
+        row["frame_bytes"] = res.get("frame_bytes", default=DEFAULT_LARGE_FRAME_BYTES)
+    elif kind == "wic":
+        interburst = res.get("interburst_ms")
+        row["load_pct"] = res.get("load_pct") if interburst is None else None
+        if row["load_pct"] is None and interburst is None:
+            raise CliError("wic workload needs --load-pct or --interburst-ms")
+    else:
+        raise CliError(f"unknown workload {kind!r}; choices: saturation, wic")
+    config = RingConfig.uniform(macs, fiber, row["ttrt_ms"], **ring)
+    load = _build_workload(row, row["load_pct"], interburst)
+    res.finish()
 
     report = _simulate(config, load, duration, seed, n_active)
     _print_report(report)
-    if args.out:
-        _write_rows([_simulated_row(row, config, load, report)], args.out)
+    if res.args.out:
+        _write_rows([_simulated_row(row, config, load, report)], res.args.out)
     return 0
 
 
@@ -402,45 +462,42 @@ def _parse_grid(raw: str, cast) -> tuple:
     return tuple(values)
 
 
-def _custom_sweep(res: Resolver, var: str | None, grid: str | None) -> presets.Figure:
-    """The unnamed Figure a --var/--grid sweep describes."""
+def _custom_sweep(res: Resolver) -> presets.Figure:
+    """The unnamed Figure a --var/--grid sweep describes. It leaves unread the
+    option the grid replaces and the inputs no row of the sweep uses."""
+    var = res.get("var")
     if not var:
         raise CliError("give --figure or --var/--grid")
     if var not in SWEEP_VARS:
         raise CliError(f"unknown sweep variable {var!r}; choices: {', '.join(SWEEP_VARS)}")
+    grid = res.get("grid")
     if not grid:
         raise CliError("--var needs --grid")
-    mode = res.get("sweep", "mode", default="analytical")
+    mode = res.get("mode")
     if mode not in ("analytical", "simulate", "both"):
         raise CliError(f"unknown mode {mode!r}")
-    column, cast = SWEEP_VARS[var]
+    key = SWEEP_VARS[var][1]
+    load_pct = res.get("load_pct") if mode != "analytical" else None
+    frame_unused = key == "frame_bytes" or (mode == "simulate" and load_pct is not None)
     return presets.Figure(
         description="",
         var=var,
         sweep_var=var,
-        grid=_parse_grid(grid, cast),
-        rings=(_resolve_ring(res, swept=column),),
-        loads=(res.get("workload", "load_pct", cast=float),),
+        grid=_parse_grid(grid, OPTIONS[key].type),
+        rings=(_resolve_ring(res, swept=key),),
+        loads=(load_pct,),
         mode=mode,
-        ttrt_ms=res.get("ring", "ttrt", default=8.0, cast=float),
-        n_active=res.get("ring", "active", cast=int),
-        frame_bytes=res.get("workload", "frame_bytes", cast=int),
+        ttrt_ms=None if key == "ttrt" else res.get("ttrt"),
+        n_active=None if key == "active" else res.get("active"),
+        frame_bytes=None if frame_unused else res.get("frame_bytes"),
     )
 
 
-def _sweep_rows(spec: presets.Figure, figure: str, res: Resolver) -> list[dict]:
+def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> list[dict]:
     """Every row of a sweep: ring, then load, then grid point, each point
-    giving its closed-form row and/or one simulated row per replication.
-    Figure presets probe TTRTs outside the legal window on purpose, so they
-    allow any TTRT by default."""
+    giving its closed-form row and/or, when spec simulates, one simulated
+    row per replication, run with sim, the command's _sim_settings."""
     column = SWEEP_VARS[spec.var][0]
-    replications = res.get("sweep", "replications", default=1, cast=int)
-    if replications < 1:
-        raise CliError("--replications must be >= 1")
-    simulate = spec.mode != "analytical"
-    if simulate:
-        seed = res.get("run", "seed", default=DEFAULT_SEED, cast=int)
-        duration = res.get("run", "duration_ms", default=DEFAULT_DURATION_MS, cast=float)
     rows: list[dict] = []
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
@@ -454,17 +511,12 @@ def _sweep_rows(spec: presets.Figure, figure: str, res: Resolver) -> list[dict]:
                 point["n_active"] = _active(point["n_active"], point["mac_count"])
                 if spec.mode != "simulate":
                     rows.append(_analytical_row(dict(point)))
-                if not simulate:
+                if not sim:
                     continue
-                config = _build_sim_config(res, point, any_ttrt=bool(figure))
-                if load_pct is not None:
-                    load = WicWorkload.for_utilization(load_pct / 100.0, point["mac_count"])
-                else:
-                    frame_bytes = point["frame_bytes"]
-                    load = SaturationWorkload(
-                        frame_bytes=DEFAULT_SAT_FRAME_BYTES if frame_bytes is None else frame_bytes,
-                        stations=tuple(range(point["n_active"])),
-                    )
+                duration, seed, ring = sim
+                config = RingConfig.uniform(point["mac_count"], point["fiber_km"],
+                                            point["ttrt_ms"], **ring)
+                load = _build_workload(point, load_pct)
                 saturated = point["ttrt_ms"] <= _ring_latency_ms(point)
                 for rep in range(replications):
                     row = dict(point, load_pct=load_pct, duration_ms=duration,
@@ -475,90 +527,78 @@ def _sweep_rows(spec: presets.Figure, figure: str, res: Resolver) -> list[dict]:
     return rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    res = Resolver(args, args.config)
-    figure = res.get("sweep", "figure") or ""
-    var = res.get("sweep", "var")
-    grid = res.get("sweep", "grid")
+def cmd_sweep(res: Resolver) -> int:
+    figure = res.get("figure") or ""
     if figure:
-        if var or grid:
-            raise CliError("--figure takes no --var or --grid")
         if figure not in presets.FIGURES:
             raise CliError(f"unknown figure {figure!r}; choices: {', '.join(presets.FIGURES)}")
         spec = presets.FIGURES[figure]
     else:
-        spec = _custom_sweep(res, var, grid)
-    rows = _sweep_rows(spec, figure, res)
-    if args.dump_config:
-        sys.stdout.write(res.dump())
-    _write_rows(rows, args.out)
+        spec = _custom_sweep(res)
+    replications, sim = 1, None
+    if spec.mode != "analytical":
+        replications = res.get("replications")
+        if replications < 1:
+            raise CliError("--replications must be >= 1")
+        # figure grids probe TTRTs outside the legal window on purpose
+        sim = _sim_settings(res, any_ttrt=bool(figure))
+    res.finish()
+    _write_rows(_sweep_rows(spec, figure, replications, sim), res.args.out)
     return 0
 
 
 # ----------------------------------------------------------------- table1
 
-def cmd_table1(args: argparse.Namespace) -> int:
+def cmd_table1(res: Resolver) -> int:
+    res.finish()
     rows = presets.table1_rows()
-    out_rows = []
-    mismatches = []
-    for r in rows:
-        out_rows.append(
-            _base_row(
-                figure="table1", mode="analytical", preset=r.preset,
-                sweep_var="ttrt", sweep_value=r.ttrt_ms,
-                mac_count=PRESETS[r.preset].mac_count,
-                fiber_km=PRESETS[r.preset].fiber_km,
-                n_active=PRESETS[r.preset].mac_count,
-                ttrt_ms=r.ttrt_ms,
-                efficiency=r.efficiency_pct / 100.0,
-                efficiency_pct_rounded=r.efficiency_pct_rounded,
-                max_access_delay_ms=r.access_delay_s * 1000.0,
-                access_delay_s_rounded=r.access_delay_s_rounded,
-                error=None if r.matches else "golden_mismatch",
-            )
+    _write_rows([
+        _base_row(
+            figure="table1", mode="analytical", preset=r.preset,
+            sweep_var="ttrt", sweep_value=r.ttrt_ms,
+            mac_count=PRESETS[r.preset].mac_count,
+            fiber_km=PRESETS[r.preset].fiber_km,
+            n_active=PRESETS[r.preset].mac_count,
+            ttrt_ms=r.ttrt_ms,
+            efficiency=r.efficiency_pct / 100.0,
+            efficiency_pct_rounded=r.efficiency_pct_rounded,
+            max_access_delay_ms=r.access_delay_s * 1000.0,
+            access_delay_s_rounded=r.access_delay_s_rounded,
+            error=None if r.matches else "golden_mismatch",
         )
-        if not r.matches:
-            mismatches.append(
-                f"{r.preset}/{r.ttrt_ms:g} ms: access {r.access_delay_s_rounded} "
-                f"(golden {r.golden_access_s}), efficiency {r.efficiency_pct_rounded} "
-                f"(golden {r.golden_efficiency_pct})"
-            )
-    _write_rows(out_rows, args.out)
+        for r in rows
+    ], res.args.out)
+    mismatches = [r for r in rows if not r.matches]
     if mismatches:
         print("golden table mismatches:", file=sys.stderr)
-        for line in mismatches:
-            print(f"  {line}", file=sys.stderr)
+        for r in mismatches:
+            print(f"  {r.preset}/{r.ttrt_ms:g} ms: access {r.access_delay_s_rounded} "
+                  f"(golden {r.golden_access_s}), efficiency {r.efficiency_pct_rounded} "
+                  f"(golden {r.golden_efficiency_pct})", file=sys.stderr)
         return 1
     return 0
 
 
 # --------------------------------------------------------------- validate
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    res = Resolver(args, args.config)
-    ttrt = res.get("ring", "ttrt", cast=float)
-    if ttrt is None:
-        raise CliError("validate needs --ttrt")
-    ring: PhysicalRing | float
-    ring_latency_ms = res.get("ring", "ring_latency_ms", cast=float)
-    if args.max_ring:
-        ring = analytical.MAX_RING_LATENCY_MS
-    elif ring_latency_ms is not None:
-        ring = ring_latency_ms
-    else:
+def cmd_validate(res: Resolver) -> int:
+    ttrt = res.get("ttrt")
+    ring = analytical.MAX_RING_LATENCY_MS if res.get("max_ring") else res.get("ring_latency_ms")
+    if ring is None:
         _, macs, fiber = _resolve_ring(res)
         ring = PhysicalRing(fiber_km=fiber, mac_count=macs)
-    sync_ms = sum(args.sync_ms) if args.sync_ms else 0.0
-    frame_bytes = res.get("workload", "frame_bytes", default=analytical.MAX_FRAME_BYTES, cast=int)
-    t_max = res.get("ring", "t_max_ms", default=analytical.T_MAX_MS, cast=float)
-    service = min(args.service_interval_ms) if args.service_interval_ms else None
+    sync_ms = sum(res.get("sync_ms") or [0.0])
+    frame_bytes = res.get("frame_bytes", default=analytical.MAX_FRAME_BYTES)
+    t_max = res.get("t_max_ms")
+    service = res.get("service_interval_ms")
+    res.finish()
 
     verdict = analytical.validate_ttrt(
         ttrt,
         ring,
         sync_allocation_ms=sync_ms,
         max_frame_time_ms=analytical.frame_time_ms(frame_bytes),
-        service_interval_ms=service,
+        service_interval_ms=min(service) if service else None,
         t_max_ms=t_max,
     )
     print(f"requested_ttrt_ms: {verdict.requested_ttrt_ms:g}")
@@ -580,98 +620,61 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--dump-config", action="store_true",
-                   help="print the fully resolved configuration")
-    p.add_argument("--out", help="write CSV to this path")
+class Command(NamedTuple):
+    help: str
+    run: Callable[[Resolver], int]
+    options: tuple[str, ...]  # the OPTIONS it takes besides COMMON
+    required: tuple[str, ...] = ()  # options it takes without a default
 
 
-def _add_ring_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help="typical | big | largest")
-    p.add_argument("--macs", type=int, help="total MACs on the ring")
-    p.add_argument("--fiber-km", type=float, help="total fiber length")
-    p.add_argument("--ttrt", type=float, help="target token rotation time (ms)")
-    p.add_argument("--active", type=int, help="number of active MACs")
+_RING = ("preset", "macs", "fiber_km", "ttrt", "active")
+_SIM = ("token_time_us", "no_overflow", "allow_any_ttrt", "duration_ms", "seed")
 
-
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--token-time-us", type=float, help="per-hop token time (default 0.88)")
-    p.add_argument("--no-overflow", action="store_true", default=None,
-                   help="stop at the holding budget instead of finishing the last frame")
-    p.add_argument("--allow-any-ttrt", action="store_true", default=None,
-                   help="permit TTRT outside the legal 4..167.77 ms window")
-    p.add_argument("--duration-ms", type=float, help="simulated time per run")
-    p.add_argument("--seed", type=int, help="base RNG seed")
+COMMANDS: dict[str, Command] = {
+    "analyze": Command("closed-form efficiency and access delay", cmd_analyze,
+                       _RING + ("frame_bytes",)),
+    "simulate": Command("run the simulator once", cmd_simulate,
+                        _RING + ("workload", "frame_bytes", "load_pct", "interburst_ms") + _SIM),
+    "sweep": Command("parameter sweeps to CSV", cmd_sweep,
+                     ("figure", "var", "grid", "mode", "replications") + _RING
+                     + ("frame_bytes", "load_pct") + _SIM),
+    "table1": Command("recompute and verify the golden reference table", cmd_table1, ()),
+    "validate": Command("check a TTRT against the standard's rules", cmd_validate,
+                        _RING + ("ring_latency_ms", "max_ring", "sync_ms",
+                                 "service_interval_ms", "frame_bytes", "t_max_ms"), ("ttrt",)),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and reused by every
-    later call to main()."""
+    """The command-line parser, built from COMMANDS and OPTIONS on first use
+    and reused by every later call to main(). Every flag defaults to None,
+    so the Resolver can tell a flag given from one left out."""
     parser = argparse.ArgumentParser(
         prog="fddiperf",
         description="Timed-token ring performance toolkit: closed-form models, "
         "a deterministic simulator, TTRT validation, and CSV sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="closed-form efficiency and access delay")
-    _add_ring_flags(p)
-    p.add_argument("--frame-bytes", type=int,
-                   help="fixed frame size; adds the overflow-model outputs")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="run the simulator once")
-    _add_ring_flags(p)
-    p.add_argument("--workload", help="saturation (default) or wic")
-    p.add_argument("--frame-bytes", type=int, help="saturation frame size")
-    p.add_argument("--load-pct", type=float, help="wic target utilization, percent")
-    p.add_argument("--interburst-ms", type=float, help="wic mean burst gap")
-    _add_sim_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="parameter sweeps to CSV")
-    p.add_argument("--figure", help="named recipe: " + ", ".join(presets.FIGURES))
-    p.add_argument("--var", help="ttrt | extent | total_stations | active_macs | frame_size")
-    p.add_argument("--grid", help="comma-separated, strictly increasing values")
-    p.add_argument("--mode", help="analytical (default) | simulate | both")
-    p.add_argument("--replications", type=int, help="simulated repeats per point")
-    _add_ring_flags(p)
-    p.add_argument("--frame-bytes", type=int, help="fixed frame size")
-    p.add_argument("--load-pct", type=float, help="wic target utilization, percent")
-    _add_sim_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("table1", help="recompute and verify the golden reference table")
-    _add_common(p)
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("validate", help="check a TTRT against the standard's rules")
-    _add_ring_flags(p)
-    p.add_argument("--ring-latency-ms", type=float, help="use this latency directly")
-    p.add_argument("--max-ring", action="store_true",
-                   help="validate against the maximum-size ring")
-    p.add_argument("--sync-ms", type=float, action="append",
-                   help="synchronous allocation (repeatable, summed)")
-    p.add_argument("--service-interval-ms", type=float, action="append",
-                   help="required service interval (repeatable; tightest wins)")
-    p.add_argument("--frame-bytes", type=int, help="maximum frame size in bytes")
-    p.add_argument("--t-max-ms", type=float, help="station T_max (165..167.77216)")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.options + COMMON:
+            opt = OPTIONS[key]
+            if opt.type is bool:
+                p.add_argument(_flag(key), action="store_true", default=None, help=opt.help)
+                continue
+            text = opt.help
+            if opt.default is not None and key not in command.required:
+                text += f" (default {opt.default})"
+            p.add_argument(_flag(key), type=opt.type, action="append" if opt.repeat else "store",
+                           help=text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(Resolver(args))
     except (CliError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

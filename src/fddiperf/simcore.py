@@ -51,6 +51,7 @@ from .analytical import (
     STATION_DELAY_US,
     T_MAX_COUNTER_MS,
     T_MIN_MS,
+    TOKEN_TIME_US,
     check_finite,
 )
 from .workload import SaturatedFeed
@@ -59,7 +60,8 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_BYTE = 80  # 8 bits at 100 Mbps
 
-# Share of simulated time discarded as warm-up before measuring.
+# Default run length, and the share of each run discarded as warm-up.
+DEFAULT_DURATION_MS = 1000.0
 WARMUP_FRACTION = 0.10
 
 # Scheduling instants before t = 0: the token is injected ahead of every
@@ -68,11 +70,7 @@ _INJECTED = -2
 _FIRST_DRAW = -1
 
 
-class SimulationError(RuntimeError):
-    """Internal inconsistency: the modeled protocol cannot reach this state."""
-
-
-class InvariantViolation(SimulationError):
+class InvariantViolation(RuntimeError):
     """A protocol invariant (token conservation, rotation bound, exact time
     accounting) failed during a run."""
 
@@ -92,7 +90,7 @@ class RingConfig:
     segment_delays_us: tuple[float, ...]
     ttrt_ms: float
     station_delay_us: float = STATION_DELAY_US
-    token_time_us: float = 0.88
+    token_time_us: float = TOKEN_TIME_US
     async_overflow: bool = True
     allow_any_ttrt: bool = False
     release_after_stripping: bool = False
@@ -125,7 +123,7 @@ class RingConfig:
         *,
         propagation_us_per_km: float = PROPAGATION_US_PER_KM,
         station_delay_us: float = STATION_DELAY_US,
-        token_time_us: float = 0.88,
+        token_time_us: float = TOKEN_TIME_US,
         async_overflow: bool = True,
         allow_any_ttrt: bool = False,
         release_after_stripping: bool = False,
@@ -235,7 +233,7 @@ def _by_station(bits: list[int], stops: list[int], n: int) -> tuple[int, ...]:
 def run(
     config: RingConfig,
     workload=None,
-    duration_ms: float = 1000.0,
+    duration_ms: float = DEFAULT_DURATION_MS,
     seed: int = 0,
     warmup_fraction: float = WARMUP_FRACTION,
 ) -> RunResult:

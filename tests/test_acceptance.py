@@ -225,7 +225,7 @@ def test_criterion_6_figure_shapes():
             )
             _, report = _run_sim(
                 f"fig3:{load_pct}%/{ttrt:g}ms", config, wic,
-                presets.FIG3_DURATION_MS, seed=5, n_active=presets.FIG3_STATIONS,
+                simcore.DEFAULT_DURATION_MS, seed=5, n_active=presets.FIG3_STATIONS,
             )
             if report.access_bound_exceeded:
                 problems.append(f"fig3 {load_pct}%/{ttrt}: access bound exceeded")

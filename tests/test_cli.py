@@ -3,6 +3,7 @@ override precedence, --dump-config, and the saturated-row marker."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 
 import pytest
@@ -328,3 +329,97 @@ def test_dump_config_lists_the_keys_a_sweep_reads(tmp_path, capsys):
     dump = capsys.readouterr().out
     assert "duration_ms" not in dump
     assert "seed" not in dump
+
+
+# The option strings of each subcommand, recorded before the options were
+# moved into one table: the table may reword help, never add or drop a flag.
+_RING_FLAGS = ["--active", "--fiber-km", "--macs", "--preset", "--ttrt"]
+_SIM_FLAGS = ["--allow-any-ttrt", "--duration-ms", "--no-overflow", "--seed",
+              "--token-time-us"]
+_COMMON_FLAGS = ["--config", "--dump-config", "--help", "--out", "-h"]
+FROZEN_FLAGS = {
+    "analyze": _RING_FLAGS + ["--frame-bytes"],
+    "simulate": _RING_FLAGS + _SIM_FLAGS + ["--frame-bytes", "--interburst-ms",
+                                            "--load-pct", "--workload"],
+    "sweep": _RING_FLAGS + _SIM_FLAGS + ["--figure", "--frame-bytes", "--grid",
+                                         "--load-pct", "--mode", "--replications",
+                                         "--var"],
+    "table1": [],
+    "validate": _RING_FLAGS + ["--frame-bytes", "--max-ring", "--ring-latency-ms",
+                               "--service-interval-ms", "--sync-ms", "--t-max-ms"],
+}
+
+
+def test_each_subcommand_keeps_its_flags():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(s for a in p._actions for s in a.option_strings)
+             for name, p in sub.choices.items()}
+    assert flags == {name: sorted(f + _COMMON_FLAGS) for name, f in FROZEN_FLAGS.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--figure", "fig1", "--mode", "simulate", "--active", "3", "--preset", "typical"],
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--seed", "4"],
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--ttrt", "20"],
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--replications", "3"],
+    ["sweep", "--figure", "fig3", "--load-pct", "40", "--duration-ms", "20"],
+    ["simulate", "--preset", "typical", "--workload", "wic", "--load-pct", "50",
+     "--frame-bytes", "100"],
+    ["simulate", "--preset", "typical", "--load-pct", "50", "--duration-ms", "20"],
+    ["simulate", "--preset", "typical", "--workload", "wic", "--interburst-ms", "0.7",
+     "--load-pct", "90", "--duration-ms", "20"],
+    ["validate", "--ttrt", "8", "--max-ring", "--preset", "big", "--ring-latency-ms", "3"],
+    ["validate", "--ttrt", "8", "--preset", "big", "--active", "3"],
+])
+def test_flag_the_command_does_not_use_is_rejected(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.simcore, "run", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out), "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert captured.out == ""
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["[ring]\nttrtt = 4\n", "[run]\nttrt = 20\n"])
+def test_config_key_that_names_no_option_is_rejected(text, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert _run(["analyze", "--preset", "typical", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+
+
+def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text("[ring]\npreset = typical\nttrt = 4\nring_latency_ms = 3\n"
+                   "[sweep]\nfigure = fig3\n[run]\nseed = 4\n")
+    assert _run(["analyze", "--config", str(cfg)]) == 0
+    assert "98.94%" in capsys.readouterr().out
+
+
+def test_validate_dumps_the_keys_it_reads(capsys):
+    assert _run(["validate", "--ttrt", "8", "--max-ring", "--dump-config"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("[ring]\n")
+    assert "ttrt = 8.0" in out
+    assert "t_max_ms = 165.0" in out
+    assert "frame_bytes = 4500" in out
+    assert "preset" not in out
+    assert "verdict: ok" in out
+
+
+def test_validate_requires_a_ttrt(capsys):
+    assert _run(["validate", "--max-ring"]) == 2
+    assert capsys.readouterr().err == "error: validate needs --ttrt\n"
+    with pytest.raises(SystemExit):
+        _run(["validate", "--help"])
+    help_text = capsys.readouterr().out
+    assert "rotation time (ms)\n" in help_text
+    assert "(default 165.0)" in help_text
