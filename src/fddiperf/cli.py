@@ -18,7 +18,8 @@ for provenance. Every sweep runs through one engine, and its output echoes
 every input including the seed, so any CSV row can be reproduced on its own.
 
 Exit codes: 0 success, 1 validation failure / golden mismatch / saturated
-configuration, 2 bad input.
+configuration, 2 bad input, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import configparser
 import csv
 import functools
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -159,6 +161,14 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _config_bool(raw: str) -> bool:
+    """A config-file boolean, spelt as configparser itself accepts them."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean (1/yes/true/on or 0/no/false/off)") from None
+
+
 class Resolver:
     """Layered lookup of OPTIONS: flag, then config file, then default."""
 
@@ -182,13 +192,10 @@ class Resolver:
         value = getattr(self.args, key)
         if value is None and key in self._file:
             raw = self._file[key]
-            if opt.type is bool:
-                value = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                try:
-                    value = opt.type(raw)
-                except ValueError as exc:
-                    raise CliError(f"config [{opt.section}] {key} = {raw!r}: {exc}") from None
+            try:
+                value = (_config_bool if opt.type is bool else opt.type)(raw)
+            except ValueError as exc:
+                raise CliError(f"config [{opt.section}] {key} = {raw!r}: {exc}") from None
         if value is None and key in COMMANDS[self.args.command].required:
             raise CliError(f"{self.args.command} needs {_flag(key)}")
         if value is None:
@@ -477,7 +484,10 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
     if mode not in ("analytical", "simulate", "both"):
         raise CliError(f"unknown mode {mode!r}")
     key = SWEEP_VARS[var][1]
-    load_pct = res.get("load_pct") if mode != "analytical" else None
+    # bursty traffic loads every station with the fixed WIC frame mix, so it
+    # cannot follow a grid of active counts or frame sizes
+    bursty = mode != "analytical" and key not in ("active", "frame_bytes")
+    load_pct = res.get("load_pct") if bursty else None
     frame_unused = key == "frame_bytes" or (mode == "simulate" and load_pct is not None)
     return presets.Figure(
         description="",
@@ -674,10 +684,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command].run(Resolver(args))
+        code = COMMANDS[args.command].run(Resolver(args))
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (CliError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so the flush at exit
+        # cannot raise again, and exit as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

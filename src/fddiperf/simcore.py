@@ -25,9 +25,11 @@ the token's next event is compared against the earliest of them:
   whole rotations in one step: every pass then measures a rotation of
   exactly the ring's idle period, so the counters and each station's
   rotation clock follow in closed form up to the next burst.
-- A holding period is one step. An always-backlogged station sends
-  ceil(THT / F) frames with overflow and floor(THT / F) without; queued
-  frames are sent in a plain loop over the queue.
+- A holding period is one step. A ring is saturated or bursty as a whole.
+  On a saturated ring every sourced station is always backlogged and sends
+  ceil(THT / F) frames with overflow, floor(THT / F) without; on a bursty
+  ring queued frames are sent in a plain loop over the queue. As in FDDI,
+  the token is released right behind the last frame.
 - Bursts are brought in, in time order, just before the first token event
   at or after them, so every station decision sees the queues the
   event-by-event order would show it. A burst landing at the same
@@ -54,7 +56,7 @@ from .analytical import (
     TOKEN_TIME_US,
     check_finite,
 )
-from .workload import SaturatedFeed
+from .workload import SaturationWorkload
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -81,7 +83,8 @@ class RingConfig:
 
     segment_delays_us[i] is the propagation delay of the hop leaving
     station i (the last entry wraps back to station 0), so the ring has one
-    station per entry. token_time_us is charged at every hop; set it to 0 to
+    station per entry. Every station adds the standard repeat delay
+    STATION_DELAY_US. token_time_us is charged at every hop; set it to 0 to
     compare against the closed-form model, which ignores token transmission
     time. allow_any_ttrt bypasses the T_min/T_max legality check for sweeps
     that probe the region near the ring latency.
@@ -89,23 +92,20 @@ class RingConfig:
 
     segment_delays_us: tuple[float, ...]
     ttrt_ms: float
-    station_delay_us: float = STATION_DELAY_US
     token_time_us: float = TOKEN_TIME_US
     async_overflow: bool = True
     allow_any_ttrt: bool = False
-    release_after_stripping: bool = False
 
     def __post_init__(self) -> None:
-        check_finite(ttrt_ms=self.ttrt_ms, station_delay_us=self.station_delay_us,
-                     token_time_us=self.token_time_us)
+        check_finite(ttrt_ms=self.ttrt_ms, token_time_us=self.token_time_us)
         for d in self.segment_delays_us:
             check_finite(segment_delay_us=d)
         if not self.segment_delays_us:
             raise ValueError("a ring needs at least one station")
         if any(d < 0 for d in self.segment_delays_us):
             raise ValueError("segment delays must be >= 0")
-        if self.station_delay_us < 0 or self.token_time_us < 0:
-            raise ValueError("station_delay_us and token_time_us must be >= 0")
+        if self.token_time_us < 0:
+            raise ValueError("token_time_us must be >= 0")
         if self.ttrt_ms <= 0:
             raise ValueError(f"ttrt_ms must be > 0, got {self.ttrt_ms}")
         if not self.allow_any_ttrt and not T_MIN_MS <= self.ttrt_ms <= T_MAX_COUNTER_MS:
@@ -121,12 +121,9 @@ class RingConfig:
         fiber_km: float,
         ttrt_ms: float,
         *,
-        propagation_us_per_km: float = PROPAGATION_US_PER_KM,
-        station_delay_us: float = STATION_DELAY_US,
         token_time_us: float = TOKEN_TIME_US,
         async_overflow: bool = True,
         allow_any_ttrt: bool = False,
-        release_after_stripping: bool = False,
     ) -> "RingConfig":
         """Evenly spaced stations on the given fiber length.
 
@@ -135,10 +132,10 @@ class RingConfig:
         """
         if n_stations < 1:
             raise ValueError("n_stations must be >= 1")
-        check_finite(fiber_km=fiber_km, propagation_us_per_km=propagation_us_per_km)
+        check_finite(fiber_km=fiber_km)
         if fiber_km < 0:
             raise ValueError("fiber_km must be >= 0")
-        total_ns = int(round(fiber_km * propagation_us_per_km * NS_PER_US))
+        total_ns = int(round(fiber_km * PROPAGATION_US_PER_KM * NS_PER_US))
         base, extra = divmod(total_ns, n_stations)
         seg_us = tuple(
             (base + (1 if i < extra else 0)) / NS_PER_US for i in range(n_stations)
@@ -146,11 +143,9 @@ class RingConfig:
         return cls(
             segment_delays_us=seg_us,
             ttrt_ms=ttrt_ms,
-            station_delay_us=station_delay_us,
             token_time_us=token_time_us,
             async_overflow=async_overflow,
             allow_any_ttrt=allow_any_ttrt,
-            release_after_stripping=release_after_stripping,
         )
 
     @property
@@ -160,7 +155,7 @@ class RingConfig:
     @property
     def ring_latency_ms(self) -> float:
         """Propagation plus summed repeat delays (token time excluded)."""
-        us = sum(self.segment_delays_us) + self.n_stations * self.station_delay_us
+        us = sum(self.segment_delays_us) + self.n_stations * STATION_DELAY_US
         return us / 1000.0
 
 
@@ -246,7 +241,7 @@ def run(
     that regime violations are only counted.
     """
     n = config.n_stations
-    sd_ns = _ns_from_us(config.station_delay_us)
+    sd_ns = _ns_from_us(STATION_DELAY_US)
     tt_ns = _ns_from_us(config.token_time_us)
     seg_ns = [_ns_from_us(u) for u in config.segment_delays_us]
     ttrt_ns = _ns_from_ms(config.ttrt_ms)
@@ -259,7 +254,6 @@ def run(
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
     d_ns = sum(seg_ns) + n * sd_ns
-    strip_ns = d_ns if config.release_after_stripping else 0
     hop_ns = [sd_ns + tt_ns + s for s in seg_ns]
     period = sum(hop_ns)  # one idle rotation
 
@@ -267,22 +261,17 @@ def run(
     if len(sources) != n:
         raise ValueError(f"workload bound {len(sources)} stations, ring has {n}")
     # The token only stops at sourced stations (station 0 on a ring without
-    # any); per-stop state is indexed by position k in `stops`.
-    stops = [i for i in range(n) if sources[i] is not None] or [0]
+    # any); per-stop state is indexed by position k in `stops`. A saturated
+    # ring's stops always have a frame of sat bytes; a bursty ring's have feeds.
+    stops = [i for i in range(n) if sources[i] is not None]
+    sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
+    feeds = [] if sat else [sources[st] for st in stops]
+    stops = stops or [0]
     nst = len(stops)
     leap = [sum(hop_ns[a:b]) for a, b in zip(stops, stops[1:])]
     leap.append(sum(hop_ns[stops[-1]:]) + sum(hop_ns[:stops[0]]))
     if min(leap) <= 0:
         raise ValueError("the token must take time to travel between sourced stations")
-    sat = [0] * nst  # frame bytes of an always-backlogged stop
-    feeds: list[object | None] = [None] * nst
-    for k, st in enumerate(stops):
-        src = sources[st]
-        if isinstance(src, SaturatedFeed):
-            sat[k] = src.frame_bytes
-        else:
-            feeds[k] = src
-    has_sat = any(sat)
 
     max_frame_ns = (workload.max_frame_bytes if workload is not None else 0) * NS_PER_BYTE
     trt_enforced = ttrt_ns >= d_ns + n * tt_ns + tt_ns + max_frame_ns
@@ -298,10 +287,7 @@ def run(
     # drawn[k] is when stop k's pending burst was scheduled.
     pending: list[tuple[int, int, list[int]]] = []
     drawn = [_FIRST_DRAW] * nst
-    for k in range(nst):
-        feed = feeds[k]
-        if feed is None:
-            continue
+    for k, feed in enumerate(feeds):
         first = feed.next_burst(0)
         if first is not None:
             heappush(pending, (first[0], k, first[1]))
@@ -310,7 +296,7 @@ def run(
 
     last_arrival = [0] * nst
     queues: list[deque] = [deque() for _ in range(nst)]
-    want_since = [0 if sb else -1 for sb in sat]  # saturated stops want the token from t=0
+    want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
     nonempty = 0
 
     completed_bits = 0
@@ -332,7 +318,7 @@ def run(
     cur_arrival = 0
     cur_size = 0
     seg_start = 0
-    seg_idle = not has_sat
+    seg_idle = not sat
 
     # The token's next event is a visit to stop k at t or, while stop k
     # holds, the completion of its frame(s) at t. A burst due at t is ordered
@@ -357,16 +343,7 @@ def run(
             while pending and pending[0][0] <= upto:
                 at, kb, sizes = heappop(pending)
                 d = drawn[kb]
-                if at == t:
-                    first = d < parent or (d == parent and ahead[kb])
-                elif holding >= 0 and sat[k] and at > hold_start:
-                    # landed on an earlier completion of a saturated holding?
-                    frame_ns = sat[k] * NS_PER_BYTE
-                    prev = at - frame_ns
-                    first = (at - hold_start) % frame_ns == 0 and (
-                        d < prev or (d == prev and ahead[kb]))
-                else:
-                    first = False
+                first = at == t and (d < parent or (d == parent and ahead[kb]))
                 ahead[kb] = first
                 if at == t and kb == k and not first:
                     held = (at, kb, sizes)  # the token event at t goes first
@@ -395,10 +372,10 @@ def run(
                 snap_station = list(bits)
                 if holding >= 0:
                     snap_busy += mark_ns - hold_start
-                    if sat[k]:
-                        sent = (mark_ns - hold_start - 1) // (sat[k] * NS_PER_BYTE)
-                        snap_bits += sent * sat[k] * 8
-                        snap_station[k] += sent * sat[k] * 8
+                    if sat:
+                        sent = (mark_ns - hold_start - 1) // (sat * NS_PER_BYTE)
+                        snap_bits += sent * sat * 8
+                        snap_station[k] += sent * sat * 8
                 boundary = RunSnapshot(
                     mark_ns, snap_bits, snap_busy, _by_station(snap_station, stops, n))
             if t > duration_ns:
@@ -408,7 +385,7 @@ def run(
                 limit = mark_ns
 
         if holding < 0:
-            if not has_sat and not nonempty and t + period <= limit:
+            if not sat and not nonempty and t + period <= limit:
                 # Idle ring: every stop is passed once per period until the
                 # limit, so its counters and rotation clock follow in closed
                 # form; the token resumes at the first pass at or after it.
@@ -453,11 +430,10 @@ def run(
                     trt_violations += 1
                     if trt_enforced:
                         raise _rotation_error(trt, stops[k], ttrt_ns)
-                sb = sat[k]
                 q = queues[k]
-                if sb or q:
+                if sat or q:
                     tht = ttrt_ns - trt
-                    if tht > 0 and (overflow or (sb or q[0][1]) * NS_PER_BYTE <= tht):
+                    if tht > 0 and (overflow or (sat or q[0][1]) * NS_PER_BYTE <= tht):
                         ws = want_since[k]
                         access_samples.append((ws if ws >= 0 else t, t))
                         want_since[k] = -1
@@ -468,11 +444,10 @@ def run(
                         holding = k
                         hold_start = t
                         hold_tht = tht
-                        if sb:
-                            frame_ns = sb * NS_PER_BYTE
+                        if sat:
+                            frame_ns = sat * NS_PER_BYTE
                             sat_frames = -(-tht // frame_ns) if overflow else tht // frame_ns
                             t += sat_frames * frame_ns
-                            parent_t = t - frame_ns
                         else:
                             cur_arrival, cur_size = q.popleft()
                             if not q:
@@ -489,10 +464,9 @@ def run(
             continue
 
         # stop k holds the token; its frame(s) complete at t
-        sb = sat[k]
         q = queues[k]
-        if sb:
-            sent_bits = sat_frames * sb * 8
+        if sat:
+            sent_bits = sat_frames * sat * 8
             completed_bits += sent_bits
             bits[k] += sent_bits
             completed_frames += sat_frames
@@ -519,23 +493,22 @@ def run(
                 continue  # a frame is in flight past the limit
         busy_total += t - hold_start
         holding = -1
-        if sb or q:
+        if sat or q:
             want_since[k] = t
         seg_start = t
-        seg_idle = not nonempty and not has_sat
+        seg_idle = not nonempty and not sat
         parent_t = t
-        t += strip_ns + leap[k]
+        t += leap[k]
         after_t = t
         k += 1
         if k == nst:
             k = 0
 
     if holding >= 0:
-        sb = sat[holding]
-        if sb:
-            sent = (duration_ns - hold_start) // (sb * NS_PER_BYTE)
-            completed_bits += sent * sb * 8
-            bits[holding] += sent * sb * 8
+        if sat:
+            sent = (duration_ns - hold_start) // (sat * NS_PER_BYTE)
+            completed_bits += sent * sat * 8
+            bits[holding] += sent * sat * 8
             completed_frames += sent
         busy_total += duration_ns - hold_start
     else:

@@ -4,9 +4,10 @@ Three kinds: the measured warehouse-inventory bursty-Poisson mix (bursts of
 five frames, 65% small / 35% large), always-backlogged saturation sources
 for heavy-load studies, and scripted arrivals for hand-checked traces.
 
-Every source binds to stations through `bind(n_stations, seed)`, which
-returns one per-station feed (or None) in ring order. Feeds are either a
-SaturatedFeed marker or an object with `next_burst(now_ns)` yielding
+A ring is saturated or bursty as a whole, by the workload's type. Every
+source binds to stations through `bind(n_stations, seed)`, which returns
+one entry per station in ring order, None where it sends nothing. A bursty
+source's entries have `next_burst(now_ns)` yielding
 `(timestamp_ns, [frame_bytes, ...])` and None when exhausted. Per-station
 RNG streams are derived from the run seed and the station index, so a run
 is reproducible from its (workload, seed) pair alone.
@@ -41,13 +42,6 @@ def _bound_stations(stations, n_stations: int) -> set[int]:
     if any(s < 0 or s >= n_stations for s in chosen):
         raise ValueError(f"station ids out of range for a {n_stations}-station ring")
     return chosen
-
-
-@dataclass(frozen=True)
-class SaturatedFeed:
-    """Marker feed: the station always has another frame of this size."""
-
-    frame_bytes: int
 
 
 @dataclass(frozen=True)
@@ -161,9 +155,9 @@ class SaturationWorkload:
     def total_offered_load_mbps(self, n_stations: int) -> float:
         return math.inf
 
-    def bind(self, n_stations: int, seed: int) -> list[SaturatedFeed | None]:
+    def bind(self, n_stations: int, seed: int) -> list[int | None]:
         chosen = _bound_stations(self.stations, n_stations)
-        return [SaturatedFeed(self.frame_bytes) if i in chosen else None for i in range(n_stations)]
+        return [self.frame_bytes if i in chosen else None for i in range(n_stations)]
 
 
 class _ScriptedGenerator:

@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +368,9 @@ def test_each_subcommand_keeps_its_flags():
     ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--ttrt", "20"],
     ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--replications", "3"],
     ["sweep", "--figure", "fig3", "--load-pct", "40", "--duration-ms", "20"],
+    # bursty traffic cannot follow a grid of frame sizes or active counts
+    ["sweep", "--var", "frame_size", "--grid", "100,4500", "--preset", "typical",
+     "--mode", "simulate", "--load-pct", "40", "--duration-ms", "40"],
     ["simulate", "--preset", "typical", "--workload", "wic", "--load-pct", "50",
      "--frame-bytes", "100"],
     ["simulate", "--preset", "typical", "--load-pct", "50", "--duration-ms", "20"],
@@ -394,6 +401,43 @@ def test_config_key_that_names_no_option_is_rejected(text, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("word,dumped", [
+    ("ture", None), ("maybe", None), ("", None),
+    ("YES", "true"), ("On", "true"), ("1", "true"), ("off", "false"), ("0", "false"),
+])
+def test_config_booleans_take_the_configparser_words(word, dumped, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[ring]\nno_overflow = {word}\n")
+    rc = _run(["simulate", "--preset", "typical", "--duration-ms", "20", "--config", str(cfg),
+               "--dump-config"])
+    captured = capsys.readouterr()
+    if dumped is None:
+        assert rc == 2
+        assert captured.err.startswith("error: config [ring] no_overflow = ")
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert rc == 0
+        assert f"no_overflow = {dumped}\n" in captured.out
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # about 300 KB of CSV: far more than a 64 KiB pipe buffer holds
+    grid = ",".join(f"{4 + i / 10:.1f}" for i in range(1500))
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fddiperf.cli", "sweep", "--var", "ttrt", "--grid", grid,
+         "--preset", "largest"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"figure,mode,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+    proc.stderr.close()
 
 
 def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):

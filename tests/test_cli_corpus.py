@@ -127,7 +127,7 @@ EXPECTED: dict[str, tuple[int, str | None, str]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "simulate-load-pct": (0, "342be2ea4dcea95140b2e3cce44b1628630a5cbaefbfea8256205e69f47202ff",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "simulate-load-pct-active": (0, "71bbe46252f4a667d6f20b89fb75b9b5db661c642a6a82a2adbe586d62f27ec3",
+    "simulate-load-pct-active": (2, None,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "analyze-typical": (0, "dfdc3c83d64ba2901376496df8767c8dcc4fd3e6beed6ded464a7e354bdc51bb",
         "e7a9cf8cebf7d1f99af7fb4d54379310acdd0a789238ae9b1982f60fe234f45a"),

@@ -7,8 +7,8 @@ simulator that preceded the batched event loop, so a match shows the
 current loop reproduces it bit for bit. The corpus covers saturated rings
 (typical and largest, overflow on and off, legal and illegal TTRTs),
 partial active subsets, WIC traffic at the three fig3 loads with two
-seeds, zero token time, release after stripping, and scripted arrivals
-that land exactly on token visits, frame completions and the warm-up mark.
+seeds, zero token time, and scripted arrivals that land exactly on token
+visits, frame completions and the warm-up mark.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from fddiperf.presets import FIG3_FIBER_KM, FIG3_STATIONS, PRESETS
 from fddiperf.simcore import RingConfig, run
-from fddiperf.workload import SaturatedFeed, SaturationWorkload, ScriptedWorkload, WicWorkload
+from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 
 def run_digest(result) -> str:
@@ -46,22 +46,6 @@ def _fig3_ring(ttrt_ms: float, **kwargs) -> RingConfig:
 def _scripted(n: int, script: dict, duration_ms: float, ttrt_ms: float = 4.0, **kwargs):
     cfg = RingConfig.uniform(n, 0.0, ttrt_ms, token_time_us=0.0, **kwargs)
     return lambda: run(cfg, ScriptedWorkload(script), duration_ms=duration_ms, seed=0)
-
-
-class _MixedWorkload:
-    """Saturated stations beside scripted ones, through the duck-typed
-    bind interface (no shipped workload mixes the two)."""
-
-    def __init__(self, saturated: dict[int, int], script: dict):
-        self._saturated = saturated
-        self._script = ScriptedWorkload(script)
-        self.max_frame_bytes = max([self._script.max_frame_bytes, *saturated.values()])
-
-    def bind(self, n_stations: int, seed: int):
-        feeds = self._script.bind(n_stations, seed)
-        for st, frame_bytes in self._saturated.items():
-            feeds[st] = SaturatedFeed(frame_bytes)
-        return feeds
 
 
 def _saturated_cases() -> dict:
@@ -120,10 +104,6 @@ def _variant_cases() -> dict:
         "token0-sat-typical": lambda: run(
             _preset_ring("typical", 8.0, token_time_us=0.0), SaturationWorkload(512), 200.0, seed=1),
         "token0-wic-58": lambda: run(_fig3_ring(8.0, token_time_us=0.0), w, 200.0, seed=1),
-        "strip-sat-largest": lambda: run(
-            _preset_ring("largest", 20.0, release_after_stripping=True),
-            SaturationWorkload(512), 200.0, seed=1),
-        "strip-wic-58": lambda: run(_fig3_ring(8.0, release_after_stripping=True), w, 200.0, seed=1),
         "idle-typical": lambda: run(_preset_ring("typical", 8.0), None, 100.0, seed=0),
         "no-warmup-wic-28": lambda: run(
             _fig3_ring(8.0), WicWorkload.for_utilization(0.28, FIG3_STATIONS), 100.0, seed=5,
@@ -180,19 +160,6 @@ def _scripted_cases() -> dict:
             ScriptedWorkload({0: [(0.0, [4500, 125]), (0.051199, [125, 100]), (0.15, []),
                                   (0.63, [4500]), (0.99, [25, 100])]}),
             duration_ms=1.0, seed=0, warmup_fraction=0.25),
-        # empty bursts on a saturated holder's completions (88 and 96 us),
-        # then a frame at the next station just as the token reaches it
-        "mixed-saturated-completion-ties": lambda: run(
-            RingConfig.uniform(2, 0.0, 0.1, token_time_us=0.0, async_overflow=False,
-                               allow_any_ttrt=True),
-            _MixedWorkload({0: 100}, {1: [(0.088, []), (0.096, []), (0.097, [25])]}),
-            duration_ms=0.5, seed=0),
-        "script-strip-ties": _scripted(
-            3,
-            {1: [(0.0, [100]), (0.008, [100]), (0.016, [100])], 2: [(0.011, [100, 100])]},
-            2.0,
-            release_after_stripping=True,
-        ),
     }
 
 
@@ -210,7 +177,6 @@ DIGESTS = {
     "active-typical-sparse": "95ba59d2081014db4cc840d0634e457be422ae1a95ea14f3a18fd71b3449268c",
     "active-wic-sparse": "a47dd05b952e277f90021cc50ef76cff7434ebc125748457d0358decfc3b0d45",
     "idle-typical": "22ce268ff93e3d0bb27c2ea5880bd1abde3b2766794795b805d903057fddd6df",
-    "mixed-saturated-completion-ties": "8fe7a1f7b8e76473282693c53468617ed5937c8192489f8d49b93faeaa5895f3",
     "no-warmup-wic-28": "046813582cad2c5f6791ebc2ef532064bcf2b2567d16d58e93b998bb250fa71b",
     "sat-largest-165-no-overflow": "c98ef6c7f76ce10e12a363d368583c45d24da5076c0a1dab9a02d46f18a3d5e9",
     "sat-largest-165-overflow": "7747ebd548a47b45cdd8b54fb8b741901135fb6c4dad59a842944c3721e01114",
@@ -231,12 +197,9 @@ DIGESTS = {
     "script-grid-ties-no-overflow": "edaffbf8ed9928bf748e653f206612924224f8f5b21a6ed782cf0d3afb7a9a28",
     "script-hand-trace": "1e201d4a0d41f4b9a999a12b74cfd95e67bd9e6d8371043868d0545b92e79166",
     "script-mid-burst": "07063506427b3d301a2ddc2529a60f82a8142129d3a1a8e65326920e9c0da1b9",
-    "script-strip-ties": "d9681c77bf660450648cee4ab7d828fae3492327ad7e581331aaa9623eb33f5e",
     "script-unusable-token": "fedc8f06611d677611c757e5d50975f3eaf99434aa080f474332ec2ec24a010a",
     "skip-chain-dense": "5a00b25b4b9e6f981b6f9e0006f3c9c64b2d1c0116db5f3b2ae47359a842c823",
     "skip-chain-sparse": "2dbf143a09e7e69201c144e543f590edfe61b959fa9a32fed618eedfe2cd2c15",
-    "strip-sat-largest": "7286debb2934d57bbb8d698f49fc7110ebd6d99e5120f4e7ed8f69df09b08ee5",
-    "strip-wic-58": "e01b9ea30c54a1dafd409587d29f9dde2bdc0eafecdeaf6f681ab47931eb2b57",
     "token0-sat-typical": "fc2405289ae695d1fa0ed44a3b9ba3013b22894ad04a23cdc9d85902935ddb46",
     "token0-wic-58": "f4b3641275947c0011ead2f6812a1a0f3080de1b44458b4245f26ad30433ca65",
     "wic-28-0.5-seed1": "fb0054b544392d7115641a751fbe790bcd565bbd8729ac34cb57349466111a9f",
