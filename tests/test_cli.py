@@ -427,17 +427,16 @@ def test_closed_pipe_exits_141_without_a_traceback():
     grid = ",".join(f"{4 + i / 10:.1f}" for i in range(1500))
     path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "fddiperf.cli", "sweep", "--var", "ttrt", "--grid", grid,
          "--preset", "largest"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline().startswith(b"figure,mode,")
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 141
-    assert "Traceback" not in err
-    proc.stderr.close()
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"figure,mode,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
 
 
 def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
