@@ -24,7 +24,7 @@ LINE_RATE_MBPS = 100.0
 TOKEN_TIME_US = 0.88  # 11-byte token, preamble included
 TOKEN_TIME_MS = TOKEN_TIME_US / 1000.0
 MAX_FRAME_BYTES = 4500
-MAX_FRAME_TIME_MS = 0.360
+MAX_FRAME_TIME_MS = MAX_FRAME_BYTES * 8 / (LINE_RATE_MBPS * 1000.0)
 MAX_RING_LATENCY_MS = 1.773  # maximum-size ring per the standard
 MAX_MAC_COUNT = 1000
 
@@ -92,20 +92,15 @@ class PhysicalRing:
 
     fiber_km: float
     mac_count: int
-    propagation_us_per_km: float = PROPAGATION_US_PER_KM
-    station_delay_us: float = STATION_DELAY_US
 
     def __post_init__(self) -> None:
-        check_finite(fiber_km=self.fiber_km, propagation_us_per_km=self.propagation_us_per_km,
-                     station_delay_us=self.station_delay_us)
+        check_finite(fiber_km=self.fiber_km)
         if self.fiber_km < 0:
             raise ValueError(f"fiber_km must be >= 0, got {self.fiber_km}")
         if not 0 <= self.mac_count <= MAX_MAC_COUNT:
             raise ValueError(
                 f"mac_count must be in [0, {MAX_MAC_COUNT}], got {self.mac_count}"
             )
-        if self.propagation_us_per_km <= 0 or self.station_delay_us <= 0:
-            raise ValueError("delay constants must be > 0")
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ class AnalyticalResult:
 def ring_latency(ring: PhysicalRing) -> float:
     """Idle-token circulation time in ms: fiber propagation plus the summed
     per-MAC repeat delays."""
-    us = ring.fiber_km * ring.propagation_us_per_km + ring.mac_count * ring.station_delay_us
+    us = ring.fiber_km * PROPAGATION_US_PER_KM + ring.mac_count * STATION_DELAY_US
     return us / _MS_TO_US
 
 
@@ -253,7 +248,6 @@ def validate_ttrt(
     *,
     service_interval_ms: float | None = None,
     t_max_ms: float = T_MAX_MS,
-    token_time_ms: float = TOKEN_TIME_MS,
 ) -> TtrtValidation:
     """Check a requested TTRT against rules 2-4 and report the rule-1
     advisory.
@@ -276,7 +270,7 @@ def validate_ttrt(
             f"t_max_ms must lie in [{T_MAX_MS}, {T_MAX_COUNTER_MS}], got {t_max_ms}"
         )
 
-    floor_us = (latency_ms + token_time_ms + max_frame_time_ms + sync_allocation_ms) * _MS_TO_US
+    floor_us = (latency_ms + TOKEN_TIME_MS + max_frame_time_ms + sync_allocation_ms) * _MS_TO_US
     min_legal_ms = floor_us / _MS_TO_US
 
     violations: list[int] = []

@@ -178,10 +178,15 @@ class Resolver:
         self.resolved: dict[str, object] = {}
         if args.config:
             cp = configparser.ConfigParser()
-            if not cp.read(args.config):
-                raise CliError(f"cannot read config file {args.config!r}")
-            for section in cp.sections():
-                for key, value in cp.items(section):
+            try:
+                if not cp.read(args.config):
+                    raise CliError(f"cannot read config file {args.config!r}")
+                items = [(section, cp.items(section)) for section in cp.sections()]
+            except configparser.Error as exc:
+                first_line = str(exc).splitlines()[0]
+                raise CliError(f"config file {args.config!r}: {first_line}") from None
+            for section, pairs in items:
+                for key, value in pairs:
                     if key not in OPTIONS or OPTIONS[key].section != section:
                         raise CliError(f"config [{section}] {key}: no such key in [{section}]")
                     self._file[key] = value
@@ -205,7 +210,7 @@ class Resolver:
 
     def finish(self) -> None:
         """Reject the flags given that the command did not read, then print
-        --dump-config: each key the command read, resolved."""
+        --dump-config: each key the command read and resolved to a value."""
         command = self.args.command
         unused = [_flag(key) for key in COMMANDS[command].options
                   if key not in self.resolved and getattr(self.args, key) is not None]
@@ -215,7 +220,7 @@ class Resolver:
             return
         sections: dict[str, list[str]] = {}
         for key, value in sorted(self.resolved.items()):
-            if OPTIONS[key].section:
+            if OPTIONS[key].section and value is not None:
                 sections.setdefault(OPTIONS[key].section, []).append(f"{key} = {_fmt(value)}")
         lines = []
         for section, items in sorted(sections.items()):
@@ -428,11 +433,12 @@ def _print_report(report: metrics.MetricsReport) -> None:
 
 def cmd_simulate(res: Resolver) -> int:
     preset_name, macs, fiber = _resolve_ring(res)
-    n_active = _active(res.get("active"), macs)
+    kind, interburst = res.get("workload"), None
+    # bursty traffic loads every station, so only saturation reads --active
+    n_active = _active(res.get("active") if kind == "saturation" else None, macs)
     duration, seed, ring = _sim_settings(res)
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=res.get("ttrt"), duration_ms=duration, replication=0, seed=seed)
-    kind, interburst = res.get("workload"), None
     if kind == "saturation":
         row["frame_bytes"] = res.get("frame_bytes", default=DEFAULT_LARGE_FRAME_BYTES)
     elif kind == "wic":

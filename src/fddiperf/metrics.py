@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 from . import analytical
 from .analytical import LINE_RATE_MBPS, RingParameters
-# WARMUP_FRACTION is re-exported: the warm-up share belongs to the run, not
-# to this module.
-from .simcore import NS_PER_MS, WARMUP_FRACTION, RunResult  # noqa: F401
+from .simcore import NS_PER_MS, NS_PER_US, RunResult
 
 _BOUND_SLACK_NS = 1  # integer-nanosecond comparisons need no real slack
 
@@ -79,7 +77,8 @@ def access_delay_bound_ms(
     standing in for the ring latency. None when that rotation already
     swallows the TTRT."""
     cfg = result.config
-    d_eff_ms = cfg.ring_latency_ms + cfg.n_stations * cfg.token_time_us / 1000.0
+    token_us = round(cfg.token_time_us * NS_PER_US) / NS_PER_US  # as run charges each hop
+    d_eff_ms = cfg.ring_latency_ms + cfg.n_stations * token_us / 1000.0
     if max_frame_bytes <= 0 or n_active < 1:
         return None
     try:

@@ -154,9 +154,10 @@ class RingConfig:
 
     @property
     def ring_latency_ms(self) -> float:
-        """Propagation plus summed repeat delays (token time excluded)."""
-        us = sum(self.segment_delays_us) + self.n_stations * STATION_DELAY_US
-        return us / 1000.0
+        """Propagation plus summed repeat delays (token time excluded), each
+        hop in the whole nanoseconds that `run` simulates."""
+        us = sum(_ns_from_us(u) / NS_PER_US for u in self.segment_delays_us)
+        return (us + self.n_stations * STATION_DELAY_US) / 1000.0
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Traffic sources for the ring simulator.
 
-Three kinds: the measured warehouse-inventory bursty-Poisson mix (bursts of
-five frames, 65% small / 35% large), always-backlogged saturation sources
-for heavy-load studies, and scripted arrivals for hand-checked traces.
+Three kinds: the measured warehouse-inventory bursty-Poisson mix (one fixed
+mix of five-frame bursts, 65% small / 35% large, at a chosen mean gap),
+always-backlogged saturation sources for heavy-load studies, and scripted
+arrivals for hand-checked traces.
 
 A ring is saturated or bursty as a whole, by the workload's type. Every
 source binds to stations through `bind(n_stations, seed)`, which returns
@@ -23,10 +24,16 @@ from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, check_finite
 
 _NS_PER_MS = 1_000_000
 
+# The measured WIC mix; the mean's evaluation order fixes every derived gap.
 DEFAULT_BURST_SIZE = 5
 DEFAULT_SMALL_FRAME_BYTES = 100
 DEFAULT_SMALL_FRACTION = 0.65
 DEFAULT_LARGE_FRAME_BYTES = 512
+WIC_MEAN_FRAME_BYTES = (
+    DEFAULT_SMALL_FRACTION * DEFAULT_SMALL_FRAME_BYTES
+    + (1.0 - DEFAULT_SMALL_FRACTION) * DEFAULT_LARGE_FRAME_BYTES
+)
+_WIC_BURST_BITS = DEFAULT_BURST_SIZE * WIC_MEAN_FRAME_BYTES * 8
 
 
 def _station_rng(seed: int, station: int) -> random.Random:
@@ -46,34 +53,23 @@ def _bound_stations(stations, n_stations: int) -> set[int]:
 
 @dataclass(frozen=True)
 class WicWorkload:
-    """Bursty-Poisson arrivals: exponential gaps between bursts, a fixed
-    number of frames per burst, two frame sizes in a fixed mix.
+    """Bursty-Poisson arrivals in the fixed WIC mix: exponential gaps of mean
+    `mean_interburst_ms` between bursts of five frames, 65% small / 35% large.
 
     `stations` selects which ring positions generate traffic (None = all).
     """
 
     mean_interburst_ms: float
-    burst_size: int = DEFAULT_BURST_SIZE
-    small_frame_bytes: int = DEFAULT_SMALL_FRAME_BYTES
-    small_fraction: float = DEFAULT_SMALL_FRACTION
-    large_frame_bytes: int = DEFAULT_LARGE_FRAME_BYTES
     stations: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         check_finite(mean_interburst_ms=self.mean_interburst_ms)
         if self.mean_interburst_ms <= 0:
             raise ValueError(f"mean_interburst_ms must be > 0, got {self.mean_interburst_ms}")
-        if self.burst_size < 1:
-            raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
-        if not 0.0 <= self.small_fraction <= 1.0:
-            raise ValueError(f"small_fraction must be in [0, 1], got {self.small_fraction}")
-        for b in (self.small_frame_bytes, self.large_frame_bytes):
-            if not 0 < b <= MAX_FRAME_BYTES:
-                raise ValueError(f"frame size {b} outside (0, {MAX_FRAME_BYTES}] bytes")
 
     @classmethod
     def for_utilization(
-        cls, utilization: float, n_stations: int, **kwargs
+        cls, utilization: float, n_stations: int, stations: tuple[int, ...] | None = None
     ) -> "WicWorkload":
         """Choose the inter-burst gap so n_stations together offer the given
         fraction of the 100 Mbps line rate."""
@@ -81,26 +77,17 @@ class WicWorkload:
             raise ValueError(f"utilization must be in (0, 1), got {utilization}")
         if n_stations < 1:
             raise ValueError(f"n_stations must be >= 1, got {n_stations}")
-        probe = cls(mean_interburst_ms=1.0, **kwargs)
-        burst_bits = probe.burst_size * probe.mean_frame_bytes() * 8
         target_bits_per_ms = utilization * LINE_RATE_MBPS * 1000.0
-        mean_ms = n_stations * burst_bits / target_bits_per_ms
-        return cls(mean_interburst_ms=mean_ms, **kwargs)
-
-    def mean_frame_bytes(self) -> float:
-        return (
-            self.small_fraction * self.small_frame_bytes
-            + (1.0 - self.small_fraction) * self.large_frame_bytes
-        )
+        mean_ms = n_stations * _WIC_BURST_BITS / target_bits_per_ms
+        return cls(mean_interburst_ms=mean_ms, stations=stations)
 
     @property
     def max_frame_bytes(self) -> int:
-        return max(self.small_frame_bytes, self.large_frame_bytes)
+        return DEFAULT_LARGE_FRAME_BYTES
 
     def offered_load_mbps(self) -> float:
         """Per-station offered load, closed form (no sampling)."""
-        bits_per_burst = self.burst_size * self.mean_frame_bytes() * 8
-        return bits_per_burst / self.mean_interburst_ms / 1000.0
+        return _WIC_BURST_BITS / self.mean_interburst_ms / 1000.0
 
     def total_offered_load_mbps(self, n_stations: int) -> float:
         count = len(self.stations) if self.stations is not None else n_stations
@@ -123,12 +110,12 @@ class WicGenerator:
         self._rng = rng
 
     def next_burst(self, now_ns: int) -> tuple[int, list[int]]:
-        w = self._w
-        gap_ms = self._rng.expovariate(1.0 / w.mean_interburst_ms)
+        gap_ms = self._rng.expovariate(1.0 / self._w.mean_interburst_ms)
         at_ns = now_ns + int(round(gap_ms * _NS_PER_MS))
         sizes = [
-            w.small_frame_bytes if self._rng.random() < w.small_fraction else w.large_frame_bytes
-            for _ in range(w.burst_size)
+            DEFAULT_SMALL_FRAME_BYTES if self._rng.random() < DEFAULT_SMALL_FRACTION
+            else DEFAULT_LARGE_FRAME_BYTES
+            for _ in range(DEFAULT_BURST_SIZE)
         ]
         return at_ns, sizes
 
@@ -148,9 +135,6 @@ class SaturationWorkload:
     @property
     def max_frame_bytes(self) -> int:
         return self.frame_bytes
-
-    def offered_load_mbps(self) -> float:
-        return math.inf
 
     def total_offered_load_mbps(self, n_stations: int) -> float:
         return math.inf
@@ -186,9 +170,6 @@ class ScriptedWorkload:
     def max_frame_bytes(self) -> int:
         sizes = [b for bursts in self.script.values() for _, frames in bursts for b in frames]
         return max(sizes, default=0)
-
-    def offered_load_mbps(self) -> float | None:
-        return None
 
     def total_offered_load_mbps(self, n_stations: int) -> float | None:
         return None

@@ -72,8 +72,6 @@ def test_physical_ring_validation():
         PhysicalRing(-1.0, 10)
     with pytest.raises(ValueError):
         PhysicalRing(10.0, 1001)
-    with pytest.raises(ValueError):
-        PhysicalRing(10.0, 10, station_delay_us=0.0)
 
 
 # ------------------------------------------------------------- efficiency

@@ -263,7 +263,7 @@ def test_simulate_out_runs_the_simulation_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sim.csv"
     rc = _run([
         "simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic",
-        "--load-pct", "40", "--active", "5", "--duration-ms", "100", "--out", str(out),
+        "--load-pct", "40", "--duration-ms", "100", "--out", str(out),
     ])
     assert rc == 0
     assert len(calls) == 1
@@ -335,6 +335,21 @@ def test_dump_config_lists_the_keys_a_sweep_reads(tmp_path, capsys):
     assert "seed" not in dump
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "typical"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic", "--load-pct", "40",
+     "--duration-ms", "20"],
+])
+def test_dump_config_reruns_to_the_same_csv(argv, tmp_path, capsys):
+    first, again, cfg = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "d.ini"
+    assert _run(argv + ["--dump-config", "--out", str(first)]) == 0
+    # simulate prints its report after the dump
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    cfg.write_text("".join(line for line in lines if line.startswith("[") or " = " in line))
+    assert _run([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 # The option strings of each subcommand, recorded before the options were
 # moved into one table: the table may reword help, never add or drop a flag.
 _RING_FLAGS = ["--active", "--fiber-km", "--macs", "--preset", "--ttrt"]
@@ -376,6 +391,9 @@ def test_each_subcommand_keeps_its_flags():
     ["simulate", "--preset", "typical", "--load-pct", "50", "--duration-ms", "20"],
     ["simulate", "--preset", "typical", "--workload", "wic", "--interburst-ms", "0.7",
      "--load-pct", "90", "--duration-ms", "20"],
+    # bursty traffic loads every station, whatever the active count
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic", "--load-pct", "40",
+     "--active", "5", "--duration-ms", "100"],
     ["validate", "--ttrt", "8", "--max-ring", "--preset", "big", "--ring-latency-ms", "3"],
     ["validate", "--ttrt", "8", "--preset", "big", "--active", "3"],
 ])
@@ -401,6 +419,20 @@ def test_config_key_that_names_no_option_is_rejected(text, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    "preset = typical\n",  # no section header
+    "[ring]\npreset = typical\npreset = big\n",  # a key given twice
+    "[ring]\npreset = typical\n[workload]\nefficiency: 0.99 (99.47%)\n",  # a pasted report
+])
+def test_config_file_that_configparser_rejects_is_one_error_line(text, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert _run(["analyze", "--preset", "typical", "--ttrt", "8", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: config file {str(cfg)!r}: ")
 
 
 @pytest.mark.parametrize("word,dumped", [

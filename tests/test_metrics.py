@@ -8,9 +8,9 @@ import math
 
 import pytest
 
-from fddiperf import metrics, simcore
-from fddiperf.metrics import SampleStats, WARMUP_FRACTION, _stats, summarize
-from fddiperf.simcore import NS_PER_MS, RingConfig, RunResult, RunSnapshot, run
+from fddiperf import simcore
+from fddiperf.metrics import SampleStats, _stats, summarize
+from fddiperf.simcore import NS_PER_MS, WARMUP_FRACTION, RingConfig, RunResult, RunSnapshot, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 
@@ -158,5 +158,5 @@ def test_station_throughput_shares():
 def test_sample_stats_is_plain_data():
     s = SampleStats(mean_ms=1.0, max_ms=2.0, count=3, p95_ms=1.5)
     assert s.p95_ms == 1.5
-    assert metrics.WARMUP_FRACTION == 0.10
+    assert simcore.WARMUP_FRACTION == 0.10
     assert simcore is not None

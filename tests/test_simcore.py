@@ -55,6 +55,23 @@ def test_idle_ring_is_pure_repeater():
     assert res.trt_violations == 0
 
 
+def test_ring_latency_is_the_simulated_rotation_on_uneven_hops():
+    # each 0.8475 us hop is simulated in whole nanoseconds, so the latency
+    # that bounds access delays must count the rounded hops, not the floats
+    cfg = RingConfig((0.8475,) * 6, 4.0, token_time_us=0.0)
+    res = run(cfg, None, duration_ms=1.0)
+    assert cfg.ring_latency_ms * NS_PER_MS == res.max_rotation_ns
+    saturated = run(cfg, SaturationWorkload(1, (0,)), duration_ms=40.0)
+    assert not metrics.summarize(saturated, n_active=1, max_frame_bytes=1).access_bound_exceeded
+
+
+def test_access_bound_counts_token_time_in_simulated_nanoseconds():
+    # a 0.0006 us token time is charged as 1 ns at each of the 1000 hops
+    cfg = RingConfig.uniform(1000, 200.0, 8.0, token_time_us=0.0006)
+    res = run(cfg, SaturationWorkload(1, (0,)), duration_ms=100.0)
+    assert not metrics.summarize(res, n_active=1, max_frame_bytes=1).access_bound_exceeded
+
+
 def test_single_station_saturated_cycle():
     # T = 5 ms, D = 1 us, F = 100 B (8 us): k = ceil(4999/8) = 625,
     # so the steady cycle is kF + 2D = 5.002 ms with kF = 5 ms transmitted.

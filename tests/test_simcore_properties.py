@@ -1,12 +1,12 @@
-"""Property tests of the simulator on random rings: 1-30 stations on
-0-200 km of fiber, TTRT 4-165 ms, overflow on and off, token time 0 or
-the standard 0.88 us, with saturated station subsets or bursty WIC
-traffic. Every run must account for its time exactly, credit every bit
-to a sourced station, keep each rotation below 2 x TTRT (the timed-token
-bound of Sevcik & Johnson, 1987), and keep every access delay below the
-closed-form bound. A saturated ring with overflow must also match the
-overflow model within (2D + 2F) / W: one latency D at each edge of the
-measured window W and one frame F credited at each edge.
+"""Property tests of the simulator on random rings: 0-200 km of fiber split
+into even or uneven hops, TTRT 4-165 ms, overflow on and off, token time 0
+or the standard 0.88 us, with saturated station subsets on 1-1000 stations
+or bursty WIC traffic on 1-30. Every run must account for its time
+exactly, credit every bit to a sourced station, keep each rotation below
+2 x TTRT (the timed-token bound of Sevcik & Johnson, 1987), and keep every
+access delay below the closed-form bound. A saturated ring with overflow
+must also match the overflow model within (2D + 2F) / W: one latency D at
+each edge of the measured window W and one frame F credited at each edge.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from fddiperf.analytical import (
     MAX_FRAME_BYTES,
+    MAX_MAC_COUNT,
+    PROPAGATION_US_PER_KM,
     TOKEN_TIME_US,
     T_MIN_MS,
     RingParameters,
@@ -31,16 +33,22 @@ RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
 
 
 @st.composite
-def rings(draw, min_sourced: int):
-    """A uniform ring and the sorted stations that carry traffic on it."""
-    n = draw(st.integers(1, 30))
-    config = RingConfig.uniform(
-        n,
-        draw(st.floats(0.0, 200.0)),
-        draw(st.floats(T_MIN_MS, 165.0)),
-        token_time_us=draw(st.sampled_from([0.0, TOKEN_TIME_US])),
-        async_overflow=draw(st.booleans()),
-    )
+def rings(draw, min_sourced: int, max_stations: int):
+    """A ring and the sorted stations that carry traffic on it. The fiber is
+    split evenly, or unevenly by a short pattern of hop weights repeated
+    round the ring, so that large rings stay cheap to draw."""
+    n = draw(st.integers(1, max_stations))
+    fiber_km = draw(st.floats(0.0, 200.0))
+    ttrt_ms = draw(st.floats(T_MIN_MS, 165.0))
+    mac = dict(token_time_us=draw(st.sampled_from([0.0, TOKEN_TIME_US])),
+               async_overflow=draw(st.booleans()))
+    weights = draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    if weights is None:
+        config = RingConfig.uniform(n, fiber_km, ttrt_ms, **mac)
+    else:
+        hops = [weights[i % len(weights)] for i in range(n)]
+        scale = fiber_km * PROPAGATION_US_PER_KM / sum(hops) if any(hops) else 0.0
+        config = RingConfig(tuple(h * scale for h in hops), ttrt_ms, **mac)
     stations = draw(st.sets(st.integers(0, n - 1), min_size=min_sourced))
     return config, tuple(sorted(stations))
 
@@ -57,7 +65,8 @@ def _check_run(result, stations, n_active, max_frame_bytes):
 
 
 @RANDOM_RINGS
-@given(rings(min_sourced=0), st.integers(1, MAX_FRAME_BYTES), st.integers(10, 40))
+@given(rings(min_sourced=0, max_stations=MAX_MAC_COUNT), st.integers(1, MAX_FRAME_BYTES),
+       st.integers(10, 40))
 def test_saturated_random_rings(ring, frame_bytes, rotations):
     config, stations = ring
     result = run(config, SaturationWorkload(frame_bytes, stations),
@@ -76,7 +85,8 @@ def test_saturated_random_rings(ring, frame_bytes, rotations):
 
 
 @RANDOM_RINGS
-@given(rings(min_sourced=1), st.floats(0.05, 0.95), st.floats(5.0, 40.0), st.integers(0, 99))
+@given(rings(min_sourced=1, max_stations=30), st.floats(0.05, 0.95), st.floats(5.0, 40.0),
+       st.integers(0, 99))
 def test_bursty_random_rings(ring, utilization, duration_ms, seed):
     config, stations = ring
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)

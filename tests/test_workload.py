@@ -9,6 +9,9 @@ import math
 import pytest
 
 from fddiperf.workload import (
+    DEFAULT_LARGE_FRAME_BYTES,
+    DEFAULT_SMALL_FRAME_BYTES,
+    WIC_MEAN_FRAME_BYTES,
     SaturationWorkload,
     ScriptedWorkload,
     WicWorkload,
@@ -18,9 +21,8 @@ NS_PER_MS = 1_000_000
 
 
 def test_mean_frame_size():
-    w = WicWorkload(mean_interburst_ms=8.0)
     # 0.65 * 100 + 0.35 * 512 = 244.2 bytes
-    assert w.mean_frame_bytes() == pytest.approx(244.2, abs=1e-9)
+    assert WIC_MEAN_FRAME_BYTES == pytest.approx(244.2, abs=1e-9)
 
 
 def test_offered_load_at_measured_gap():
@@ -34,12 +36,6 @@ def test_offered_load_at_measured_gap():
 def test_offered_load_limits():
     w = WicWorkload(mean_interburst_ms=1e9)
     assert w.offered_load_mbps() == pytest.approx(0.0, abs=1e-6)
-    # degenerate mix: single size, burst of one
-    w = WicWorkload(
-        mean_interburst_ms=2.0, burst_size=1,
-        small_frame_bytes=300, small_fraction=1.0,
-    )
-    assert w.offered_load_mbps() == pytest.approx(300 * 8 / 2.0 / 1000.0)
 
 
 def test_load_scaling_is_exact():
@@ -64,16 +60,16 @@ def test_empirical_distribution():
     draws = 100_000
     for _ in range(draws):
         now, sizes = gen.next_burst(now)
-        small += sum(1 for s in sizes if s == w.small_frame_bytes)
+        small += sum(1 for s in sizes if s == DEFAULT_SMALL_FRAME_BYTES)
         total += len(sizes)
     mean_gap_ms = now / draws / NS_PER_MS
     assert mean_gap_ms == pytest.approx(8.0, rel=0.01)
     assert small / total == pytest.approx(0.65, rel=0.01)
     # long-run arrival rate matches the closed form
-    bits = total / draws * w.mean_frame_bytes() * 8  # expected shape only
-    empirical_mbps = (small * w.small_frame_bytes + (total - small) * w.large_frame_bytes) * 8 / (
-        now / NS_PER_MS
-    ) / 1000.0
+    bits = total / draws * WIC_MEAN_FRAME_BYTES * 8  # expected shape only
+    empirical_mbps = (
+        small * DEFAULT_SMALL_FRAME_BYTES + (total - small) * DEFAULT_LARGE_FRAME_BYTES
+    ) * 8 / (now / NS_PER_MS) / 1000.0
     assert empirical_mbps == pytest.approx(w.offered_load_mbps(), rel=0.01)
     assert bits > 0
 
@@ -112,12 +108,6 @@ def test_bind_respects_station_subset():
 def test_wic_validation():
     with pytest.raises(ValueError):
         WicWorkload(mean_interburst_ms=0.0)
-    with pytest.raises(ValueError):
-        WicWorkload(mean_interburst_ms=1.0, small_fraction=1.5)
-    with pytest.raises(ValueError):
-        WicWorkload(mean_interburst_ms=1.0, large_frame_bytes=5000)
-    with pytest.raises(ValueError):
-        WicWorkload(mean_interburst_ms=1.0, burst_size=0)
 
 
 def test_saturation_workload():
@@ -125,7 +115,7 @@ def test_saturation_workload():
     feeds = w.bind(3, seed=0)
     assert feeds[0] is not None
     assert feeds[1] is None
-    assert w.offered_load_mbps() == math.inf
+    assert w.total_offered_load_mbps(3) == math.inf
     assert w.max_frame_bytes == 512
     with pytest.raises(ValueError):
         SaturationWorkload(frame_bytes=9000)
