@@ -287,11 +287,10 @@ def _analytical_row(row: dict) -> dict:
     return row
 
 
-def _simulate(config: RingConfig, load, duration_ms: float, seed: int,
-              n_active: int) -> metrics.MetricsReport:
-    """One simulator run, summarized with the access-delay bound for the
-    stations that send: n_active saturated ones, or every station."""
-    result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
+def _summarize(result: simcore.RunResult, load, n_active: int) -> metrics.MetricsReport:
+    """One run's report, with the access-delay bound for the stations that
+    send: n_active saturated ones, or every station."""
+    config = result.config
     return metrics.summarize(
         result,
         offered_load_mbps=load.total_offered_load_mbps(config.n_stations),
@@ -373,8 +372,14 @@ def cmd_analyze(res: Resolver) -> int:
 def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, dict]:
     """The run length, the base seed and the RingConfig keywords shared by
     every run of a command; any_ttrt is the default of allow_any_ttrt."""
+    token_time_us = res.get("token_time_us")
+    analytical.check_finite(token_time_us=token_time_us)
+    # the simulator charges whole nanoseconds, while the CSV echoes the value
+    if round(token_time_us * simcore.NS_PER_US) / simcore.NS_PER_US != token_time_us:
+        raise CliError(f"--token-time-us {token_time_us!r} is not a whole number of "
+                       "nanoseconds")
     ring = dict(
-        token_time_us=res.get("token_time_us"),
+        token_time_us=token_time_us,
         async_overflow=not res.get("no_overflow"),
         allow_any_ttrt=res.get("allow_any_ttrt", default=any_ttrt),
     )
@@ -452,7 +457,8 @@ def cmd_simulate(res: Resolver) -> int:
     load = _build_workload(row, row["load_pct"], interburst)
     res.finish()
 
-    report = _simulate(config, load, duration, seed, n_active)
+    report = _summarize(simcore.run(config, load, duration_ms=duration, seed=seed),
+                        load, n_active)
     _print_report(report)
     if res.args.out:
         _write_rows([_simulated_row(row, config, load, report)], res.args.out)
@@ -509,14 +515,35 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
     )
 
 
+def _reuse_or_run(held, config: RingConfig, load, duration_ms: float, seed: int,
+                  n_active: int) -> tuple[metrics.MetricsReport, tuple | None]:
+    """The report of one simulated sweep point, and the certified (result,
+    load) to hold for the next point of its replication. held is the one
+    kept from an earlier point, or None; when simcore.reuse_at cannot stand
+    it in for this point, it is dropped before the simulator runs, so that
+    no result outlives the next run unless TTRT provably never bound it."""
+    result = None
+    if held is not None and held[1] == load:
+        result = simcore.reuse_at(held[0], config, load)
+    if result is None:
+        held = None
+        result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
+        if simcore.certified(result, load):
+            held = (result, load)
+    return _summarize(result, load, n_active), held
+
+
 def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> list[dict]:
     """Every row of a sweep: ring, then load, then grid point, each point
     giving its closed-form row and/or, when spec simulates, one simulated
-    row per replication, run with sim, the command's _sim_settings."""
+    row per replication, run with sim, the command's _sim_settings. On a
+    TTRT sweep a replication reuses its last run that TTRT never bound for
+    every higher TTRT, instead of simulating it again."""
     column = SWEEP_VARS[spec.var][0]
     rows: list[dict] = []
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
+            held: dict[int, tuple | None] = {}  # replication -> certified (result, load)
             for value in spec.grid:
                 point = _base_row(
                     figure=figure, preset=preset_name, sweep_var=spec.sweep_var,
@@ -537,8 +564,11 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
                 for rep in range(replications):
                     row = dict(point, load_pct=load_pct, duration_ms=duration,
                                replication=rep, seed=seed + rep)
-                    report = None if saturated else _simulate(
-                        config, load, duration, seed + rep, point["n_active"])
+                    report = None
+                    if not saturated:
+                        # popped, so that a real run finds no result held for it
+                        report, held[rep] = _reuse_or_run(held.pop(rep, None), config, load,
+                                                          duration, seed + rep, point["n_active"])
                     rows.append(_simulated_row(row, config, load, report))
     return rows
 

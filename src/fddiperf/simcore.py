@@ -40,11 +40,15 @@ the token's next event is compared against the earliest of them:
   full.
 - The warm-up snapshot is taken arithmetically when the first event at or
   after the mark is reached; events exactly at the mark stay outside it.
+
+A bursty run that the TTRT never bound (no holding cut short, every token
+usable) is also the run at any higher TTRT; `reuse_at` hands it out for one
+without simulating again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections import deque
 from heapq import heappush, heappop
 
@@ -198,6 +202,8 @@ class RunResult:
     idle_ns: int
     boundary: RunSnapshot
     sourced_stations: tuple[int, ...] = field(default=())
+    # holdings that released the token with frames still queued
+    budget_cuts: int = 0
 
     @property
     def max_rotation_ms(self) -> float:
@@ -224,6 +230,63 @@ def _by_station(bits: list[int], stops: list[int], n: int) -> tuple[int, ...]:
     for k, st in enumerate(stops):
         out[st] = bits[k]
     return tuple(out)
+
+
+def _trt_enforced(config: RingConfig, workload, propagation_ns: int) -> bool:
+    """Whether the TTRT covers the ring's effective latency (its hops'
+    propagation_ns, repeat delays and one token time per hop, plus one
+    more) and one maximum-size frame of the workload, so that every rotation
+    must stay below 2 x TTRT."""
+    n = config.n_stations
+    tt_ns = _ns_from_us(config.token_time_us)
+    d_ns = propagation_ns + n * _ns_from_us(STATION_DELAY_US)
+    max_frame_ns = (workload.max_frame_bytes if workload is not None else 0) * NS_PER_BYTE
+    return _ns_from_ms(config.ttrt_ms) >= d_ns + n * tt_ns + tt_ns + max_frame_ns
+
+
+def certified(result: RunResult, workload) -> bool:
+    """Whether the TTRT never bound a run of this workload: see reuse_at."""
+    if workload is None or isinstance(workload, SaturationWorkload):
+        return False
+    if result.budget_cuts or result.trt_violations:
+        return False
+    t1 = _ns_from_ms(result.config.ttrt_ms)
+    if result.config.async_overflow:
+        return result.max_rotation_ns < t1
+    return result.max_rotation_ns + workload.max_frame_bytes * NS_PER_BYTE <= t1
+
+
+def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | None:
+    """The run of `workload` on `config` without simulating it, when the TTRT
+    provably cannot change it; else None. `result` must be a run of the same
+    workload, seed and run length, and `config` the same as its config with
+    only ttrt_ms changed, to a value no lower than before.
+
+    The run at T1 = result's TTRT is certified when its ring is bursty, no
+    holding released the token with frames still queued (budget_cuts == 0),
+    no rotation reached 2 x T1, and every token arrival was usable: every
+    rotation stayed below T1 with overflow on, or left room for one
+    maximum-size frame with it off. Then the run at T2 >= T1 follows the
+    same events (the cycle arguments of Sevcik & Johnson, 1987), by
+    induction over them:
+
+    - the token holding time at each arrival grows by T2 - T1, so a usable
+      token stays usable;
+    - a holding that ended with its queue empty still does, and one that
+      went on to its next frame still can, so no holding is cut;
+    - the rotation times are therefore the same, and none reaches 2 x T2.
+
+    Only config and trt_bound_enforced differ. The samples are shared with
+    `result`, not copied.
+    """
+    old = result.config
+    if config.ttrt_ms < old.ttrt_ms or config != replace(old, ttrt_ms=config.ttrt_ms):
+        return None
+    if not certified(result, workload):
+        return None
+    propagation_ns = sum(_ns_from_us(u) for u in config.segment_delays_us)
+    return replace(result, config=config,
+                   trt_bound_enforced=_trt_enforced(config, workload, propagation_ns))
 
 
 def run(
@@ -254,7 +317,6 @@ def run(
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    d_ns = sum(seg_ns) + n * sd_ns
     hop_ns = [sd_ns + tt_ns + s for s in seg_ns]
     period = sum(hop_ns)  # one idle rotation
 
@@ -274,8 +336,7 @@ def run(
     if min(leap) <= 0:
         raise ValueError("the token must take time to travel between sourced stations")
 
-    max_frame_ns = (workload.max_frame_bytes if workload is not None else 0) * NS_PER_BYTE
-    trt_enforced = ttrt_ns >= d_ns + n * tt_ns + tt_ns + max_frame_ns
+    trt_enforced = _trt_enforced(config, workload, sum(seg_ns))
 
     mark_ns = int(duration_ns * warmup_fraction)
     if mark_ns >= duration_ns:
@@ -308,6 +369,7 @@ def run(
     rotation_count = 0
     max_rotation = 0
     trt_violations = 0
+    budget_cuts = 0
 
     busy_total = 0
     idle_total = 0
@@ -492,6 +554,8 @@ def run(
                     break
             if more:
                 continue  # a frame is in flight past the limit
+            if q:
+                budget_cuts += 1
         busy_total += t - hold_start
         holding = -1
         if sat or q:
@@ -519,6 +583,9 @@ def run(
         else:
             overhead_total += dt
 
+    if sat:
+        # every released holding leaves a saturated station backlogged
+        budget_cuts = len(access_samples) - (holding >= 0)
     if busy_total + idle_total + overhead_total != duration_ns:
         raise InvariantViolation(
             f"time accounting leaked: busy {busy_total} + idle {idle_total} + "
@@ -543,4 +610,5 @@ def run(
         idle_ns=idle_total,
         boundary=boundary,
         sourced_stations=tuple(stops),
+        budget_cuts=budget_cuts,
     )

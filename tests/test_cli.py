@@ -8,6 +8,7 @@ import csv
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,40 @@ def test_simulate_out_runs_the_simulation_once(tmp_path, monkeypatch, capsys):
     assert f"efficiency: {float(row['efficiency'])!r}" in printed
 
 
+@pytest.mark.parametrize("argv,rows,max_runs", [
+    (["sweep", "--figure", "fig3", "--duration-ms", "50"], 15, 14),
+    # a certified run at one extent stands in for no other extent
+    (["sweep", "--var", "extent", "--grid", "10,20,40", "--preset", "typical",
+      "--mode", "simulate", "--load-pct", "40", "--duration-ms", "20"], 3, 3),
+])
+def test_sweep_holds_no_result_across_a_real_run(argv, rows, max_runs, tmp_path, monkeypatch):
+    # a sweep keeps only runs that TTRT provably did not bind, and drops even
+    # those before it simulates again
+    real_run = cli.simcore.run
+    earlier = []
+
+    def tracked_run(*args, **kwargs):
+        assert all(ref() is None for ref in earlier)
+        result = real_run(*args, **kwargs)
+        earlier.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli.simcore, "run", tracked_run)
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out)]) == 0
+    assert len(_read_csv(out)) == rows
+    assert len(earlier) <= max_runs
+
+
+def test_reused_runs_write_the_csv_of_real_runs(tmp_path, monkeypatch):
+    argv = ["sweep", "--figure", "fig3", "--duration-ms", "50", "--seed", "5"]
+    reused, rerun = tmp_path / "reused.csv", tmp_path / "rerun.csv"
+    assert _run(argv + ["--out", str(reused)]) == 0
+    monkeypatch.setattr(cli.simcore, "reuse_at", lambda *a: None)
+    assert _run(argv + ["--out", str(rerun)]) == 0
+    assert reused.read_bytes() == rerun.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--var", "ttrt", "--grid", "nan,inf", "--preset", "typical"],
     ["sweep", "--var", "ttrt", "--grid", "4,inf", "--preset", "typical"],
@@ -305,14 +340,20 @@ def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
     ["sweep", "--figure", "fig1", "--replications", "0"],
     ["sweep", "--figure", "fig1", "--var", "ttrt"],
     ["sweep", "--figure", "fig4", "--grid", "1,2"],
+    # the simulator charges whole nanoseconds; the CSV would echo 0.0006
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "50",
+     "--token-time-us", "0.0006"],
 ])
-def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.simcore, "run", lambda *a, **k: calls.append(a))
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert not out.exists()
+    assert calls == []
 
 
 def test_dump_config_lists_the_keys_a_sweep_reads(tmp_path, capsys):

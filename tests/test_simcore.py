@@ -121,6 +121,22 @@ def test_unusable_token_sends_nothing():
     assert res.trt_violations == 0
 
 
+def test_budget_cut_is_counted_and_binds_the_ttrt():
+    # one station with 7.2 ms of backlog at t=0: a 4 ms TTRT cuts its first
+    # holding short, while at 8 ms one holding empties the queue
+    script = ScriptedWorkload({0: [(0.0, [4500] * 20)]})
+    cut = run(_single_station_config(4.0), script, duration_ms=30.0)
+    assert cut.budget_cuts == 1
+    assert not simcore.certified(cut, script)
+    assert simcore.reuse_at(cut, _single_station_config(8.0), script) is None
+    free = run(_single_station_config(8.0), script, duration_ms=30.0)
+    assert free.budget_cuts == 0
+    assert simcore.certified(free, script)
+    wide = _single_station_config(20.0)
+    assert simcore.reuse_at(free, wide, script) == run(wide, script, duration_ms=30.0)
+    assert simcore.reuse_at(free, _single_station_config(4.0), script) is None
+
+
 def test_no_overflow_respects_budget_exactly():
     cfg = RingConfig.uniform(
         2, 0.0, 4.0, token_time_us=0.0, async_overflow=False

@@ -7,11 +7,17 @@ exactly, credit every bit to a sourced station, keep each rotation below
 access delay below the closed-form bound. A saturated ring with overflow
 must also match the overflow model within (2D + 2F) / W: one latency D at
 each edge of the measured window W and one frame F credited at each edge.
+
+The TTRT-binding certificate is checked the same way: whenever
+`simcore.reuse_at` stands a bursty run at T1 in for a higher T2, the run at
+T2 must equal it in every field, and a saturated run is never certified.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fddiperf.analytical import (
@@ -26,7 +32,7 @@ from fddiperf.analytical import (
     overflow_model,
 )
 from fddiperf.metrics import summarize
-from fddiperf.simcore import NS_PER_MS, RingConfig, run
+from fddiperf.simcore import NS_PER_MS, RingConfig, certified, reuse_at, run
 from fddiperf.workload import SaturationWorkload, WicWorkload
 
 RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
@@ -42,7 +48,7 @@ def rings(draw, min_sourced: int, max_stations: int):
     ttrt_ms = draw(st.floats(T_MIN_MS, 165.0))
     mac = dict(token_time_us=draw(st.sampled_from([0.0, TOKEN_TIME_US])),
                async_overflow=draw(st.booleans()))
-    weights = draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    weights = draw(st.none() | st.lists(st.integers(0, 100), min_size=1, max_size=8))
     if weights is None:
         config = RingConfig.uniform(n, fiber_km, ttrt_ms, **mac)
     else:
@@ -69,9 +75,11 @@ def _check_run(result, stations, n_active, max_frame_bytes):
        st.integers(10, 40))
 def test_saturated_random_rings(ring, frame_bytes, rotations):
     config, stations = ring
-    result = run(config, SaturationWorkload(frame_bytes, stations),
-                 duration_ms=rotations * config.ttrt_ms, seed=0)
+    load = SaturationWorkload(frame_bytes, stations)
+    result = run(config, load, duration_ms=rotations * config.ttrt_ms, seed=0)
     report = _check_run(result, stations, len(stations), frame_bytes)
+    assert not certified(result, load)
+    assert reuse_at(result, replace(config, ttrt_ms=config.ttrt_ms + 1.0), load) is None
     if not (config.async_overflow and stations):
         return
     d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
@@ -92,3 +100,32 @@ def test_bursty_random_rings(ring, utilization, duration_ms, seed):
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
     result = run(config, load, duration_ms=duration_ms, seed=seed)
     _check_run(result, stations, len(stations), load.max_frame_bytes)
+
+
+def _one_station(hop_us: float, overflow: bool):
+    return RingConfig((hop_us,), T_MIN_MS, token_time_us=0.0, async_overflow=overflow), (0,)
+
+
+@RANDOM_RINGS
+@given(rings(min_sourced=1, max_stations=30), st.floats(0.05, 0.99), st.floats(5.0, 20.0),
+       st.integers(0, 99), st.floats(-4.0, 5.3).map(lambda x: 2.0 ** x),
+       st.floats(1.0, 4.0, exclude_min=True))
+# Runs that each condition of the certificate alone rules out: a holding cut
+# short while every rotation stays below T1, with overflow on and off, and a
+# token too late to use with overflow on.
+@example(_one_station(91.53, True), 0.5, 5.0, 2, 0.5, 2.0)
+@example(_one_station(91.53, False), 0.5, 5.0, 0, 1.0, 2.0)
+@example(_one_station(127.125, True), 0.5, 5.0, 0, 0.125, 2.0)
+def test_certified_run_is_the_run_at_every_higher_ttrt(ring, utilization, duration_ms, seed,
+                                                       t1_ms, factor):
+    # T1 from 1/16 to about 40 ms on a log scale, so that about half the runs
+    # are certified and the rest are bound by cut holdings or late tokens
+    config, stations = ring
+    load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
+    low = replace(config, ttrt_ms=t1_ms, allow_any_ttrt=True)
+    high = replace(low, ttrt_ms=t1_ms * factor)
+    result = run(low, load, duration_ms=duration_ms, seed=seed)
+    reused = reuse_at(result, high, load)
+    assert (reused is not None) == certified(result, load)
+    if reused is not None:
+        assert run(high, load, duration_ms=duration_ms, seed=seed) == reused
