@@ -287,15 +287,22 @@ def _analytical_row(row: dict) -> dict:
     return row
 
 
+def _bound_inputs(config: RingConfig, load, n_active: int) -> dict:
+    """The access-delay bound's inputs for the stations that send: n_active
+    saturated ones, or every station."""
+    return dict(
+        n_active=n_active if isinstance(load, SaturationWorkload) else config.n_stations,
+        max_frame_bytes=load.max_frame_bytes,
+    )
+
+
 def _summarize(result: simcore.RunResult, load, n_active: int) -> metrics.MetricsReport:
-    """One run's report, with the access-delay bound for the stations that
-    send: n_active saturated ones, or every station."""
+    """One run's report, with the access-delay bound checked."""
     config = result.config
     return metrics.summarize(
         result,
         offered_load_mbps=load.total_offered_load_mbps(config.n_stations),
-        n_active=n_active if isinstance(load, SaturationWorkload) else config.n_stations,
-        max_frame_bytes=load.max_frame_bytes,
+        **_bound_inputs(config, load, n_active),
     )
 
 
@@ -518,19 +525,23 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
 def _reuse_or_run(held, config: RingConfig, load, duration_ms: float, seed: int,
                   n_active: int) -> tuple[metrics.MetricsReport, tuple | None]:
     """The report of one simulated sweep point, and the certified (result,
-    load) to hold for the next point of its replication. held is the one
-    kept from an earlier point, or None; when simcore.reuse_at cannot stand
-    it in for this point, it is dropped before the simulator runs, so that
-    no result outlives the next run unless TTRT provably never bound it."""
+    load, report) to hold for the next point of its replication. held is
+    the one kept from an earlier point, or None; when simcore.reuse_at cannot
+    stand it in for this point, it is dropped before the simulator runs, so
+    that no result outlives the next run unless TTRT provably never bound
+    it. A reused run keeps its report but for the fields of the TTRT."""
     result = None
     if held is not None and held[1] == load:
         result = simcore.reuse_at(held[0], config, load)
-    if result is None:
-        held = None
-        result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
-        if simcore.certified(result, load):
-            held = (result, load)
-    return _summarize(result, load, n_active), held
+    if result is not None:
+        report = metrics.reuse_at(held[2], result, **_bound_inputs(config, load, n_active))
+        return report, held
+    held = None
+    result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
+    report = _summarize(result, load, n_active)
+    if simcore.certified(result, load):
+        held = (result, load, report)
+    return report, held
 
 
 def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> list[dict]:
@@ -543,7 +554,7 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
     rows: list[dict] = []
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
-            held: dict[int, tuple | None] = {}  # replication -> certified (result, load)
+            held: dict[int, tuple | None] = {}  # replication -> certified (result, load, report)
             for value in spec.grid:
                 point = _base_row(
                     figure=figure, preset=preset_name, sweep_var=spec.sweep_var,

@@ -14,7 +14,7 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import analytical
 from .analytical import LINE_RATE_MBPS, RingParameters
@@ -95,6 +95,28 @@ def access_delay_bound_ms(
     return res.max_access_delay_ms
 
 
+def _ttrt_fields(
+    result: RunResult, access: SampleStats | None,
+    n_active: int | None, max_frame_bytes: int | None,
+) -> dict:
+    """The report fields that depend on the run's TTRT: the access-delay
+    bound (when n_active and max_frame_bytes are given) checked against the
+    largest access delay, and the rotation bound checked against the longest
+    rotation, the one the run's end left open included."""
+    bound_ms = None
+    exceeded = False
+    if n_active is not None and max_frame_bytes is not None:
+        bound_ms = access_delay_bound_ms(result, n_active, max_frame_bytes)
+        if bound_ms is not None and access is not None:
+            # max_ms is whole nanoseconds over NS_PER_MS, so it reads back exactly
+            peak_ns = round(access.max_ms * NS_PER_MS)
+            exceeded = peak_ns > int(round(bound_ms * NS_PER_MS)) + _BOUND_SLACK_NS
+    ttrt_ns = int(round(result.config.ttrt_ms * NS_PER_MS))
+    rotation_ns = max(result.max_rotation_ns, result.open_rotation_ns)
+    return dict(access_bound_ms=bound_ms, access_bound_exceeded=exceeded,
+                trt_bound_ok=rotation_ns < 2 * ttrt_ns)
+
+
 def summarize(
     result: RunResult,
     *,
@@ -121,21 +143,13 @@ def summarize(
 
     responses = [c - a for a, c in result.response_samples if a >= b.at_ns]
     accesses = [cap - start for start, cap in result.access_samples if start >= b.at_ns]
+    access = _stats(accesses, with_p95=False)
 
-    bound_ms = None
-    exceeded = False
-    if n_active is not None and max_frame_bytes is not None:
-        bound_ms = access_delay_bound_ms(result, n_active, max_frame_bytes)
-        if bound_ms is not None and accesses:
-            bound_ns = int(round(bound_ms * NS_PER_MS)) + _BOUND_SLACK_NS
-            exceeded = max(accesses) > bound_ns
-
-    ttrt_ns = int(round(result.config.ttrt_ms * NS_PER_MS))
     return MetricsReport(
         throughput_mbps=throughput,
         efficiency=throughput / LINE_RATE_MBPS,
         response_time=_stats(responses, with_p95=True),
-        access_delay=_stats(accesses, with_p95=False),
+        access_delay=access,
         offered_load_mbps=offered_load_mbps,
         measured_interval_ms=interval_ns / NS_PER_MS,
         warmup_ms=b.at_ns / NS_PER_MS,
@@ -144,8 +158,21 @@ def summarize(
         station_throughput_mbps=station_tp,
         completed_frames=result.completed_frames,
         max_rotation_ms=result.max_rotation_ms,
-        trt_bound_ok=result.max_rotation_ns < 2 * ttrt_ns,
-        access_bound_ms=bound_ms,
-        access_bound_exceeded=exceeded,
         seed=result.seed,
+        **_ttrt_fields(result, access, n_active, max_frame_bytes),
     )
+
+
+def reuse_at(
+    report: MetricsReport,
+    result: RunResult,
+    *,
+    n_active: int | None = None,
+    max_frame_bytes: int | None = None,
+) -> MetricsReport:
+    """The report `summarize` would give for `result`, a run that
+    simcore.reuse_at handed out in place of the run `report` summarizes:
+    the samples are the same, so only the fields of the TTRT are computed
+    again. n_active and max_frame_bytes are as for `summarize`."""
+    fields = _ttrt_fields(result, report.access_delay, n_active, max_frame_bytes)
+    return replace(report, **fields)

@@ -204,6 +204,9 @@ class RunResult:
     sourced_stations: tuple[int, ...] = field(default=())
     # holdings that released the token with frames still queued
     budget_cuts: int = 0
+    # the longest rotation the run's end left open: the run's length past
+    # the stop that has waited longest for the token
+    open_rotation_ns: int = 0
 
     @property
     def max_rotation_ms(self) -> float:
@@ -611,4 +614,5 @@ def run(
         boundary=boundary,
         sourced_stations=tuple(stops),
         budget_cuts=budget_cuts,
+        open_rotation_ns=duration_ns - min(last_arrival),
     )

@@ -12,6 +12,13 @@ source's entries have `next_burst(now_ns)` yielding
 `(timestamp_ns, [frame_bytes, ...])` and None when exhausted. Per-station
 RNG streams are derived from the run seed and the station index, so a run
 is reproducible from its (workload, seed) pair alone.
+
+A WIC burst takes six draws from its station's stream, in a fixed order:
+the gap, then the five frame sizes. The gap is `-log(1.0 - random()) / rate`
+with rate = 1 / mean gap, the formula of `random.Random.expovariate`
+written out in place, so it is the same float from the same draw and every
+stream, and every run built on one, stays what expovariate made it; only
+the call overhead is gone.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from math import log as _log
 
 from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, check_finite
 
@@ -106,18 +114,22 @@ class WicGenerator:
     then the frame sizes) so streams are reproducible."""
 
     def __init__(self, workload: WicWorkload, rng: random.Random):
-        self._w = workload
-        self._rng = rng
+        self._random = rng.random
+        self._rate = 1.0 / workload.mean_interburst_ms
 
     def next_burst(self, now_ns: int) -> tuple[int, list[int]]:
-        gap_ms = self._rng.expovariate(1.0 / self._w.mean_interburst_ms)
-        at_ns = now_ns + int(round(gap_ms * _NS_PER_MS))
-        sizes = [
-            DEFAULT_SMALL_FRAME_BYTES if self._rng.random() < DEFAULT_SMALL_FRACTION
-            else DEFAULT_LARGE_FRAME_BYTES
-            for _ in range(DEFAULT_BURST_SIZE)
+        draw = self._random
+        small, large = DEFAULT_SMALL_FRAME_BYTES, DEFAULT_LARGE_FRAME_BYTES
+        p = DEFAULT_SMALL_FRACTION
+        # random.Random.expovariate(rate), spelt out: the same float from the same draw
+        gap_ms = -_log(1.0 - draw()) / self._rate
+        return now_ns + int(round(gap_ms * _NS_PER_MS)), [  # DEFAULT_BURST_SIZE frames
+            small if draw() < p else large,
+            small if draw() < p else large,
+            small if draw() < p else large,
+            small if draw() < p else large,
+            small if draw() < p else large,
         ]
-        return at_ns, sizes
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,44 @@ def test_reused_runs_write_the_csv_of_real_runs(tmp_path, monkeypatch):
     assert reused.read_bytes() == rerun.read_bytes()
 
 
+def test_reused_reports_are_the_reports_of_real_runs(tmp_path, monkeypatch):
+    # the CSV carries neither the access bound nor trt_bound_ok, so compare
+    # every field of each point's report with a fresh summary of a real run
+    real = cli._reuse_or_run
+    points = []
+
+    def recording(held, *args):
+        report, held = real(held, *args)
+        points.append((args, report))
+        return report, held
+
+    real_reuse = cli.metrics.reuse_at
+    reused = []
+
+    def counting_reuse(*args, **kwargs):
+        reused.append(1)
+        return real_reuse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_reuse_or_run", recording)
+    monkeypatch.setattr(cli.metrics, "reuse_at", counting_reuse)
+    argv = ["sweep", "--figure", "fig3", "--duration-ms", "50"]
+    assert _run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert len(points) == 15
+    assert reused
+    for (config, load, duration_ms, seed, n_active), report in points:
+        result = cli.simcore.run(config, load, duration_ms=duration_ms, seed=seed)
+        assert report == cli._summarize(result, load, n_active)
+
+
+def test_token_that_never_returns_breaks_the_rotation_bound(capsys):
+    argv = ["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "50",
+            "--token-time-us", "1e300"]
+    assert _run(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "max_rotation_ms: 0.0" in out
+    assert "trt_bound_ok: False" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--var", "ttrt", "--grid", "nan,inf", "--preset", "typical"],
     ["sweep", "--var", "ttrt", "--grid", "4,inf", "--preset", "typical"],

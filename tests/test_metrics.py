@@ -9,7 +9,7 @@ import math
 import pytest
 
 from fddiperf import simcore
-from fddiperf.metrics import SampleStats, _stats, summarize
+from fddiperf.metrics import SampleStats, _stats, access_delay_bound_ms, reuse_at, summarize
 from fddiperf.simcore import NS_PER_MS, WARMUP_FRACTION, RingConfig, RunResult, RunSnapshot, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
@@ -141,6 +141,21 @@ def test_access_bound_reported_and_checked():
     assert rep.access_delay.max_ms <= rep.access_bound_ms + 1e-6
     # without workload context the bound is not computed
     assert summarize(res).access_bound_ms is None
+
+
+def test_access_bound_is_exceeded_one_nanosecond_past_its_slack():
+    # the check reads the largest delay back from its report in whole
+    # nanoseconds, in summarize and in reuse_at alike
+    plain = _result_with_samples()
+    mark = plain.boundary.at_ns
+    bound_ms = access_delay_bound_ms(plain, 2, 512)
+    limit_ns = int(round(bound_ms * NS_PER_MS)) + 1
+    for over in (0, 1):
+        res = _result_with_samples(accesses=[(mark, mark + limit_ns + over)])
+        rep = summarize(res, n_active=2, max_frame_bytes=512)
+        assert rep.access_bound_ms == bound_ms
+        assert rep.access_bound_exceeded is bool(over)
+        assert reuse_at(rep, res, n_active=2, max_frame_bytes=512) == rep
 
 
 def test_station_throughput_shares():

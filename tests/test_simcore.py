@@ -137,6 +137,17 @@ def test_budget_cut_is_counted_and_binds_the_ttrt():
     assert simcore.reuse_at(free, _single_station_config(4.0), script) is None
 
 
+def test_rotation_the_run_end_leaves_open_counts_against_the_bound():
+    # a 5 ms hop at a 2 ms TTRT: the token leaves station 0 at t=0 and is
+    # still away when the run ends, so no rotation closes
+    cfg = RingConfig((5000.0,), 2.0, token_time_us=0.0, allow_any_ttrt=True)
+    for duration_ms, ok in ((3.5, True), (4.5, False)):
+        res = run(cfg, None, duration_ms=duration_ms)
+        assert res.max_rotation_ns == 0
+        assert res.open_rotation_ns == duration_ms * NS_PER_MS
+        assert metrics.summarize(res).trt_bound_ok is ok
+
+
 def test_no_overflow_respects_budget_exactly():
     cfg = RingConfig.uniform(
         2, 0.0, 4.0, token_time_us=0.0, async_overflow=False

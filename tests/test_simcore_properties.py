@@ -10,7 +10,8 @@ each edge of the measured window W and one frame F credited at each edge.
 
 The TTRT-binding certificate is checked the same way: whenever
 `simcore.reuse_at` stands a bursty run at T1 in for a higher T2, the run at
-T2 must equal it in every field, and a saturated run is never certified.
+T2 must equal it in every field, its report with the fields of the TTRT
+recomputed must equal the rerun's, and a saturated run is never certified.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fddiperf import metrics
 from fddiperf.analytical import (
     MAX_FRAME_BYTES,
     MAX_MAC_COUNT,
@@ -128,4 +130,10 @@ def test_certified_run_is_the_run_at_every_higher_ttrt(ring, utilization, durati
     reused = reuse_at(result, high, load)
     assert (reused is not None) == certified(result, load)
     if reused is not None:
-        assert run(high, load, duration_ms=duration_ms, seed=seed) == reused
+        rerun = run(high, load, duration_ms=duration_ms, seed=seed)
+        assert rerun == reused
+        # so does the report, once the fields of the TTRT are recomputed
+        bound = dict(n_active=len(stations), max_frame_bytes=load.max_frame_bytes)
+        report = summarize(result, offered_load_mbps=1.0, **bound)
+        assert metrics.reuse_at(report, reused, **bound) == summarize(
+            rerun, offered_load_mbps=1.0, **bound)

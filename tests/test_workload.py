@@ -5,11 +5,14 @@ source used for hand traces."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from fddiperf.workload import (
+    DEFAULT_BURST_SIZE,
     DEFAULT_LARGE_FRAME_BYTES,
+    DEFAULT_SMALL_FRACTION,
     DEFAULT_SMALL_FRAME_BYTES,
     WIC_MEAN_FRAME_BYTES,
     SaturationWorkload,
@@ -130,3 +133,25 @@ def test_scripted_workload_replays_in_order():
     assert first == (1 * NS_PER_MS, [4500])
     assert second == (2 * NS_PER_MS, [100, 512])
     assert gen.next_burst(second[0]) is None
+
+
+# At a mean gap of 3e12 ms one ulp of a gap is over 100 ns, so a gap that is
+# off by one rounding step shows in the whole-nanosecond burst times.
+@pytest.mark.parametrize("seed,mean_ms", [(0, 8.0), (7, 0.9), (23, 0.00071), (301, 1234.5),
+                                          (5, 3.0e12)])
+def test_bursts_are_the_draws_of_expovariate(seed, mean_ms):
+    # the burst stream as drawn with random.expovariate and a comprehension:
+    # the inline gap formula must give the same floats from the same draws
+    rng = random.Random(f"{seed}/3")
+    gen = WicWorkload(mean_interburst_ms=mean_ms).bind(4, seed)[3]
+    now = 0
+    for _ in range(2000):
+        gap_ms = rng.expovariate(1.0 / mean_ms)
+        sizes = [
+            DEFAULT_SMALL_FRAME_BYTES if rng.random() < DEFAULT_SMALL_FRACTION
+            else DEFAULT_LARGE_FRAME_BYTES
+            for _ in range(DEFAULT_BURST_SIZE)
+        ]
+        expected = (now + int(round(gap_ms * NS_PER_MS)), sizes)
+        assert gen.next_burst(now) == expected
+        now = expected[0]
