@@ -469,7 +469,7 @@ def cmd_simulate(res: Resolver) -> int:
     _print_report(report)
     if res.args.out:
         _write_rows([_simulated_row(row, config, load, report)], res.args.out)
-    return 0
+    return 1 if report.access_bound_exceeded or not report.trt_bound_ok else 0
 
 
 # ------------------------------------------------------------------ sweep

@@ -20,11 +20,23 @@ the token's next event is compared against the earliest of them:
 
 - Stations without a traffic source never transmit, so the token leaps
   from one sourced station to the next in a single step.
-- A visit to a station with nothing to send is a few integer updates in
-  an inline loop. While the whole ring is idle the token moves forward by
-  whole rotations in one step: every pass then measures a rotation of
-  exactly the ring's idle period, so the counters and each station's
-  rotation clock follow in closed form up to the next burst.
+- Each stop's rotation clock is kept as a lap-clock key: its last arrival
+  less its offset P[k] in an idle rotation. Along passes that hold nothing
+  the lap clock c = t - P[k] is constant; it grows by the holding time at
+  a capture and by the idle period at each wrap, and a pass sets the stop's
+  key to c. So once lap 0 has visited every stop, the keys are
+  non-decreasing in ring order from the token, and across a stretch of
+  passes with no capture the rotations never grow (the cycle argument of
+  Sevcik & Johnson, 1987). Lap 0 is the exception: every key starts at
+  the same arrival, t = 0.
+- After lap 0, a stretch of passes with no capture is one closed-form step
+  on a saturated ring and on an idle bursty ring. Bisection over the keys
+  finds the next usable stop (none on an idle ring), bisection over the
+  offsets the first pass at or after the next burst, the warm-up mark or
+  the end, and slice assignments set the clock of every stop passed. The
+  stretch's first rotation is its largest, and the rotations of 2 x TTRT or
+  more are a prefix of it. Lap 0, each capture and the passes of a busy
+  bursty ring go through an inline loop, a few integer updates per pass.
 - A holding period is one step. A ring is saturated or bursty as a whole.
   On a saturated ring every sourced station is always backlogged and sends
   ceil(THT / F) frames with overflow, floor(THT / F) without; on a bursty
@@ -50,7 +62,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from collections import deque
+from bisect import bisect_left, bisect_right
 from heapq import heappush, heappop
+from itertools import accumulate
+from operator import add
 
 from .analytical import (
     PROPAGATION_US_PER_KM,
@@ -235,6 +250,23 @@ def _by_station(bits: list[int], stops: list[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _leading_passes(key: list[int], k: int, c: int, period: int, bound: int, cap: int) -> int:
+    """How many of the first `cap` passes from stop k at lap clock c, with
+    no capture, measure a rotation of at least `bound`. The keys after lap 0
+    ascend from stop k to the last stop and from stop 0 to stop k - 1, so
+    the rotations never grow along the passes and those passes lead them:
+    the stops from k on at clock c, the stops before k one period later,
+    then every stop once per period with a rotation of exactly one period."""
+    nst = len(key)
+    i = bisect_right(key, c - bound, k)
+    if i < nst:
+        return min(i - k, cap)
+    i = bisect_right(key, c + period - bound, 0, k)
+    if i < k or period < bound:
+        return min(nst - k + i, cap)
+    return cap
+
+
 def _trt_enforced(config: RingConfig, workload, propagation_ns: int) -> bool:
     """Whether the TTRT covers the ring's effective latency (its hops'
     propagation_ns, repeat delays and one token time per hop, plus one
@@ -340,6 +372,8 @@ def run(
         raise ValueError("the token must take time to travel between sourced stations")
 
     trt_enforced = _trt_enforced(config, workload, sum(seg_ns))
+    # a saturated stop can use the token while its rotation is below gap
+    gap = ttrt_ns if overflow else ttrt_ns - sat * NS_PER_BYTE + 1
 
     mark_ns = int(duration_ns * warmup_fraction)
     if mark_ns >= duration_ns:
@@ -359,7 +393,11 @@ def run(
     # ahead[k]: stop k's last burst went ahead of a token event at its instant.
     ahead = [False] * nst
 
-    last_arrival = [0] * nst
+    # Rotation clocks as lap-clock keys: key[k] is stop k's last arrival
+    # less its offset from stop 0 in an idle rotation; before lap 0 every
+    # stop last saw the token at t = 0.
+    offset = [0, *accumulate(leap[:-1])]
+    key = [-p for p in offset]
     queues: list[deque] = [deque() for _ in range(nst)]
     want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
     nonempty = 0
@@ -451,44 +489,41 @@ def run(
                 limit = mark_ns
 
         if holding < 0:
-            if not sat and not nonempty and t + period <= limit:
-                # Idle ring: every stop is passed once per period until the
-                # limit, so its counters and rotation clock follow in closed
-                # form; the token resumes at the first pass at or after it.
-                tk = t
-                kk = k
-                t = limit + period
-                repeats = 0
-                for _ in range(nst):
-                    passes = (limit - 1 - tk) // period + 1
-                    trt = tk - last_arrival[kk]
+            c = t - offset[k]
+            if (sat or not nonempty) and rotation_count >= nst:
+                # A stretch of passes with no capture, in closed form: it ends
+                # before the first usable pass (none on an idle ring) or the
+                # first pass at or after the limit.
+                laps, rest = divmod(limit - c, period)
+                n_pass = laps * nst + bisect_left(offset, rest) - k
+                if sat:
+                    n_pass = _leading_passes(key, k, c, period, gap, n_pass)
+                if n_pass:
+                    trt = c - key[k]  # the stretch's largest rotation
                     if trt > max_rotation:
                         max_rotation = trt
                     if trt >= two_ttrt:
-                        trt_violations += 1
                         if trt_enforced:
-                            raise _rotation_error(trt, stops[kk], ttrt_ns)
-                    last_arrival[kk] = tk + (passes - 1) * period
-                    repeats += passes - 1
-                    if tk + passes * period < t:
-                        t = tk + passes * period
-                        k = kk
-                    tk += leap[kk]
-                    kk += 1
-                    if kk == nst:
-                        kk = 0
-                rotation_count += nst + repeats
-                if repeats:
-                    # an enforced bound implies period < TTRT, so these
-                    # rotations can only be counted, never raised
-                    if period > max_rotation:
-                        max_rotation = period
-                    if period >= two_ttrt:
-                        trt_violations += repeats
-                continue
+                            raise _rotation_error(trt, stops[k], ttrt_ns)
+                        trt_violations += _leading_passes(key, k, c, period, two_ttrt, n_pass)
+                    rotation_count += n_pass
+                    # the token stops at i after `laps` wraps; each stop
+                    # passed keeps the lap clock of its last pass
+                    laps, i = divmod(k + n_pass, nst)
+                    if laps:
+                        c += laps * period
+                        key[:i] = [c] * i
+                        lo = max(i, k) if laps == 1 else i
+                        key[lo:] = [c - period] * (nst - lo)
+                    else:
+                        key[k:i] = [c] * (i - k)
+                    k = i
+                    t = c + offset[k]
+                    if t >= limit:
+                        continue
             while True:
-                trt = t - last_arrival[k]
-                last_arrival[k] = t
+                trt = c - key[k]
+                key[k] = c
                 rotation_count += 1
                 if trt > max_rotation:
                     max_rotation = trt
@@ -525,6 +560,9 @@ def run(
                 k += 1
                 if k == nst:
                     k = 0
+                    c += period
+                    if sat or not nonempty:
+                        break  # lap 0 is over: the stretch above takes over
                 if t >= limit:
                     break
             continue
@@ -614,5 +652,5 @@ def run(
         boundary=boundary,
         sourced_stations=tuple(stops),
         budget_cuts=budget_cuts,
-        open_rotation_ns=duration_ns - min(last_arrival),
+        open_rotation_ns=duration_ns - min(map(add, key, offset)),
     )

@@ -337,13 +337,16 @@ def test_reused_reports_are_the_reports_of_real_runs(tmp_path, monkeypatch):
         assert report == cli._summarize(result, load, n_active)
 
 
-def test_token_that_never_returns_breaks_the_rotation_bound(capsys):
+def test_token_that_never_returns_breaks_the_rotation_bound(capsys, tmp_path):
+    # a broken bound is a rule violation: exit 1, with the report and CSV kept
+    out_csv = tmp_path / "run.csv"
     argv = ["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "50",
-            "--token-time-us", "1e300"]
-    assert _run(argv) == 0
+            "--token-time-us", "1e300", "--out", str(out_csv)]
+    assert _run(argv) == 1
     out = capsys.readouterr().out.splitlines()
     assert "max_rotation_ms: 0.0" in out
     assert "trt_bound_ok: False" in out
+    assert len(out_csv.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("argv", [

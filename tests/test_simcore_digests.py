@@ -101,7 +101,11 @@ def _wic_cases() -> dict:
 def _variant_cases() -> dict:
     w = WicWorkload.for_utilization(0.58, FIG3_STATIONS)
     return {
-        "token0-sat-typical": lambda: run(
+        "stretch-idle-rotation-over-ttrt": "92a5503921c2d6d3cb7a6612ddf0e73487e358d91acd8bbc427be4d035c68c82",
+    "stretch-largest-mark-and-end": "b2de296614a3eafff91da0fc7c88b5448e3db59fced3464f5161dc3b1e07a342",
+    "stretch-uneven-subset-no-overflow": "527ab0fc610fb5384979e0697ca722e3564828a436db6eb8af42fd991ac03fd8",
+    "stretch-wic-idle-laps-over-2-ttrt": "371c37e275715752541b34e568b21a2c453f3eb4a2fcb534f326d17251ec5955",
+    "token0-sat-typical": lambda: run(
             _preset_ring("typical", 8.0, token_time_us=0.0), SaturationWorkload(512), 200.0, seed=1),
         "token0-wic-58": lambda: run(_fig3_ring(8.0, token_time_us=0.0), w, 200.0, seed=1),
         "idle-typical": lambda: run(_preset_ring("typical", 8.0), None, 100.0, seed=0),
@@ -163,12 +167,40 @@ def _scripted_cases() -> dict:
     }
 
 
+def _stretch_cases() -> dict:
+    """Edges of the closed-form stretch of passes with no capture."""
+    uneven = RingConfig(
+        tuple((3.0, 1.0, 98.0, 31.0, 74.0)[i % 5] * 0.35 for i in range(173)), 4.0,
+        async_overflow=False)
+    return {
+        # every sourced stop lies past the TTRT from station 0: no capture at
+        # all, and rotations of one idle period over 2 x TTRT are only counted
+        "stretch-idle-rotation-over-ttrt": lambda: run(
+            RingConfig.uniform(200, 100.0, 0.4, allow_any_ttrt=True),
+            SaturationWorkload(512, stations=tuple(range(100, 200))), 50.0, seed=1),
+        # the next usable stop lies past the wrap
+        "stretch-uneven-subset-no-overflow": lambda: run(
+            uneven,
+            SaturationWorkload(2000, stations=(12, 13, 18, 57, 64, 80, 81, 99, 101, 109, 122, 148)),
+            60.0, seed=1),
+        # an idle bursty ring at a TTRT below half its idle rotation: whole
+        # idle laps count their rotations as violations
+        "stretch-wic-idle-laps-over-2-ttrt": lambda: run(
+            RingConfig.uniform(10, 100.0, 0.2, allow_any_ttrt=True),
+            WicWorkload.for_utilization(0.01, 10), 100.0, seed=3),
+        # the warm-up mark (25 ms) and the end both fall between two passes
+        "stretch-largest-mark-and-end": lambda: run(
+            _preset_ring("largest", 8.0), SaturationWorkload(100), 250.0, seed=1),
+    }
+
+
 CORPUS = {
     **_saturated_cases(),
     **_subset_cases(),
     **_wic_cases(),
     **_variant_cases(),
     **_scripted_cases(),
+    **_stretch_cases(),
 }
 
 DIGESTS = {
@@ -200,6 +232,10 @@ DIGESTS = {
     "script-unusable-token": "fedc8f06611d677611c757e5d50975f3eaf99434aa080f474332ec2ec24a010a",
     "skip-chain-dense": "5a00b25b4b9e6f981b6f9e0006f3c9c64b2d1c0116db5f3b2ae47359a842c823",
     "skip-chain-sparse": "2dbf143a09e7e69201c144e543f590edfe61b959fa9a32fed618eedfe2cd2c15",
+    "stretch-idle-rotation-over-ttrt": "92a5503921c2d6d3cb7a6612ddf0e73487e358d91acd8bbc427be4d035c68c82",
+    "stretch-largest-mark-and-end": "b2de296614a3eafff91da0fc7c88b5448e3db59fced3464f5161dc3b1e07a342",
+    "stretch-uneven-subset-no-overflow": "527ab0fc610fb5384979e0697ca722e3564828a436db6eb8af42fd991ac03fd8",
+    "stretch-wic-idle-laps-over-2-ttrt": "371c37e275715752541b34e568b21a2c453f3eb4a2fcb534f326d17251ec5955",
     "token0-sat-typical": "fc2405289ae695d1fa0ed44a3b9ba3013b22894ad04a23cdc9d85902935ddb46",
     "token0-wic-58": "f4b3641275947c0011ead2f6812a1a0f3080de1b44458b4245f26ad30433ca65",
     "wic-28-0.5-seed1": "fb0054b544392d7115641a751fbe790bcd565bbd8729ac34cb57349466111a9f",

@@ -8,6 +8,9 @@ access delay below the closed-form bound. A saturated ring with overflow
 must also match the overflow model within (2D + 2F) / W: one latency D at
 each edge of the measured window W and one frame F credited at each edge.
 
+A saturated run must also be the run of a pass-by-pass reference walk, on
+rings whose TTRT reaches below the ring latency.
+
 The TTRT-binding certificate is checked the same way: whenever
 `simcore.reuse_at` stands a bursty run at T1 in for a higher T2, the run at
 T2 must equal it in every field, its report with the fields of the TTRT
@@ -17,6 +20,7 @@ recomputed must equal the rerun's, and a saturated run is never certified.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import accumulate
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,7 @@ from fddiperf.analytical import (
     MAX_FRAME_BYTES,
     MAX_MAC_COUNT,
     PROPAGATION_US_PER_KM,
+    STATION_DELAY_US,
     TOKEN_TIME_US,
     T_MIN_MS,
     RingParameters,
@@ -34,22 +39,28 @@ from fddiperf.analytical import (
     overflow_model,
 )
 from fddiperf.metrics import summarize
-from fddiperf.simcore import NS_PER_MS, RingConfig, certified, reuse_at, run
+from fddiperf.simcore import (
+    NS_PER_BYTE, NS_PER_MS, NS_PER_US, RingConfig, certified, reuse_at, run)
 from fddiperf.workload import SaturationWorkload, WicWorkload
 
 RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
 
 
+LEGAL_TTRT_MS = st.floats(T_MIN_MS, 165.0)
+# down to 1/64 ms on a log scale, far below the latency of a large ring
+ANY_TTRT_MS = LEGAL_TTRT_MS | st.floats(-6.0, 2.0).map(lambda x: 2.0 ** x)
+
+
 @st.composite
-def rings(draw, min_sourced: int, max_stations: int):
+def rings(draw, min_sourced: int, max_stations: int, ttrt=LEGAL_TTRT_MS):
     """A ring and the sorted stations that carry traffic on it. The fiber is
     split evenly, or unevenly by a short pattern of hop weights repeated
     round the ring, so that large rings stay cheap to draw."""
     n = draw(st.integers(1, max_stations))
     fiber_km = draw(st.floats(0.0, 200.0))
-    ttrt_ms = draw(st.floats(T_MIN_MS, 165.0))
+    ttrt_ms = draw(ttrt)
     mac = dict(token_time_us=draw(st.sampled_from([0.0, TOKEN_TIME_US])),
-               async_overflow=draw(st.booleans()))
+               async_overflow=draw(st.booleans()), allow_any_ttrt=ttrt_ms < T_MIN_MS)
     weights = draw(st.none() | st.lists(st.integers(0, 100), min_size=1, max_size=8))
     if weights is None:
         config = RingConfig.uniform(n, fiber_km, ttrt_ms, **mac)
@@ -72,19 +83,71 @@ def _check_run(result, stations, n_active, max_frame_bytes):
     return report
 
 
+def _walk(config, frame_bytes, stations, duration_ns):
+    """A saturated ring's run, one token pass per loop iteration, as
+    `simcore.run` walked it before it took a stretch of unusable passes in
+    closed form. Without stations the ring is idle and the token passes
+    station 0 only."""
+    # each delay in whole nanoseconds, as run charges it
+    fixed = round(STATION_DELAY_US * NS_PER_US) + round(config.token_time_us * NS_PER_US)
+    hop = [fixed + round(d * NS_PER_US) for d in config.segment_delays_us]
+    start = [0, *accumulate(hop)]
+    stops = list(stations) or [0]
+    at = [start[i] for i in stops]
+    leap = [b - a for a, b in zip(at, at[1:] + [at[0] + start[-1]])]
+    ttrt = round(config.ttrt_ms * NS_PER_MS)
+    frame_ns = frame_bytes * NS_PER_BYTE
+    last = [0] * len(stops)
+    want = [0] * len(stops)
+    bits = [0] * config.n_stations
+    out = dict(rotation_count=0, max_rotation_ns=0, trt_violations=0, access_samples=[],
+               completed_frames=0, busy_ns=0)
+    t, k = at[0], 0
+    while t <= duration_ns:
+        trt = t - last[k]
+        last[k] = t
+        out["rotation_count"] += 1
+        out["max_rotation_ns"] = max(out["max_rotation_ns"], trt)
+        out["trt_violations"] += trt >= 2 * ttrt
+        tht = ttrt - trt
+        if stations and tht > 0 and (config.async_overflow or frame_ns <= tht):
+            out["access_samples"].append((want[k], t))
+            frames = -(-tht // frame_ns) if config.async_overflow else tht // frame_ns
+            end = t + frames * frame_ns
+            if end > duration_ns:  # still holding when the run ends
+                frames, end = (duration_ns - t) // frame_ns, duration_ns
+            bits[stops[k]] += frames * frame_bytes * 8
+            out["completed_frames"] += frames
+            out["busy_ns"] += end - t
+            want[k] = t = end
+        t += leap[k]
+        k = (k + 1) % len(stops)
+    out["station_bits"] = tuple(bits)
+    rest = duration_ns - out["busy_ns"]
+    out["overhead_ns"], out["idle_ns"] = (rest, 0) if stations else (0, rest)
+    return out
+
+
 @RANDOM_RINGS
-@given(rings(min_sourced=0, max_stations=MAX_MAC_COUNT), st.integers(1, MAX_FRAME_BYTES),
-       st.integers(10, 40))
+@given(rings(min_sourced=0, max_stations=MAX_MAC_COUNT, ttrt=ANY_TTRT_MS),
+       st.integers(1, MAX_FRAME_BYTES), st.integers(10, 40))
+# The warm-up mark splits a lap of unusable passes before its wrap, so the
+# next usable stop lies past the wrap but ahead of the token's index.
+@example((RingConfig.uniform(10, 55.0, 5.0, token_time_us=0.0, async_overflow=False),
+          tuple(range(10))), 3225, 20)
 def test_saturated_random_rings(ring, frame_bytes, rotations):
     config, stations = ring
     load = SaturationWorkload(frame_bytes, stations)
-    result = run(config, load, duration_ms=rotations * config.ttrt_ms, seed=0)
+    d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
+    # below the ring latency, run for as many idle rotations instead
+    result = run(config, load, duration_ms=rotations * max(config.ttrt_ms, d_ms), seed=0)
+    walk = _walk(config, frame_bytes, stations, result.duration_ns)
+    assert {name: getattr(result, name) for name in walk} == walk
     report = _check_run(result, stations, len(stations), frame_bytes)
     assert not certified(result, load)
     assert reuse_at(result, replace(config, ttrt_ms=config.ttrt_ms + 1.0), load) is None
     if not (config.async_overflow and stations):
         return
-    d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
     f_ms = frame_time_ms(frame_bytes)
     try:
         model = overflow_model(RingParameters(len(stations), config.ttrt_ms, d_ms, f_ms))
