@@ -10,12 +10,15 @@ choosing a TTRT. Everything here is pure arithmetic; there is no simulation.
 Durations cross the API in milliseconds. Internally they are converted to
 microseconds so that the microsecond-scale station delay never mixes units
 with millisecond-scale TTRT values.
+
+The input checks (`check_finite`) and the `record` decorator that every
+module of the package declares its record types with live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 # Medium and MAC constants (100 Mbps line rate).
 PROPAGATION_US_PER_KM = 5.085
@@ -51,12 +54,31 @@ def check_finite(**values: float | None) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def record(fields: str, **defaults):
+    """Class decorator: the class as a collections.namedtuple subclass with
+    the space-separated fields, then the keyword ones with their defaults. A
+    record equals only records of its own type, and its `_check`, if any,
+    runs whenever one is built, by `_replace(field=value)` too."""
+    def build(cls):
+        attrs = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+        names = fields.split() + list(defaults)
+        base = namedtuple(cls.__name__, names, defaults=defaults.values())
+        attrs.update(__slots__=(), __hash__=tuple.__hash__, __ne__=object.__ne__,
+                     __eq__=lambda a, b: type(a) is type(b) and tuple.__eq__(a, b))
+        if "_check" in attrs:
+            # namedtuple's _replace builds through _make, which skips __init__
+            attrs.update(__init__=lambda self, *args, **kwargs: self._check(),
+                         _make=classmethod(lambda cls, values: cls(*values)))
+        return type(cls.__name__, (base,), attrs)
+    return build
+
+
 class RingSaturatedError(ValueError):
     """TTRT does not exceed the ring latency: the token never arrives with
     budget to spend and the configuration has no usable capacity."""
 
 
-@dataclass(frozen=True)
+@record("n_active ttrt_ms ring_latency_ms", frame_time_ms=None)
 class RingParameters:
     """Inputs of the heavy-load model.
 
@@ -64,12 +86,7 @@ class RingParameters:
     frame_time_ms is only needed by the overflow model.
     """
 
-    n_active: int
-    ttrt_ms: float
-    ring_latency_ms: float
-    frame_time_ms: float | None = None
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_finite(ttrt_ms=self.ttrt_ms, ring_latency_ms=self.ring_latency_ms,
                      frame_time_ms=self.frame_time_ms)
         if self.n_active < 1:
@@ -82,7 +99,7 @@ class RingParameters:
             raise ValueError(f"frame_time_ms must be > 0, got {self.frame_time_ms}")
 
 
-@dataclass(frozen=True)
+@record("fiber_km mac_count")
 class PhysicalRing:
     """Physical description of a ring: fiber length plus repeating MACs.
 
@@ -90,10 +107,7 @@ class PhysicalRing:
     station may contribute two).
     """
 
-    fiber_km: float
-    mac_count: int
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_finite(fiber_km=self.fiber_km)
         if self.fiber_km < 0:
             raise ValueError(f"fiber_km must be >= 0, got {self.fiber_km}")
@@ -103,15 +117,11 @@ class PhysicalRing:
             )
 
 
-@dataclass(frozen=True)
+@record("efficiency max_access_delay_ms", frames_per_opportunity=None)
 class AnalyticalResult:
     """Heavy-load prediction: usable-bandwidth fraction and the worst-case
     wait for a usable token. frames_per_opportunity is set only by the
     overflow model."""
-
-    efficiency: float
-    max_access_delay_ms: float
-    frames_per_opportunity: int | None = None
 
 
 def ring_latency(ring: PhysicalRing) -> float:
@@ -208,7 +218,8 @@ def overflow_model(p: RingParameters) -> AnalyticalResult:
     return AnalyticalResult(eff, delay_us / _MS_TO_US, k)
 
 
-@dataclass(frozen=True)
+@record("requested_ttrt_ms ring_latency_ms sync_allocation_ms max_frame_time_ms t_max_ms "
+        "min_legal_ttrt_ms violated_rules", messages=(), advisory_ttrt_ms=None)
 class TtrtValidation:
     """Outcome of checking a requested TTRT against the standard's rules.
 
@@ -224,16 +235,6 @@ class TtrtValidation:
     requirement was supplied: request half the required interval, because a
     rotation may take up to twice the target.
     """
-
-    requested_ttrt_ms: float
-    ring_latency_ms: float
-    sync_allocation_ms: float
-    max_frame_time_ms: float
-    t_max_ms: float
-    min_legal_ttrt_ms: float
-    violated_rules: tuple[int, ...]
-    messages: tuple[str, ...] = field(default=())
-    advisory_ttrt_ms: float | None = None
 
     @property
     def ok(self) -> bool:

@@ -25,16 +25,15 @@ closes it early.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import functools
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from . import analytical, metrics, presets, simcore
-from .analytical import PhysicalRing, RingParameters, RingSaturatedError
+from .analytical import PhysicalRing, RingParameters, RingSaturatedError, record
 from .presets import PRESETS, paper_round
 from .simcore import RingConfig
 from .workload import DEFAULT_LARGE_FRAME_BYTES, SaturationWorkload, WicWorkload
@@ -104,14 +103,12 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         emit(sys.stdout)
 
 
-class Option(NamedTuple):
-    """The flag --key-with-dashes, and the INI key of the same name."""
-
-    section: str | None  # None: command line only
-    type: type  # bool: an on/off flag
-    help: str
-    default: object = None
-    repeat: bool = False  # the flag may be given again; its values make a list
+@record("section type help", default=None, repeat=False)
+class Option:
+    """The flag --key-with-dashes, and the INI key of the same name. A
+    section of None marks a flag of the command line only, type bool an
+    on/off flag, and repeat a flag that may be given again, its values
+    making a list."""
 
 
 # sweep variable -> (the row column its grid values set, the option it replaces)
@@ -163,6 +160,7 @@ def _flag(key: str) -> str:
 
 def _config_bool(raw: str) -> bool:
     """A config-file boolean, spelt as configparser itself accepts them."""
+    import configparser  # only a --config file needs it: it slows every start
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     except KeyError:
@@ -177,6 +175,7 @@ class Resolver:
         self._file: dict[str, str] = {}
         self.resolved: dict[str, object] = {}
         if args.config:
+            import configparser  # see _config_bool
             cp = configparser.ConfigParser()
             try:
                 if not cp.read(args.config):
@@ -208,16 +207,18 @@ class Resolver:
         self.resolved[key] = value
         return value
 
-    def finish(self) -> None:
+    def finish(self) -> Callable[[str], None]:
         """Reject the flags given that the command did not read, then print
-        --dump-config: each key the command read and resolved to a value."""
+        --dump-config: each key the command read and resolved to a value.
+        Returns how to print a line of the command's report: after a dump,
+        as a comment, so that the dump still reads back as a config file."""
         command = self.args.command
         unused = [_flag(key) for key in COMMANDS[command].options
                   if key not in self.resolved and getattr(self.args, key) is not None]
         if unused:
             raise CliError(f"{command} cannot use {', '.join(unused)} with these inputs")
         if not self.args.dump_config:
-            return
+            return print
         sections: dict[str, list[str]] = {}
         for key, value in sorted(self.resolved.items()):
             if OPTIONS[key].section and value is not None:
@@ -226,6 +227,7 @@ class Resolver:
         for section, items in sorted(sections.items()):
             lines += [f"[{section}]", *items, ""]
         sys.stdout.write("\n".join(lines))
+        return lambda line: print("# " + line)
 
 
 def _resolve_ring(res: Resolver, swept: str = "") -> tuple[str, int | None, float | None]:
@@ -344,31 +346,31 @@ def cmd_analyze(res: Resolver) -> int:
     ttrt = res.get("ttrt")
     n_active = _active(res.get("active"), macs)
     frame_bytes = res.get("frame_bytes")
-    res.finish()
+    say = res.finish()
 
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=ttrt, frame_bytes=frame_bytes)
     d_ms = _ring_latency_ms(row)
-    print(f"ring: {preset_name or 'custom'} ({macs} MACs, {fiber:g} km fiber)")
-    print(f"ring_latency_ms: {d_ms!r} (rounds to {paper_round(d_ms):g})")
-    print(f"n_active: {n_active}")
-    print(f"ttrt_ms: {ttrt:g}")
+    say(f"ring: {preset_name or 'custom'} ({macs} MACs, {fiber:g} km fiber)")
+    say(f"ring_latency_ms: {d_ms!r} (rounds to {paper_round(d_ms):g})")
+    say(f"n_active: {n_active}")
+    say(f"ttrt_ms: {ttrt:g}")
     try:
         basic = analytical.basic_model(RingParameters(n_active, ttrt, d_ms))
     except RingSaturatedError as exc:
         print(f"error: {SATURATED_MARKER}: {exc}", file=sys.stderr)
         return 1
     eff, delay_ms = basic.efficiency, basic.max_access_delay_ms
-    print(f"efficiency: {eff!r} ({paper_round(eff * 100.0):.2f}%)")
-    print(
+    say(f"efficiency: {eff!r} ({paper_round(eff * 100.0):.2f}%)")
+    say(
         f"max_access_delay_ms: {delay_ms!r} "
         f"({paper_round(delay_ms / 1000.0):.2f} s)"
     )
     row = _analytical_row(row)
     if frame_bytes:
-        print(f"overflow_frames_per_opportunity: {row['frames_per_opportunity']}")
-        print(f"overflow_efficiency: {row['efficiency']!r}")
-        print(f"overflow_max_access_delay_ms: {row['max_access_delay_ms']!r}")
+        say(f"overflow_frames_per_opportunity: {row['frames_per_opportunity']}")
+        say(f"overflow_efficiency: {row['efficiency']!r}")
+        say(f"overflow_max_access_delay_ms: {row['max_access_delay_ms']!r}")
     if res.args.out:
         _write_rows([row], res.args.out)
     return 0
@@ -408,39 +410,39 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     )
 
 
-def _print_report(report: metrics.MetricsReport) -> None:
-    print(f"throughput_mbps: {report.throughput_mbps!r}")
-    print(f"efficiency: {report.efficiency!r}")
+def _print_report(report: metrics.MetricsReport, say: Callable[[str], None]) -> None:
+    say(f"throughput_mbps: {report.throughput_mbps!r}")
+    say(f"efficiency: {report.efficiency!r}")
     if report.offered_load_mbps == float("inf"):
-        print("offered_load_mbps: saturated")
+        say("offered_load_mbps: saturated")
     elif report.offered_load_mbps is not None:
-        print(f"offered_load_mbps: {report.offered_load_mbps!r}")
+        say(f"offered_load_mbps: {report.offered_load_mbps!r}")
     if report.response_time:
         r = report.response_time
-        print(
+        say(
             f"response_ms: mean={r.mean_ms!r} p95={r.p95_ms!r} "
             f"max={r.max_ms!r} n={r.count}"
         )
     else:
-        print("response_ms: no samples")
+        say("response_ms: no samples")
     if report.access_delay:
         a = report.access_delay
-        print(f"access_ms: mean={a.mean_ms!r} max={a.max_ms!r} n={a.count}")
+        say(f"access_ms: mean={a.mean_ms!r} max={a.max_ms!r} n={a.count}")
     else:
-        print("access_ms: no samples")
+        say("access_ms: no samples")
     if report.access_bound_ms is not None:
         status = "EXCEEDED" if report.access_bound_exceeded else "ok"
-        print(f"access_bound_ms: {report.access_bound_ms!r} ({status})")
-    print(f"max_rotation_ms: {report.max_rotation_ms!r}")
-    print(f"trt_bound_ok: {report.trt_bound_ok}")
-    print(
+        say(f"access_bound_ms: {report.access_bound_ms!r} ({status})")
+    say(f"max_rotation_ms: {report.max_rotation_ms!r}")
+    say(f"trt_bound_ok: {report.trt_bound_ok}")
+    say(
         f"warmup_ms: {report.warmup_ms!r} "
         f"(discarded {report.warmup_frames_discarded} frames, "
         f"{report.warmup_access_discarded} access episodes)"
     )
-    print(f"measured_interval_ms: {report.measured_interval_ms!r}")
-    print(f"completed_frames: {report.completed_frames}")
-    print(f"seed: {report.seed}")
+    say(f"measured_interval_ms: {report.measured_interval_ms!r}")
+    say(f"completed_frames: {report.completed_frames}")
+    say(f"seed: {report.seed}")
 
 
 def cmd_simulate(res: Resolver) -> int:
@@ -462,11 +464,11 @@ def cmd_simulate(res: Resolver) -> int:
         raise CliError(f"unknown workload {kind!r}; choices: saturation, wic")
     config = RingConfig.uniform(macs, fiber, row["ttrt_ms"], **ring)
     load = _build_workload(row, row["load_pct"], interburst)
-    res.finish()
+    say = res.finish()
 
     report = _summarize(simcore.run(config, load, duration_ms=duration, seed=seed),
                         load, n_active)
-    _print_report(report)
+    _print_report(report, say)
     if res.args.out:
         _write_rows([_simulated_row(row, config, load, report)], res.args.out)
     return 1 if report.access_bound_exceeded or not report.trt_bound_ok else 0
@@ -648,7 +650,7 @@ def cmd_validate(res: Resolver) -> int:
     frame_bytes = res.get("frame_bytes", default=analytical.MAX_FRAME_BYTES)
     t_max = res.get("t_max_ms")
     service = res.get("service_interval_ms")
-    res.finish()
+    say = res.finish()
 
     verdict = analytical.validate_ttrt(
         ttrt,
@@ -658,30 +660,30 @@ def cmd_validate(res: Resolver) -> int:
         service_interval_ms=min(service) if service else None,
         t_max_ms=t_max,
     )
-    print(f"requested_ttrt_ms: {verdict.requested_ttrt_ms:g}")
-    print(f"ring_latency_ms: {verdict.ring_latency_ms!r}")
-    print(f"sync_allocation_ms: {verdict.sync_allocation_ms:g}")
-    print(f"min_legal_ttrt_ms: {verdict.min_legal_ttrt_ms!r} "
-          f"(rounds to {paper_round(verdict.min_legal_ttrt_ms, 3):g})")
+    say(f"requested_ttrt_ms: {verdict.requested_ttrt_ms:g}")
+    say(f"ring_latency_ms: {verdict.ring_latency_ms!r}")
+    say(f"sync_allocation_ms: {verdict.sync_allocation_ms:g}")
+    say(f"min_legal_ttrt_ms: {verdict.min_legal_ttrt_ms!r} "
+        f"(rounds to {paper_round(verdict.min_legal_ttrt_ms, 3):g})")
     if verdict.advisory_ttrt_ms is not None:
-        print(f"advisory_ttrt_ms: {verdict.advisory_ttrt_ms:g} "
-              f"(half the required service interval)")
+        say(f"advisory_ttrt_ms: {verdict.advisory_ttrt_ms:g} "
+            f"(half the required service interval)")
     if verdict.ok:
-        print("verdict: ok")
+        say("verdict: ok")
         return 0
-    print(f"verdict: violates rules {', '.join(str(r) for r in verdict.violated_rules)}")
+    say(f"verdict: violates rules {', '.join(str(r) for r in verdict.violated_rules)}")
     for msg in verdict.messages:
-        print(f"  {msg}")
+        say(f"  {msg}")
     return 1
 
 
 # ------------------------------------------------------------------ parser
 
-class Command(NamedTuple):
-    help: str
-    run: Callable[[Resolver], int]
-    options: tuple[str, ...]  # the OPTIONS it takes besides COMMON
-    required: tuple[str, ...] = ()  # options it takes without a default
+@record("help run options", required=())
+class Command:
+    """A subcommand: its help, the function that runs it on a Resolver, the
+    OPTIONS it takes besides COMMON, and the options it needs given, which
+    have no default."""
 
 
 _RING = ("preset", "macs", "fiber_km", "ttrt", "active")

@@ -14,23 +14,17 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from . import analytical
-from .analytical import LINE_RATE_MBPS, RingParameters
+from .analytical import LINE_RATE_MBPS, RingParameters, record
 from .simcore import NS_PER_MS, NS_PER_US, RunResult
 
 _BOUND_SLACK_NS = 1  # integer-nanosecond comparisons need no real slack
 
 
-@dataclass(frozen=True)
+@record("mean_ms max_ms count", p95_ms=None)
 class SampleStats:
     """Exact statistics over retained samples; percentile by nearest rank."""
-
-    mean_ms: float
-    max_ms: float
-    count: int
-    p95_ms: float | None = None
 
 
 def _stats(delays_ns: list[int], with_p95: bool) -> SampleStats | None:
@@ -46,27 +40,14 @@ def _stats(delays_ns: list[int], with_p95: bool) -> SampleStats | None:
     return SampleStats(mean_ms=mean, max_ms=peak, count=count, p95_ms=p95)
 
 
-@dataclass(frozen=True)
+@record("throughput_mbps efficiency response_time access_delay offered_load_mbps "
+        "measured_interval_ms warmup_ms warmup_frames_discarded warmup_access_discarded "
+        "station_throughput_mbps completed_frames max_rotation_ms trt_bound_ok",
+        access_bound_ms=None, access_bound_exceeded=False, seed=0)
 class MetricsReport:
-    """Per-run summary. Statistics are None (absent) when no samples were
-    retained, never a misleading zero."""
-
-    throughput_mbps: float
-    efficiency: float
-    response_time: SampleStats | None
-    access_delay: SampleStats | None
-    offered_load_mbps: float | None
-    measured_interval_ms: float
-    warmup_ms: float
-    warmup_frames_discarded: int
-    warmup_access_discarded: int
-    station_throughput_mbps: tuple[float, ...]
-    completed_frames: int
-    max_rotation_ms: float
-    trt_bound_ok: bool
-    access_bound_ms: float | None = None
-    access_bound_exceeded: bool = False
-    seed: int = 0
+    """Per-run summary. The statistics, response_time and access_delay, are
+    SampleStats, or None (absent) when no samples were retained, never a
+    misleading zero. station_throughput_mbps has one entry per station."""
 
 
 def access_delay_bound_ms(
@@ -130,19 +111,20 @@ def summarize(
     bound computed and checked against the run's samples.
     """
     b = result.boundary
-    interval_ns = result.duration_ns - b.at_ns
+    mark_ns = b.at_ns
+    interval_ns = result.duration_ns - mark_ns
     if interval_ns <= 0:
         raise ValueError("measured interval is empty")
 
     window_bits = result.completed_bits - b.completed_bits
     throughput = window_bits / interval_ns * 1000.0  # bits/ns -> Mbps
     station_tp = tuple(
-        (result.station_bits[i] - b.station_bits[i]) / interval_ns * 1000.0
-        for i in range(len(result.station_bits))
+        (bits - mark) / interval_ns * 1000.0
+        for bits, mark in zip(result.station_bits, b.station_bits)
     )
 
-    responses = [c - a for a, c in result.response_samples if a >= b.at_ns]
-    accesses = [cap - start for start, cap in result.access_samples if start >= b.at_ns]
+    responses = [c - a for a, c in result.response_samples if a >= mark_ns]
+    accesses = [cap - start for start, cap in result.access_samples if start >= mark_ns]
     access = _stats(accesses, with_p95=False)
 
     return MetricsReport(
@@ -152,7 +134,7 @@ def summarize(
         access_delay=access,
         offered_load_mbps=offered_load_mbps,
         measured_interval_ms=interval_ns / NS_PER_MS,
-        warmup_ms=b.at_ns / NS_PER_MS,
+        warmup_ms=mark_ns / NS_PER_MS,
         warmup_frames_discarded=len(result.response_samples) - len(responses),
         warmup_access_discarded=len(result.access_samples) - len(accesses),
         station_throughput_mbps=station_tp,
@@ -175,4 +157,4 @@ def reuse_at(
     the samples are the same, so only the fields of the TTRT are computed
     again. n_active and max_frame_bytes are as for `summarize`."""
     fields = _ttrt_fields(result, report.access_delay, n_active, max_frame_bytes)
-    return replace(report, **fields)
+    return report._replace(**fields)

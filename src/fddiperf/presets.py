@@ -11,19 +11,16 @@ closed-form model and compares after 2-decimal rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import analytical
-from .analytical import PhysicalRing, RingParameters
+from .analytical import PhysicalRing, RingParameters, record
 
 
-@dataclass(frozen=True)
+@record("name sas_count das_count fiber_km")
 class Preset:
-    name: str
-    sas_count: int
-    das_count: int
-    fiber_km: float
+    """A named ring of single- and dual-attachment stations on fiber_km of
+    fiber."""
 
     @property
     def mac_count(self) -> int:
@@ -81,17 +78,11 @@ def paper_round(value: float, places: int = 2) -> float:
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
+@record("preset ttrt_ms ring_latency_ms access_delay_s access_delay_s_rounded golden_access_s "
+        "efficiency_pct efficiency_pct_rounded golden_efficiency_pct")
 class Table1Row:
-    preset: str
-    ttrt_ms: float
-    ring_latency_ms: float
-    access_delay_s: float
-    access_delay_s_rounded: float
-    golden_access_s: float
-    efficiency_pct: float
-    efficiency_pct_rounded: float
-    golden_efficiency_pct: float
+    """One cell pair of the golden table: the computed values, rounded as
+    printed, and the published ones."""
 
     @property
     def matches(self) -> bool:
@@ -147,7 +138,8 @@ FRAME_SIZE_GRID_BYTES: tuple[int, ...] = (100, 250, 500, 1000, 2000, 4500)
 FIGURE_TTRT_MS = 8.0  # the paper's TTRT: the CLI default; fixed in the extent/active/frame sweeps
 
 
-@dataclass(frozen=True)
+@record("description var sweep_var grid rings", loads=(None,), mode="analytical",
+        ttrt_ms=FIGURE_TTRT_MS, n_active=None, frame_bytes=None)
 class Figure:
     """A sweep as data: every ring, at every load, at every grid point.
 
@@ -159,17 +151,6 @@ class Figure:
     inputs not swept are ttrt_ms, n_active (None: every MAC) and frame_bytes
     (None: the basic model). A custom --var/--grid sweep is an unnamed Figure.
     """
-
-    description: str
-    var: str
-    sweep_var: str
-    grid: tuple
-    rings: tuple[tuple[str, int | None, float | None], ...]
-    loads: tuple[float | None, ...] = (None,)
-    mode: str = "analytical"
-    ttrt_ms: float = FIGURE_TTRT_MS
-    n_active: int | None = None
-    frame_bytes: int | None = None
 
 
 _RINGS = {name: (name, p.mac_count, p.fiber_km) for name, p in PRESETS.items()}

@@ -60,12 +60,13 @@ without simulating again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from collections import deque
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from heapq import heappush, heappop
 from itertools import accumulate
 from operator import add
+from types import SimpleNamespace
 
 from .analytical import (
     PROPAGATION_US_PER_KM,
@@ -74,6 +75,7 @@ from .analytical import (
     T_MIN_MS,
     TOKEN_TIME_US,
     check_finite,
+    record,
 )
 from .workload import SaturationWorkload
 
@@ -96,32 +98,30 @@ class InvariantViolation(RuntimeError):
     accounting) failed during a run."""
 
 
-@dataclass(frozen=True)
+@record("segment_delays_us ttrt_ms", token_time_us=TOKEN_TIME_US, async_overflow=True,
+        allow_any_ttrt=False)
 class RingConfig:
     """Ring layout and MAC parameters.
 
-    segment_delays_us[i] is the propagation delay of the hop leaving
-    station i (the last entry wraps back to station 0), so the ring has one
-    station per entry. Every station adds the standard repeat delay
-    STATION_DELAY_US. token_time_us is charged at every hop; set it to 0 to
-    compare against the closed-form model, which ignores token transmission
-    time. allow_any_ttrt bypasses the T_min/T_max legality check for sweeps
-    that probe the region near the ring latency.
+    segment_delays_us is a tuple: entry i is the propagation delay in us of
+    the hop leaving station i (the last entry wraps back to station 0), so
+    the ring has one station per entry. Every station adds the standard
+    repeat delay STATION_DELAY_US. token_time_us is charged at every hop;
+    set it to 0 to compare against the closed-form model, which ignores
+    token transmission time. allow_any_ttrt bypasses the T_min/T_max
+    legality check for sweeps that probe the region near the ring latency.
     """
 
-    segment_delays_us: tuple[float, ...]
-    ttrt_ms: float
-    token_time_us: float = TOKEN_TIME_US
-    async_overflow: bool = True
-    allow_any_ttrt: bool = False
-
-    def __post_init__(self) -> None:
-        check_finite(ttrt_ms=self.ttrt_ms, token_time_us=self.token_time_us)
-        for d in self.segment_delays_us:
-            check_finite(segment_delay_us=d)
-        if not self.segment_delays_us:
+    def _check(self) -> None:
+        segs = self.segment_delays_us
+        if not isinstance(segs, tuple):  # `run` caches its hops by them
+            raise TypeError(f"segment_delays_us must be a tuple, got {type(segs).__name__}")
+        # a hop that is NaN or infinite makes their sum so: one pass checks all
+        check_finite(ttrt_ms=self.ttrt_ms, token_time_us=self.token_time_us,
+                     segment_delays_us=sum(segs))
+        if not segs:
             raise ValueError("a ring needs at least one station")
-        if any(d < 0 for d in self.segment_delays_us):
+        if min(segs) < 0:
             raise ValueError("segment delays must be >= 0")
         if self.token_time_us < 0:
             raise ValueError("token_time_us must be >= 0")
@@ -156,16 +156,8 @@ class RingConfig:
             raise ValueError("fiber_km must be >= 0")
         total_ns = int(round(fiber_km * PROPAGATION_US_PER_KM * NS_PER_US))
         base, extra = divmod(total_ns, n_stations)
-        seg_us = tuple(
-            (base + (1 if i < extra else 0)) / NS_PER_US for i in range(n_stations)
-        )
-        return cls(
-            segment_delays_us=seg_us,
-            ttrt_ms=ttrt_ms,
-            token_time_us=token_time_us,
-            async_overflow=async_overflow,
-            allow_any_ttrt=allow_any_ttrt,
-        )
+        seg_us = ((base + 1) / NS_PER_US,) * extra + (base / NS_PER_US,) * (n_stations - extra)
+        return cls(seg_us, ttrt_ms, token_time_us, async_overflow, allow_any_ttrt)
 
     @property
     def n_stations(self) -> int:
@@ -175,22 +167,16 @@ class RingConfig:
     def ring_latency_ms(self) -> float:
         """Propagation plus summed repeat delays (token time excluded), each
         hop in the whole nanoseconds that `run` simulates."""
-        us = sum(_ns_from_us(u) / NS_PER_US for u in self.segment_delays_us)
+        us = sum([ns / NS_PER_US for ns in _hop_ns(self.segment_delays_us)])
         return (us + self.n_stations * STATION_DELAY_US) / 1000.0
 
 
-@dataclass(frozen=True)
+@record("at_ns completed_bits busy_ns station_bits")
 class RunSnapshot:
     """Cumulative counters at the measurement boundary."""
 
-    at_ns: int
-    completed_bits: int
-    busy_ns: int
-    station_bits: tuple[int, ...]
 
-
-@dataclass
-class RunResult:
+class RunResult(SimpleNamespace):
     """Raw samples and exact time accounting from one run.
 
     completed bits are attributed to the completion instant; busy/overhead/
@@ -198,6 +184,9 @@ class RunResult:
     samples are (episode start, token capture) pairs; one episode opens per
     empty-to-nonempty queue transition or token release with work left, and
     closes at the next usable capture.
+
+    Unlike the package's other records it is a mutable namespace, built
+    from keywords, so that a sweep can hold one by weak reference.
     """
 
     config: RingConfig
@@ -216,12 +205,19 @@ class RunResult:
     overhead_ns: int
     idle_ns: int
     boundary: RunSnapshot
-    sourced_stations: tuple[int, ...] = field(default=())
+    sourced_stations: tuple[int, ...]
     # holdings that released the token with frames still queued
-    budget_cuts: int = 0
+    budget_cuts: int
     # the longest rotation the run's end left open: the run's length past
     # the stop that has waited longest for the token
-    open_rotation_ns: int = 0
+    open_rotation_ns: int
+
+    def __init__(self, sourced_stations=(), budget_cuts=0, open_rotation_ns=0, **fields):
+        super().__init__(**fields, sourced_stations=sourced_stations, budget_cuts=budget_cuts,
+                         open_rotation_ns=open_rotation_ns)
+
+    def _replace(self, **changes) -> "RunResult":
+        return RunResult(**{**vars(self), **changes})
 
     @property
     def max_rotation_ms(self) -> float:
@@ -234,6 +230,12 @@ def _ns_from_us(us: float) -> int:
 
 def _ns_from_ms(ms: float) -> int:
     return int(round(ms * NS_PER_MS))
+
+
+@lru_cache(maxsize=8)  # a sweep simulates one ring at a time
+def _hop_ns(segment_delays_us: tuple[float, ...]) -> tuple[int, ...]:
+    """A ring's hop delays in the whole nanoseconds `run` simulates."""
+    return tuple([round(us * NS_PER_US) for us in segment_delays_us])
 
 
 def _rotation_error(trt: int, station: int, ttrt_ns: int) -> InvariantViolation:
@@ -267,14 +269,14 @@ def _leading_passes(key: list[int], k: int, c: int, period: int, bound: int, cap
     return cap
 
 
-def _trt_enforced(config: RingConfig, workload, propagation_ns: int) -> bool:
+def _trt_enforced(config: RingConfig, workload) -> bool:
     """Whether the TTRT covers the ring's effective latency (its hops'
-    propagation_ns, repeat delays and one token time per hop, plus one
-    more) and one maximum-size frame of the workload, so that every rotation
+    propagation, repeat delays and one token time per hop, plus one more)
+    and one maximum-size frame of the workload, so that every rotation
     must stay below 2 x TTRT."""
     n = config.n_stations
     tt_ns = _ns_from_us(config.token_time_us)
-    d_ns = propagation_ns + n * _ns_from_us(STATION_DELAY_US)
+    d_ns = sum(_hop_ns(config.segment_delays_us)) + n * _ns_from_us(STATION_DELAY_US)
     max_frame_ns = (workload.max_frame_bytes if workload is not None else 0) * NS_PER_BYTE
     return _ns_from_ms(config.ttrt_ms) >= d_ns + n * tt_ns + tt_ns + max_frame_ns
 
@@ -315,13 +317,11 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
     `result`, not copied.
     """
     old = result.config
-    if config.ttrt_ms < old.ttrt_ms or config != replace(old, ttrt_ms=config.ttrt_ms):
+    if config.ttrt_ms < old.ttrt_ms or config != old._replace(ttrt_ms=config.ttrt_ms):
         return None
     if not certified(result, workload):
         return None
-    propagation_ns = sum(_ns_from_us(u) for u in config.segment_delays_us)
-    return replace(result, config=config,
-                   trt_bound_enforced=_trt_enforced(config, workload, propagation_ns))
+    return result._replace(config=config, trt_bound_enforced=_trt_enforced(config, workload))
 
 
 def run(
@@ -342,7 +342,7 @@ def run(
     n = config.n_stations
     sd_ns = _ns_from_us(STATION_DELAY_US)
     tt_ns = _ns_from_us(config.token_time_us)
-    seg_ns = [_ns_from_us(u) for u in config.segment_delays_us]
+    seg_ns = _hop_ns(config.segment_delays_us)
     ttrt_ns = _ns_from_ms(config.ttrt_ms)
     two_ttrt = 2 * ttrt_ns
     check_finite(duration_ms=duration_ms)
@@ -352,8 +352,9 @@ def run(
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    hop_ns = [sd_ns + tt_ns + s for s in seg_ns]
-    period = sum(hop_ns)  # one idle rotation
+    # pre[i]: the time from station 0 to station i in an idle rotation
+    pre = [0, *accumulate([sd_ns + tt_ns + s for s in seg_ns])]
+    period = pre[n]  # one idle rotation
 
     sources = list(workload.bind(n, seed)) if workload is not None else [None] * n
     if len(sources) != n:
@@ -366,12 +367,15 @@ def run(
     feeds = [] if sat else [sources[st] for st in stops]
     stops = stops or [0]
     nst = len(stops)
-    leap = [sum(hop_ns[a:b]) for a, b in zip(stops, stops[1:])]
-    leap.append(sum(hop_ns[stops[-1]:]) + sum(hop_ns[:stops[0]]))
+    # offset[k]: stop k's offset from stop 0 in an idle rotation; leap[k]:
+    # the token's travel time from stop k to the next
+    offset = [pre[st] - pre[stops[0]] for st in stops]
+    leap = [b - a for a, b in zip(offset, offset[1:])]
+    leap.append(period - offset[-1])
     if min(leap) <= 0:
         raise ValueError("the token must take time to travel between sourced stations")
 
-    trt_enforced = _trt_enforced(config, workload, sum(seg_ns))
+    trt_enforced = _trt_enforced(config, workload)
     # a saturated stop can use the token while its rotation is below gap
     gap = ttrt_ns if overflow else ttrt_ns - sat * NS_PER_BYTE + 1
 
@@ -394,11 +398,10 @@ def run(
     ahead = [False] * nst
 
     # Rotation clocks as lap-clock keys: key[k] is stop k's last arrival
-    # less its offset from stop 0 in an idle rotation; before lap 0 every
-    # stop last saw the token at t = 0.
-    offset = [0, *accumulate(leap[:-1])]
+    # less offset[k]; before lap 0 every stop last saw the token at t = 0.
     key = [-p for p in offset]
-    queues: list[deque] = [deque() for _ in range(nst)]
+    # a saturated stop never queues: the token reads its frame size from sat
+    queues: list[deque | None] = [None] * nst if sat else [deque() for _ in range(nst)]
     want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
     nonempty = 0
 
@@ -430,7 +433,7 @@ def run(
     # t - leap[k - 1], or parent_t, which is the injection or the release
     # before the visit at after_t, or the capture or previous completion.
     k = 0
-    t = sum(hop_ns[:stops[0]])
+    t = pre[stops[0]]
     parent_t = _INJECTED
     after_t = t
     end_ns = duration_ns + 1

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from math import log as _log
 
-from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, check_finite
+from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, check_finite, record
 
 _NS_PER_MS = 1_000_000
 
@@ -59,7 +58,7 @@ def _bound_stations(stations, n_stations: int) -> set[int]:
     return chosen
 
 
-@dataclass(frozen=True)
+@record("mean_interburst_ms", stations=None)
 class WicWorkload:
     """Bursty-Poisson arrivals in the fixed WIC mix: exponential gaps of mean
     `mean_interburst_ms` between bursts of five frames, 65% small / 35% large.
@@ -67,10 +66,7 @@ class WicWorkload:
     `stations` selects which ring positions generate traffic (None = all).
     """
 
-    mean_interburst_ms: float
-    stations: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_finite(mean_interburst_ms=self.mean_interburst_ms)
         if self.mean_interburst_ms <= 0:
             raise ValueError(f"mean_interburst_ms must be > 0, got {self.mean_interburst_ms}")
@@ -132,15 +128,12 @@ class WicGenerator:
         ]
 
 
-@dataclass(frozen=True)
+@record("", frame_bytes=DEFAULT_LARGE_FRAME_BYTES, stations=None)
 class SaturationWorkload:
     """Designated stations always have a fixed-size frame queued; the ring
     runs at its usable-bandwidth limit."""
 
-    frame_bytes: int = DEFAULT_LARGE_FRAME_BYTES
-    stations: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.frame_bytes <= MAX_FRAME_BYTES:
             raise ValueError(f"frame size {self.frame_bytes} outside (0, {MAX_FRAME_BYTES}] bytes")
 
@@ -169,14 +162,12 @@ class _ScriptedGenerator:
         return at_ns, list(sizes)
 
 
-@dataclass(frozen=True)
+@record("script")
 class ScriptedWorkload:
     """Fixed arrival script per station: {station: [(time_ms, [bytes, ...]), ...]}.
 
     Meant for hand-computable traces in tests and demos.
     """
-
-    script: dict[int, list[tuple[float, list[int]]]]
 
     @property
     def max_frame_bytes(self) -> int:

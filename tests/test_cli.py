@@ -432,6 +432,26 @@ def test_dump_config_reruns_to_the_same_csv(argv, tmp_path, capsys):
     assert again.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "big", "--ttrt", "8", "--frame-bytes", "512"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic", "--load-pct", "40",
+     "--duration-ms", "20"],
+    ["validate", "--preset", "big", "--ttrt", "3", "--frame-bytes", "512"],
+])
+def test_whole_dump_config_output_reads_back(argv, tmp_path, capsys):
+    first, again, cfg = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "d.ini"
+    code = _run(argv + ["--dump-config", "--out", str(first)])
+    out = capsys.readouterr().out
+    cfg.write_text(out)  # the report follows the dump as comments
+    assert _run([argv[0], "--config", str(cfg), "--out", str(again)]) == code
+    report = [line[2:] for line in out.splitlines(keepends=True) if line.startswith("# ")]
+    assert report and capsys.readouterr().out == "".join(report)
+    if argv[0] == "validate":  # it writes no CSV
+        assert not first.exists() and not again.exists()
+    else:
+        assert again.read_bytes() == first.read_bytes()
+
+
 # The option strings of each subcommand, recorded before the options were
 # moved into one table: the table may reword help, never add or drop a flag.
 _RING_FLAGS = ["--active", "--fiber-km", "--macs", "--preset", "--ttrt"]

@@ -19,7 +19,6 @@ recomputed must equal the rerun's, and a saturated run is never certified.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import accumulate
 
 from hypothesis import example, given, settings
@@ -145,7 +144,7 @@ def test_saturated_random_rings(ring, frame_bytes, rotations):
     assert {name: getattr(result, name) for name in walk} == walk
     report = _check_run(result, stations, len(stations), frame_bytes)
     assert not certified(result, load)
-    assert reuse_at(result, replace(config, ttrt_ms=config.ttrt_ms + 1.0), load) is None
+    assert reuse_at(result, config._replace(ttrt_ms=config.ttrt_ms + 1.0), load) is None
     if not (config.async_overflow and stations):
         return
     f_ms = frame_time_ms(frame_bytes)
@@ -187,8 +186,8 @@ def test_certified_run_is_the_run_at_every_higher_ttrt(ring, utilization, durati
     # are certified and the rest are bound by cut holdings or late tokens
     config, stations = ring
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
-    low = replace(config, ttrt_ms=t1_ms, allow_any_ttrt=True)
-    high = replace(low, ttrt_ms=t1_ms * factor)
+    low = config._replace(ttrt_ms=t1_ms, allow_any_ttrt=True)
+    high = low._replace(ttrt_ms=t1_ms * factor)
     result = run(low, load, duration_ms=duration_ms, seed=seed)
     reused = reuse_at(result, high, load)
     assert (reused is not None) == certified(result, load)
