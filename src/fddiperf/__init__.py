@@ -5,63 +5,31 @@ discrete-event simulator of the timed-token MAC, bursty workload
 generation, metric aggregation, and a CSV sweep harness.
 """
 
-from .analytical import (
-    AnalyticalResult,
-    PhysicalRing,
-    RingParameters,
-    RingSaturatedError,
-    TtrtValidation,
-    asymptotic_efficiency,
-    basic_model,
-    efficiency,
-    frame_time_ms,
-    frames_per_opportunity,
-    max_access_delay,
-    overflow_model,
-    ring_latency,
-    single_station_efficiency,
-    validate_ttrt,
-)
-from .metrics import MetricsReport, SampleStats, summarize
-from .presets import PRESETS, Preset, paper_round, table1_rows
-from .simcore import (
-    InvariantViolation,
-    RingConfig,
-    RunResult,
-    run,
-)
-from .workload import SaturationWorkload, ScriptedWorkload, WicWorkload
-
-__all__ = [
-    "AnalyticalResult",
-    "InvariantViolation",
-    "MetricsReport",
-    "PRESETS",
-    "PhysicalRing",
-    "Preset",
-    "RingConfig",
-    "RingParameters",
-    "RingSaturatedError",
-    "RunResult",
-    "SampleStats",
-    "SaturationWorkload",
-    "ScriptedWorkload",
-    "TtrtValidation",
-    "WicWorkload",
-    "asymptotic_efficiency",
-    "basic_model",
-    "efficiency",
-    "frame_time_ms",
-    "frames_per_opportunity",
-    "max_access_delay",
-    "overflow_model",
-    "paper_round",
-    "ring_latency",
-    "run",
-    "single_station_efficiency",
-    "summarize",
-    "table1_rows",
-    "validate_ttrt",
-]
-
+# PEP 562: an export, or a submodule named in _HOMES, is imported on first access.
+_HOMES = {
+    "analytical": "AnalyticalResult PhysicalRing RingParameters RingSaturatedError "
+                  "TtrtValidation asymptotic_efficiency basic_model efficiency frame_time_ms "
+                  "frames_per_opportunity max_access_delay overflow_model ring_latency "
+                  "single_station_efficiency validate_ttrt",
+    "metrics": "MetricsReport SampleStats summarize",
+    "presets": "PRESETS Preset paper_round table1_rows",
+    "simcore": "InvariantViolation RingConfig RunResult run",
+    "workload": "SaturationWorkload ScriptedWorkload WicWorkload",
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return __import__(f"{__name__}.{name}", fromlist=["_"])
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_HOMES})

@@ -17,6 +17,9 @@ but did not use. --dump-config prints each key the command read, resolved,
 for provenance. Every sweep runs through one engine, and its output echoes
 every input including the seed, so any CSV row can be reproduced on its own.
 
+Only the commands that simulate import simcore, workload and metrics, and
+only those that write rows import csv.
+
 Exit codes: 0 success, 1 validation failure / golden mismatch / saturated
 configuration, 2 bad input, 141 (128 + SIGPIPE) when the reader of stdout
 closes it early.
@@ -25,18 +28,16 @@ closes it early.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
 import sys
 from collections.abc import Callable
+from operator import itemgetter
 
-from . import analytical, metrics, presets, simcore
+from . import analytical, presets
 from .analytical import PhysicalRing, RingParameters, RingSaturatedError, record
 from .presets import PRESETS, paper_round
-from .simcore import RingConfig
-from .workload import DEFAULT_LARGE_FRAME_BYTES, SaturationWorkload, WicWorkload
 
 CSV_COLUMNS = [
     "figure",
@@ -80,21 +81,21 @@ class CliError(Exception):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
+    """A value as --dump-config prints it, and a row holds a boolean."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_rows(rows: list[dict], out_path: str | None) -> None:
+    """The header and the rows as CSV: None as an empty cell, a float by its
+    repr, and any other value by str, as csv writes them."""
+    import csv
+
     def emit(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
+        writer.writerows(map(itemgetter(*CSV_COLUMNS), rows))
 
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -139,7 +140,7 @@ OPTIONS: dict[str, Option] = {
     "frame_bytes": Option("workload", int, "frame size (validate: the largest) in bytes"),
     "load_pct": Option("workload", float, "wic target utilization, percent"),
     "interburst_ms": Option("workload", float, "wic mean burst gap"),
-    "duration_ms": Option("run", float, "simulated time per run", simcore.DEFAULT_DURATION_MS),
+    "duration_ms": Option("run", float, "simulated time per run", analytical.DEFAULT_DURATION_MS),
     "seed": Option("run", int, "base RNG seed", 1),
     "figure": Option("sweep", str, "named recipe: " + ", ".join(presets.FIGURES)),
     "var": Option("sweep", str, " | ".join(SWEEP_VARS)),
@@ -219,6 +220,10 @@ class Resolver:
             raise CliError(f"{command} cannot use {', '.join(unused)} with these inputs")
         if not self.args.dump_config:
             return print
+        lost = [_flag(key) for key in self.resolved  # a dump would read back without them
+                if OPTIONS[key].section is None and getattr(self.args, key) is not None]
+        if lost:
+            raise CliError(f"--dump-config cannot record {', '.join(lost)}: no config key holds it")
         sections: dict[str, list[str]] = {}
         for key, value in sorted(self.resolved.items()):
             if OPTIONS[key].section and value is not None:
@@ -257,25 +262,24 @@ def _active(n_active: int | None, macs: int) -> int:
 
 
 def _base_row(**kwargs) -> dict:
-    row = {col: None for col in CSV_COLUMNS}
+    row = dict.fromkeys(CSV_COLUMNS)
     row.update(kwargs)
     return row
 
 
-def _ring_latency_ms(row: dict) -> float:
-    ring = PhysicalRing(fiber_km=row["fiber_km"], mac_count=row["mac_count"])
-    return analytical.ring_latency(ring)
+def _ring_latency_ms(fiber_km: float, mac_count: int) -> float:
+    return analytical.ring_latency(PhysicalRing(fiber_km=fiber_km, mac_count=mac_count))
 
 
-def _analytical_row(row: dict) -> dict:
+def _analytical_row(row: dict, d_ms: float) -> dict:
     """Fill the metric columns of a row from the closed-form model for its
-    ring, active count, TTRT and frame size (the overflow model when a frame
-    size is set); mark the row instead of failing when latency swallows the
-    TTRT."""
+    ring latency d_ms, active count, TTRT and frame size (the overflow model
+    when a frame size is set); mark the row instead of failing when latency
+    swallows the TTRT."""
     row["mode"] = "analytical"
     frame_bytes = row["frame_bytes"]
     try:
-        p = RingParameters(row["n_active"], row["ttrt_ms"], _ring_latency_ms(row),
+        p = RingParameters(row["n_active"], row["ttrt_ms"], d_ms,
                            analytical.frame_time_ms(frame_bytes) if frame_bytes else None)
         result = analytical.overflow_model(p) if frame_bytes else analytical.basic_model(p)
     except RingSaturatedError:
@@ -289,17 +293,19 @@ def _analytical_row(row: dict) -> dict:
     return row
 
 
-def _bound_inputs(config: RingConfig, load, n_active: int) -> dict:
-    """The access-delay bound's inputs for the stations that send: n_active
-    saturated ones, or every station."""
+def _bound_inputs(config, load, n_active: int) -> dict:
+    """The access-delay bound's inputs for the stations of a RingConfig that
+    send: n_active saturated ones, or every station."""
+    from .workload import SaturationWorkload
     return dict(
         n_active=n_active if isinstance(load, SaturationWorkload) else config.n_stations,
         max_frame_bytes=load.max_frame_bytes,
     )
 
 
-def _summarize(result: simcore.RunResult, load, n_active: int) -> metrics.MetricsReport:
-    """One run's report, with the access-delay bound checked."""
+def _summarize(result, load, n_active: int):
+    """The MetricsReport of one RunResult, with the access-delay bound checked."""
+    from . import metrics
     config = result.config
     return metrics.summarize(
         result,
@@ -308,17 +314,16 @@ def _summarize(result: simcore.RunResult, load, n_active: int) -> metrics.Metric
     )
 
 
-def _simulated_row(row: dict, config: RingConfig, load,
-                   report: metrics.MetricsReport | None) -> dict:
-    """Fill the run-input columns of a row from the config and workload of a
-    run, and its metric columns from the run's report; with no report, mark
+def _simulated_row(row: dict, config, load, report) -> dict:
+    """Fill the run-input columns of a row from the RingConfig and workload of
+    a run, and its metric columns from the run's MetricsReport; with none, mark
     the row as saturated by latency."""
     row.update(
         mode="simulated",
         frame_bytes=getattr(load, "frame_bytes", None),
         interburst_ms=getattr(load, "mean_interburst_ms", None),
         token_time_us=config.token_time_us,
-        async_overflow=config.async_overflow,
+        async_overflow=_fmt(config.async_overflow),
     )
     if report is None:
         row["error"] = SATURATED_MARKER
@@ -350,7 +355,7 @@ def cmd_analyze(res: Resolver) -> int:
 
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=ttrt, frame_bytes=frame_bytes)
-    d_ms = _ring_latency_ms(row)
+    d_ms = _ring_latency_ms(fiber, macs)
     say(f"ring: {preset_name or 'custom'} ({macs} MACs, {fiber:g} km fiber)")
     say(f"ring_latency_ms: {d_ms!r} (rounds to {paper_round(d_ms):g})")
     say(f"n_active: {n_active}")
@@ -366,7 +371,7 @@ def cmd_analyze(res: Resolver) -> int:
         f"max_access_delay_ms: {delay_ms!r} "
         f"({paper_round(delay_ms / 1000.0):.2f} s)"
     )
-    row = _analytical_row(row)
+    row = _analytical_row(row, d_ms)
     if frame_bytes:
         say(f"overflow_frames_per_opportunity: {row['frames_per_opportunity']}")
         say(f"overflow_efficiency: {row['efficiency']!r}")
@@ -378,17 +383,19 @@ def cmd_analyze(res: Resolver) -> int:
 
 # --------------------------------------------------------------- simulate
 
-def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, dict]:
-    """The run length, the base seed and the RingConfig keywords shared by
-    every run of a command; any_ttrt is the default of allow_any_ttrt."""
+def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Callable]:
+    """The run length, the base seed, and how to build the RingConfig of a
+    ring (MACs, fiber km, TTRT) with the settings shared by every run of a
+    command; any_ttrt is the default of allow_any_ttrt."""
+    from . import simcore
     token_time_us = res.get("token_time_us")
     analytical.check_finite(token_time_us=token_time_us)
     # the simulator charges whole nanoseconds, while the CSV echoes the value
     if round(token_time_us * simcore.NS_PER_US) / simcore.NS_PER_US != token_time_us:
         raise CliError(f"--token-time-us {token_time_us!r} is not a whole number of "
                        "nanoseconds")
-    ring = dict(
-        token_time_us=token_time_us,
+    ring = functools.partial(
+        simcore.RingConfig.uniform, token_time_us=token_time_us,
         async_overflow=not res.get("no_overflow"),
         allow_any_ttrt=res.get("allow_any_ttrt", default=any_ttrt),
     )
@@ -399,6 +406,7 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     """The traffic of a simulated row: bursty (WIC) traffic on every station
     with the given mean burst gap or target utilization, else saturated
     stations (the row's active count) sending frames of the row's size."""
+    from .workload import DEFAULT_LARGE_FRAME_BYTES, SaturationWorkload, WicWorkload
     if interburst_ms is not None:
         return WicWorkload(mean_interburst_ms=interburst_ms)
     if load_pct is not None:
@@ -410,7 +418,7 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     )
 
 
-def _print_report(report: metrics.MetricsReport, say: Callable[[str], None]) -> None:
+def _print_report(report, say: Callable[[str], None]) -> None:
     say(f"throughput_mbps: {report.throughput_mbps!r}")
     say(f"efficiency: {report.efficiency!r}")
     if report.offered_load_mbps == float("inf"):
@@ -446,6 +454,7 @@ def _print_report(report: metrics.MetricsReport, say: Callable[[str], None]) -> 
 
 
 def cmd_simulate(res: Resolver) -> int:
+    from . import simcore, workload
     preset_name, macs, fiber = _resolve_ring(res)
     kind, interburst = res.get("workload"), None
     # bursty traffic loads every station, so only saturation reads --active
@@ -454,7 +463,7 @@ def cmd_simulate(res: Resolver) -> int:
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=res.get("ttrt"), duration_ms=duration, replication=0, seed=seed)
     if kind == "saturation":
-        row["frame_bytes"] = res.get("frame_bytes", default=DEFAULT_LARGE_FRAME_BYTES)
+        row["frame_bytes"] = res.get("frame_bytes", default=workload.DEFAULT_LARGE_FRAME_BYTES)
     elif kind == "wic":
         interburst = res.get("interburst_ms")
         row["load_pct"] = res.get("load_pct") if interburst is None else None
@@ -462,7 +471,7 @@ def cmd_simulate(res: Resolver) -> int:
             raise CliError("wic workload needs --load-pct or --interburst-ms")
     else:
         raise CliError(f"unknown workload {kind!r}; choices: saturation, wic")
-    config = RingConfig.uniform(macs, fiber, row["ttrt_ms"], **ring)
+    config = ring(macs, fiber, row["ttrt_ms"])
     load = _build_workload(row, row["load_pct"], interburst)
     say = res.finish()
 
@@ -524,14 +533,14 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
     )
 
 
-def _reuse_or_run(held, config: RingConfig, load, duration_ms: float, seed: int,
-                  n_active: int) -> tuple[metrics.MetricsReport, tuple | None]:
-    """The report of one simulated sweep point, and the certified (result,
+def _reuse_or_run(held, config, load, duration_ms: float, seed: int, n_active: int) -> tuple:
+    """The MetricsReport of one simulated sweep point, and the certified (result,
     load, report) to hold for the next point of its replication. held is
     the one kept from an earlier point, or None; when simcore.reuse_at cannot
     stand it in for this point, it is dropped before the simulator runs, so
     that no result outlives the next run unless TTRT provably never bound
     it. A reused run keeps its report but for the fields of the TTRT."""
+    from . import metrics, simcore
     result = None
     if held is not None and held[1] == load:
         result = simcore.reuse_at(held[0], config, load)
@@ -554,6 +563,7 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
     every higher TTRT, instead of simulating it again."""
     column = SWEEP_VARS[spec.var][0]
     rows: list[dict] = []
+    latency = functools.cache(_ring_latency_ms)  # once per ring of this sweep
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
             held: dict[int, tuple | None] = {}  # replication -> certified (result, load, report)
@@ -566,14 +576,14 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
                 point[column] = value
                 point["n_active"] = _active(point["n_active"], point["mac_count"])
                 if spec.mode != "simulate":
-                    rows.append(_analytical_row(dict(point)))
+                    d_ms = latency(point["fiber_km"], point["mac_count"])
+                    rows.append(_analytical_row(dict(point), d_ms))
                 if not sim:
                     continue
                 duration, seed, ring = sim
-                config = RingConfig.uniform(point["mac_count"], point["fiber_km"],
-                                            point["ttrt_ms"], **ring)
+                config = ring(point["mac_count"], point["fiber_km"], point["ttrt_ms"])
                 load = _build_workload(point, load_pct)
-                saturated = point["ttrt_ms"] <= _ring_latency_ms(point)
+                saturated = point["ttrt_ms"] <= latency(point["fiber_km"], point["mac_count"])
                 for rep in range(replications):
                     row = dict(point, load_pct=load_pct, duration_ms=duration,
                                replication=rep, seed=seed + rep)
@@ -705,10 +715,11 @@ COMMANDS: dict[str, Command] = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser, built from COMMANDS and OPTIONS on first use
-    and reused by every later call to main(). Every flag defaults to None,
-    so the Resolver can tell a flag given from one left out."""
+    and reused by every later call to main() that names the same subcommand.
+    It lists every subcommand, but gives options to the chosen one only. Every
+    flag defaults to None, so the Resolver can tell a flag given from one left out."""
     parser = argparse.ArgumentParser(
         prog="fddiperf",
         description="Timed-token ring performance toolkit: closed-form models, "
@@ -717,6 +728,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        if name != chosen:
+            continue
         for key in command.options + COMMON:
             opt = OPTIONS[key]
             if opt.type is bool:
@@ -731,7 +744,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         code = COMMANDS[args.command].run(Resolver(args))
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -27,16 +27,27 @@ class SampleStats:
     """Exact statistics over retained samples; percentile by nearest rank."""
 
 
+def _p95(delays_ns: list[int]) -> int:
+    """The nearest-rank 95th percentile, the rank-th largest sample. Only the
+    samples at or above a threshold a little below it, read from a strided
+    sample, are sorted; when they are fewer than rank, all are."""
+    count = len(delays_ns)
+    rank = count - max(0, math.ceil(0.95 * count) - 1)
+    sample = sorted(delays_ns[::max(1, count // 256)])
+    threshold = sample[len(sample) * 7 // 8]
+    tail = sorted([d for d in delays_ns if d >= threshold])
+    if len(tail) < rank:
+        tail = sorted(delays_ns)
+    return tail[-rank]
+
+
 def _stats(delays_ns: list[int], with_p95: bool) -> SampleStats | None:
     if not delays_ns:
         return None
     count = len(delays_ns)
     mean = sum(delays_ns) / count / NS_PER_MS
     peak = max(delays_ns) / NS_PER_MS
-    p95 = None
-    if with_p95:
-        ranked = sorted(delays_ns)
-        p95 = ranked[max(0, math.ceil(0.95 * count) - 1)] / NS_PER_MS
+    p95 = _p95(delays_ns) / NS_PER_MS if with_p95 else None
     return SampleStats(mean_ms=mean, max_ms=peak, count=count, p95_ms=p95)
 
 

@@ -11,7 +11,7 @@ closed-form model and compares after 2-decimal rounding.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
+import math
 
 from . import analytical
 from .analytical import PhysicalRing, RingParameters, record
@@ -71,11 +71,17 @@ TABLE1_GOLDEN: dict[str, dict[float, tuple[float, float]]] = {
 
 
 def paper_round(value: float, places: int = 2) -> float:
-    """Round half away from zero at the given decimal place, matching the
-    printed reference values (Python's round() would use banker's
-    rounding)."""
-    q = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+    """Round half away from zero at the given decimal place, on the digits of
+    repr(value), as the reference values were printed; round() would round the
+    binary value half to even. int / int rounds correctly, as float() would."""
+    text = repr(abs(value))
+    whole, _, frac = text.partition(".")
+    digits = whole + frac[:places].ljust(places, "0")
+    if "e" in text or not digits.isdigit() or places < 0:
+        # an exponent, inf or nan: let decimal round it (or refuse it)
+        from decimal import ROUND_HALF_UP, Decimal
+        return float(Decimal(repr(value)).quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP))
+    return math.copysign((int(digits) + (frac[places:places + 1] >= "5")) / 10 ** places, value)
 
 
 @record("preset ttrt_ms ring_latency_ms access_delay_s access_delay_s_rounded golden_access_s "

@@ -69,6 +69,7 @@ from operator import add
 from types import SimpleNamespace
 
 from .analytical import (
+    DEFAULT_DURATION_MS,
     PROPAGATION_US_PER_KM,
     STATION_DELAY_US,
     T_MAX_COUNTER_MS,
@@ -83,8 +84,7 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_BYTE = 80  # 8 bits at 100 Mbps
 
-# Default run length, and the share of each run discarded as warm-up.
-DEFAULT_DURATION_MS = 1000.0
+# The share of each run discarded as warm-up.
 WARMUP_FRACTION = 0.10
 
 # Scheduling instants before t = 0: the token is injected ahead of every

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fddiperf import cli
+from fddiperf import cli, metrics, simcore
 
 
 def _run(argv):
@@ -254,13 +254,13 @@ def test_sweep_csv_reproducible(tmp_path):
 
 def test_simulate_out_runs_the_simulation_once(tmp_path, monkeypatch, capsys):
     calls = []
-    real_run = cli.simcore.run
+    real_run = simcore.run
 
     def counting_run(*args, **kwargs):
         calls.append(args)
         return real_run(*args, **kwargs)
 
-    monkeypatch.setattr(cli.simcore, "run", counting_run)
+    monkeypatch.setattr(simcore, "run", counting_run)
     out = tmp_path / "sim.csv"
     rc = _run([
         "simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic",
@@ -283,7 +283,7 @@ def test_simulate_out_runs_the_simulation_once(tmp_path, monkeypatch, capsys):
 def test_sweep_holds_no_result_across_a_real_run(argv, rows, max_runs, tmp_path, monkeypatch):
     # a sweep keeps only runs that TTRT provably did not bind, and drops even
     # those before it simulates again
-    real_run = cli.simcore.run
+    real_run = simcore.run
     earlier = []
 
     def tracked_run(*args, **kwargs):
@@ -292,7 +292,7 @@ def test_sweep_holds_no_result_across_a_real_run(argv, rows, max_runs, tmp_path,
         earlier.append(weakref.ref(result))
         return result
 
-    monkeypatch.setattr(cli.simcore, "run", tracked_run)
+    monkeypatch.setattr(simcore, "run", tracked_run)
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out)]) == 0
     assert len(_read_csv(out)) == rows
@@ -303,7 +303,7 @@ def test_reused_runs_write_the_csv_of_real_runs(tmp_path, monkeypatch):
     argv = ["sweep", "--figure", "fig3", "--duration-ms", "50", "--seed", "5"]
     reused, rerun = tmp_path / "reused.csv", tmp_path / "rerun.csv"
     assert _run(argv + ["--out", str(reused)]) == 0
-    monkeypatch.setattr(cli.simcore, "reuse_at", lambda *a: None)
+    monkeypatch.setattr(simcore, "reuse_at", lambda *a: None)
     assert _run(argv + ["--out", str(rerun)]) == 0
     assert reused.read_bytes() == rerun.read_bytes()
 
@@ -319,7 +319,7 @@ def test_reused_reports_are_the_reports_of_real_runs(tmp_path, monkeypatch):
         points.append((args, report))
         return report, held
 
-    real_reuse = cli.metrics.reuse_at
+    real_reuse = metrics.reuse_at
     reused = []
 
     def counting_reuse(*args, **kwargs):
@@ -327,13 +327,13 @@ def test_reused_reports_are_the_reports_of_real_runs(tmp_path, monkeypatch):
         return real_reuse(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_reuse_or_run", recording)
-    monkeypatch.setattr(cli.metrics, "reuse_at", counting_reuse)
+    monkeypatch.setattr(metrics, "reuse_at", counting_reuse)
     argv = ["sweep", "--figure", "fig3", "--duration-ms", "50"]
     assert _run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     assert len(points) == 15
     assert reused
     for (config, load, duration_ms, seed, n_active), report in points:
-        result = cli.simcore.run(config, load, duration_ms=duration_ms, seed=seed)
+        result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
         assert report == cli._summarize(result, load, n_active)
 
 
@@ -387,7 +387,7 @@ def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli.simcore, "run", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(simcore, "run", lambda *a, **k: calls.append(a))
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -471,12 +471,27 @@ FROZEN_FLAGS = {
 }
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_each_subcommand_keeps_its_flags():
-    parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {name: sorted(s for a in p._actions for s in a.option_strings)
-             for name, p in sub.choices.items()}
+    # a parser takes the options of the subcommand it was built for
+    flags = {name: sorted(s for a in _subparsers(cli._build_parser(name))[name]._actions
+                          for s in a.option_strings)
+             for name in cli.COMMANDS}
     assert flags == {name: sorted(f + _COMMON_FLAGS) for name, f in FROZEN_FLAGS.items()}
+
+
+def test_help_lists_every_subcommand_while_one_takes_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage.endswith("{" + ",".join(cli.COMMANDS) + "} ...")
+    # building the parser of one subcommand adds no option to the others
+    subparsers = _subparsers(cli._build_parser("table1"))
+    assert all(len(p._actions) == 1 for name, p in subparsers.items() if name != "table1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,7 +516,7 @@ def test_each_subcommand_keeps_its_flags():
 ])
 def test_flag_the_command_does_not_use_is_rejected(argv, tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli.simcore, "run", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(simcore, "run", lambda *a, **k: calls.append(a))
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out), "--dump-config"]) == 2
     captured = capsys.readouterr()
@@ -582,14 +597,33 @@ def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
 
 
 def test_validate_dumps_the_keys_it_reads(capsys):
-    assert _run(["validate", "--ttrt", "8", "--max-ring", "--dump-config"]) == 0
+    # the maximum ring's latency, given as a key a dump can hold
+    argv = ["validate", "--ttrt", "8", "--ring-latency-ms", "1.773", "--dump-config"]
+    assert _run(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("[ring]\n")
+    assert "ring_latency_ms = 1.773" in out
     assert "ttrt = 8.0" in out
     assert "t_max_ms = 165.0" in out
     assert "frame_bytes = 4500" in out
     assert "preset" not in out
     assert "verdict: ok" in out
+
+
+@pytest.mark.parametrize("flag,ring", [
+    (["--max-ring"], []),
+    (["--sync-ms", "3"], ["--preset", "big"]),
+    (["--service-interval-ms", "20"], ["--preset", "big"]),
+])
+def test_validate_refuses_to_dump_a_flag_no_config_key_holds(flag, ring, capsys):
+    # such a dump would read back to another verdict
+    argv = ["validate", "--ttrt", "4", *ring, *flag]
+    assert _run(argv + ["--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --dump-config cannot record {flag[0]}: no config key holds it\n"
+    # without the dump the flag is read as before
+    assert _run(argv) in (0, 1)
 
 
 def test_validate_requires_a_ttrt(capsys):

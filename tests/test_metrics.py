@@ -5,8 +5,10 @@ saturation, and the hand-computable single-frame response decomposition."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fddiperf import simcore
 from fddiperf.metrics import SampleStats, _stats, access_delay_bound_ms, reuse_at, summarize
@@ -47,6 +49,31 @@ def test_stats_nearest_rank_percentile():
     assert s.mean_ms == pytest.approx(50.5 / NS_PER_MS)
     one = _stats([7], with_p95=True)
     assert one.p95_ms == 7 / NS_PER_MS
+
+
+def _sorted_p95(delays: list[int]) -> int:
+    return sorted(delays)[max(0, math.ceil(0.95 * len(delays)) - 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 3000), st.sampled_from([1, 2, 3, 10, 1000, 10**9]),
+       st.sampled_from(["drawn", "ascending", "descending"]), st.integers(0, 2**32))
+def test_p95_is_the_nearest_rank_of_the_sorted_samples(count, distinct, order, seed):
+    rng = random.Random(seed)
+    delays = [rng.randrange(distinct) for _ in range(count)]  # few values: heavy ties
+    if order != "drawn":
+        delays.sort(reverse=order == "descending")
+    assert _stats(delays, with_p95=True).p95_ms == _sorted_p95(delays) / NS_PER_MS
+
+
+@pytest.mark.parametrize("count", [1000, 3000, 45_000])
+def test_p95_survives_a_sample_that_misses_the_tail(count):
+    # only the sampled samples are large, so the threshold the sample gives
+    # leaves too short a tail, and every sample must be sorted
+    stride = max(1, count // 256)
+    delays = [0] * count
+    delays[::stride] = range(10**6, 10**6 + len(delays[::stride]))
+    assert _stats(delays, with_p95=True).p95_ms == _sorted_p95(delays) / NS_PER_MS
 
 
 def test_empty_stats_are_absent_not_zero():
