@@ -14,6 +14,8 @@ exact.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul, sub, truediv
 
 from . import analytical
 from .analytical import LINE_RATE_MBPS, RingParameters, record
@@ -129,10 +131,9 @@ def summarize(
 
     window_bits = result.completed_bits - b.completed_bits
     throughput = window_bits / interval_ns * 1000.0  # bits/ns -> Mbps
-    station_tp = tuple(
-        (bits - mark) / interval_ns * 1000.0
-        for bits, mark in zip(result.station_bits, b.station_bits)
-    )
+    # (bits - mark) / interval_ns * 1000.0 per station, in whole-list operations
+    station_tp = tuple(map(mul, map(truediv, map(sub, result.station_bits, b.station_bits),
+                                    repeat(interval_ns)), repeat(1000.0)))
 
     responses = [c - a for a, c in result.response_samples if a >= mark_ns]
     accesses = [cap - start for start, cap in result.access_samples if start >= mark_ns]

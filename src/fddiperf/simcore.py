@@ -27,16 +27,22 @@ the token's next event is compared against the earliest of them:
   key to c. So once lap 0 has visited every stop, the keys are
   non-decreasing in ring order from the token, and across a stretch of
   passes with no capture the rotations never grow (the cycle argument of
-  Sevcik & Johnson, 1987). Lap 0 is the exception: every key starts at
-  the same arrival, t = 0.
-- After lap 0, a stretch of passes with no capture is one closed-form step
-  on a saturated ring and on an idle bursty ring. Bisection over the keys
-  finds the next usable stop (none on an idle ring), bisection over the
-  offsets the first pass at or after the next burst, the warm-up mark or
-  the end, and slice assignments set the clock of every stop passed. The
-  stretch's first rotation is its largest, and the rotations of 2 x TTRT or
-  more are a prefix of it. Lap 0, each capture and the passes of a busy
-  bursty ring go through an inline loop, a few integer updates per pass.
+  Sevcik & Johnson, 1987). In lap 0 every stop last saw the token at
+  t = 0, so a stop's rotation is its arrival time and grows along the lap:
+  on a saturated ring a stop that cannot use the token leaves every later
+  stop of the lap unable to use it.
+- A stretch of passes with no capture is one closed-form step on a
+  saturated ring and on an idle bursty ring. Bisection over the keys finds
+  the next usable stop (none on an idle ring, nor in lap 0 once one stop
+  could not use the token), bisection over the offsets the first pass at
+  or after the next burst, the warm-up mark or the end, and slice
+  assignments set the clock of every stop passed. After lap 0 the
+  stretch's first rotation is its largest and the rotations of 2 x TTRT or
+  more are a prefix of it; in lap 0, which ends a stretch at its wrap, the
+  last is the largest and they are a suffix. Each capture and the passes
+  of a busy bursty ring go through an inline loop, a few integer updates
+  per pass. The per-ring set-up is done in whole-list operations, so a
+  run's Python work grows with its captures, not with its stations.
 - A holding period is one step. A ring is saturated or bursty as a whole.
   On a saturated ring every sourced station is always backlogged and sends
   ceil(THT / F) frames with overflow, floor(THT / F) without; on a bursty
@@ -64,8 +70,8 @@ from collections import deque
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from heapq import heappush, heappop
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, compress, repeat
+from operator import add, is_not, mul, neg, sub, truediv
 from types import SimpleNamespace
 
 from .analytical import (
@@ -167,7 +173,7 @@ class RingConfig:
     def ring_latency_ms(self) -> float:
         """Propagation plus summed repeat delays (token time excluded), each
         hop in the whole nanoseconds that `run` simulates."""
-        us = sum([ns / NS_PER_US for ns in _hop_ns(self.segment_delays_us)])
+        us = sum(map(truediv, _hop_ns(self.segment_delays_us), repeat(NS_PER_US)))
         return (us + self.n_stations * STATION_DELAY_US) / 1000.0
 
 
@@ -235,7 +241,7 @@ def _ns_from_ms(ms: float) -> int:
 @lru_cache(maxsize=8)  # a sweep simulates one ring at a time
 def _hop_ns(segment_delays_us: tuple[float, ...]) -> tuple[int, ...]:
     """A ring's hop delays in the whole nanoseconds `run` simulates."""
-    return tuple([round(us * NS_PER_US) for us in segment_delays_us])
+    return tuple(map(round, map(mul, segment_delays_us, repeat(NS_PER_US))))
 
 
 def _rotation_error(trt: int, station: int, ttrt_ns: int) -> InvariantViolation:
@@ -246,10 +252,9 @@ def _rotation_error(trt: int, station: int, ttrt_ns: int) -> InvariantViolation:
 
 
 def _by_station(bits: list[int], stops: list[int], n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for k, st in enumerate(stops):
-        out[st] = bits[k]
-    return tuple(out)
+    if len(stops) == n:
+        return tuple(bits)
+    return tuple(map(dict(zip(stops, bits)).get, range(n), repeat(0)))
 
 
 def _leading_passes(key: list[int], k: int, c: int, period: int, bound: int, cap: int) -> int:
@@ -353,7 +358,7 @@ def run(
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
     # pre[i]: the time from station 0 to station i in an idle rotation
-    pre = [0, *accumulate([sd_ns + tt_ns + s for s in seg_ns])]
+    pre = [0, *accumulate(map(add, seg_ns, repeat(sd_ns + tt_ns)))]
     period = pre[n]  # one idle rotation
 
     sources = list(workload.bind(n, seed)) if workload is not None else [None] * n
@@ -362,15 +367,16 @@ def run(
     # The token only stops at sourced stations (station 0 on a ring without
     # any); per-stop state is indexed by position k in `stops`. A saturated
     # ring's stops always have a frame of sat bytes; a bursty ring's have feeds.
-    stops = [i for i in range(n) if sources[i] is not None]
+    stops = list(compress(range(n), map(is_not, sources, repeat(None))))
     sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
-    feeds = [] if sat else [sources[st] for st in stops]
+    feeds = [] if sat else list(map(sources.__getitem__, stops))
     stops = stops or [0]
     nst = len(stops)
     # offset[k]: stop k's offset from stop 0 in an idle rotation; leap[k]:
     # the token's travel time from stop k to the next
-    offset = [pre[st] - pre[stops[0]] for st in stops]
-    leap = [b - a for a, b in zip(offset, offset[1:])]
+    offset = pre[:n] if nst == n else list(
+        map(sub, map(pre.__getitem__, stops), repeat(pre[stops[0]])))
+    leap = list(map(sub, offset[1:], offset))
     leap.append(period - offset[-1])
     if min(leap) <= 0:
         raise ValueError("the token must take time to travel between sourced stations")
@@ -384,7 +390,7 @@ def run(
         raise ValueError("warm-up must end before the run does")
     boundary: RunSnapshot | None = None
     if mark_ns == 0:
-        boundary = RunSnapshot(0, 0, 0, tuple(0 for _ in range(n)))
+        boundary = RunSnapshot(0, 0, 0, (0,) * n)
 
     # Pending bursts (time, stop, frame sizes), at most one per source;
     # drawn[k] is when stop k's pending burst was scheduled.
@@ -399,7 +405,7 @@ def run(
 
     # Rotation clocks as lap-clock keys: key[k] is stop k's last arrival
     # less offset[k]; before lap 0 every stop last saw the token at t = 0.
-    key = [-p for p in offset]
+    key = list(map(neg, offset))
     # a saturated stop never queues: the token reads its frame size from sat
     queues: list[deque | None] = [None] * nst if sat else [deque() for _ in range(nst)]
     want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
@@ -493,22 +499,32 @@ def run(
 
         if holding < 0:
             c = t - offset[k]
-            if (sat or not nonempty) and rotation_count >= nst:
+            if sat or not nonempty:
                 # A stretch of passes with no capture, in closed form: it ends
-                # before the first usable pass (none on an idle ring) or the
-                # first pass at or after the limit.
+                # before the first usable pass (none on an idle ring), at the
+                # first pass at or after the limit, or with lap 0.
                 laps, rest = divmod(limit - c, period)
                 n_pass = laps * nst + bisect_left(offset, rest) - k
-                if sat:
+                lap0 = rotation_count < nst
+                if lap0:
+                    # every stop from k on still has its key -offset[j], so its
+                    # rotation is its arrival c + offset[j]: they ascend, and
+                    # if stop k cannot use the token, no later stop of the lap can
+                    n_pass = 0 if sat and t < gap else min(n_pass, nst - k)
+                elif sat:
                     n_pass = _leading_passes(key, k, c, period, gap, n_pass)
                 if n_pass:
-                    trt = c - key[k]  # the stretch's largest rotation
+                    last = k + n_pass - 1 if lap0 else k
+                    trt = c - key[last]  # the stretch's largest rotation
                     if trt > max_rotation:
                         max_rotation = trt
                     if trt >= two_ttrt:
+                        # rotations of 2 x TTRT or more end lap 0 and lead a later stretch
+                        v = bisect_left(offset, two_ttrt - c, k, last) if lap0 else k
                         if trt_enforced:
-                            raise _rotation_error(trt, stops[k], ttrt_ns)
-                        trt_violations += _leading_passes(key, k, c, period, two_ttrt, n_pass)
+                            raise _rotation_error(c - key[v], stops[v], ttrt_ns)
+                        trt_violations += (last + 1 - v if lap0 else
+                                           _leading_passes(key, k, c, period, two_ttrt, n_pass))
                     rotation_count += n_pass
                     # the token stops at i after `laps` wraps; each stop
                     # passed keeps the lap clock of its last pass
@@ -522,8 +538,8 @@ def run(
                         key[k:i] = [c] * (i - k)
                     k = i
                     t = c + offset[k]
-                    if t >= limit:
-                        continue
+                    if t >= limit or lap0:
+                        continue  # past lap 0, the next stretch starts at the wrap
             while True:
                 trt = c - key[k]
                 key[k] = c
@@ -564,8 +580,6 @@ def run(
                 if k == nst:
                     k = 0
                     c += period
-                    if sat or not nonempty:
-                        break  # lap 0 is over: the stretch above takes over
                 if t >= limit:
                     break
             continue

@@ -53,7 +53,7 @@ def _bound_stations(stations, n_stations: int) -> set[int]:
     """The station ids a source binds to (every station when None), each
     checked to lie on the ring."""
     chosen = set(range(n_stations)) if stations is None else set(stations)
-    if any(s < 0 or s >= n_stations for s in chosen):
+    if chosen and (min(chosen) < 0 or max(chosen) >= n_stations):
         raise ValueError(f"station ids out of range for a {n_stations}-station ring")
     return chosen
 
@@ -145,8 +145,10 @@ class SaturationWorkload:
         return math.inf
 
     def bind(self, n_stations: int, seed: int) -> list[int | None]:
+        if self.stations is None:
+            return [self.frame_bytes] * n_stations
         chosen = _bound_stations(self.stations, n_stations)
-        return [self.frame_bytes if i in chosen else None for i in range(n_stations)]
+        return list(map(dict.fromkeys(chosen, self.frame_bytes).get, range(n_stations)))
 
 
 class _ScriptedGenerator:

@@ -3,6 +3,8 @@ both modes, a bursty sweep, and analyze / simulate / validate on their own.
 
 For each case the exit code, the sha256 of the CSV bytes written with
 --out (None when no file is written) and the sha256 of stdout are pinned.
+The last three cases, the saturated largest-ring runs the benchmark times,
+were recorded later, before lap 0 of a run was taken in closed form.
 The values were recorded before the sweep engine was unified and must not
 be edited: a refactor of the CLI is correct only if every case still
 matches.
@@ -83,6 +85,13 @@ CASES: dict[str, tuple[str, ...]] = {
     "error-illegal-ttrt": ("sweep", "--var", "ttrt", "--grid", "1,8", "--preset", "typical",
                            "--mode", "simulate") + SIM,
     "error-no-ring": ("analyze", "--ttrt", "8"),
+    # the benchmark's saturated-1000 commands, at their default 1000 ms and seed 1
+    "simulate-largest-8": ("simulate", "--preset", "largest", "--frame-bytes", "100",
+                           "--ttrt", "8"),
+    "simulate-largest-165": ("simulate", "--preset", "largest", "--frame-bytes", "100",
+                             "--ttrt", "165"),
+    "simulate-largest-165-no-overflow": ("simulate", "--preset", "largest", "--frame-bytes",
+                                         "100", "--ttrt", "165", "--no-overflow"),
 }
 
 # name: (exit code, sha256 of the CSV or None, sha256 of stdout)
@@ -173,6 +182,13 @@ EXPECTED: dict[str, tuple[int, str | None, str]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "error-no-ring": (2, None,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "simulate-largest-8": (0, "3a50e349036904c52875fc4d5eb06363c6c0c6b4f95150353fb2f25a90ef3d8f",
+        "1ee83acedcbbf28ad2a3cd7e65757f68fcc79b62ff175746dfb190a7b325028e"),
+    "simulate-largest-165": (0, "3c56690a5f40f36e9ed6b9abfe35cb420bf226cdda3aac9b4f68abb7ec2ac384",
+        "1921eae8f52c2d1b6069b01d3339e39424d372b59f70c164af631fb52b6c697c"),
+    "simulate-largest-165-no-overflow": (0,
+        "6d4794c269a4a41aa35b6d0f3fea12af352a83b7ef79433434363f8e43fdd07b",
+        "1921eae8f52c2d1b6069b01d3339e39424d372b59f70c164af631fb52b6c697c"),
 }
 
 

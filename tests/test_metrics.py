@@ -197,6 +197,22 @@ def test_station_throughput_shares():
     assert active[0] == pytest.approx(active[1], rel=0.02)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), min_size=1, max_size=40),
+       st.integers(1, 10**4))
+def test_station_throughput_is_the_per_station_quotient(bits, duration_ms):
+    # summarize's whole-list operations give the per-station formula's floats
+    result = _result_with_samples(float(duration_ms))
+    b = result.boundary
+    marks = tuple(m for _, m in bits)
+    result = result._replace(station_bits=tuple(w + m for w, m in bits),
+                             boundary=b._replace(station_bits=marks))
+    interval_ns = result.duration_ns - b.at_ns
+    assert summarize(result).station_throughput_mbps == tuple(
+        (total - mark) / interval_ns * 1000.0
+        for total, mark in zip(result.station_bits, marks))
+
+
 def test_sample_stats_is_plain_data():
     s = SampleStats(mean_ms=1.0, max_ms=2.0, count=3, p95_ms=1.5)
     assert s.p95_ms == 1.5

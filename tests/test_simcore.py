@@ -11,9 +11,11 @@ deterministic, and the busy/overhead/idle accounting closes exactly.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from fddiperf import metrics, simcore
+from fddiperf import metrics, simcore, workload
 from fddiperf.analytical import RingParameters, frame_time_ms, overflow_model
 from fddiperf.simcore import NS_PER_MS, RingConfig, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
@@ -293,3 +295,42 @@ def test_workload_binding_must_cover_ring():
     cfg = RingConfig.uniform(2, 0.0, 8.0)
     with pytest.raises(ValueError):
         run(cfg, BadWorkload(), duration_ms=10.0, seed=0)
+
+
+def _traced_lines(n_stations: int) -> tuple[int, int]:
+    """The line events in simcore, workload and metrics while a saturated
+    ring of n_stations at 0 km is simulated for 400 ms at TTRT 165 ms and
+    summarized, and the number of captures."""
+    config = RingConfig.uniform(n_stations, 0.0, 165.0)
+    load = SaturationWorkload(frame_bytes=4500)
+    files = {simcore.__file__, workload.__file__, metrics.__file__}
+
+    def once():
+        result = run(config, load, duration_ms=400.0, seed=1)
+        metrics.summarize(result, n_active=n_stations, max_frame_bytes=4500)
+        return len(result.access_samples)
+
+    once()  # untraced first, so that per-ring caches are warm for both sizes
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename in files else None)
+    try:
+        captures = once()
+    finally:
+        sys.settrace(None)
+    return lines, captures
+
+
+def test_fixed_cost_of_a_run_does_not_grow_with_the_stations():
+    # the same captures on 50 and on 1000 stations run the same Python
+    # lines: the per-station work is done in whole-list operations
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer is already active")
+    small, large = _traced_lines(50), _traced_lines(1000)
+    assert small[1] == large[1] > 0
+    assert small[0] == large[0]

@@ -7,8 +7,10 @@ simulator that preceded the batched event loop, so a match shows the
 current loop reproduces it bit for bit. The corpus covers saturated rings
 (typical and largest, overflow on and off, legal and illegal TTRTs),
 partial active subsets, WIC traffic at the three fig3 loads with two
-seeds, zero token time, and scripted arrivals that land exactly on token
-visits, frame completions and the warm-up mark.
+seeds, zero token time, scripted arrivals that land exactly on token
+visits, frame completions and the warm-up mark, and runs whose end, mark or
+rotation-bound violations fall inside lap 0. The lap-0 digests were
+recorded with the pass-by-pass walk of lap 0 that preceded its closed form.
 """
 
 from __future__ import annotations
@@ -101,11 +103,7 @@ def _wic_cases() -> dict:
 def _variant_cases() -> dict:
     w = WicWorkload.for_utilization(0.58, FIG3_STATIONS)
     return {
-        "stretch-idle-rotation-over-ttrt": "92a5503921c2d6d3cb7a6612ddf0e73487e358d91acd8bbc427be4d035c68c82",
-    "stretch-largest-mark-and-end": "b2de296614a3eafff91da0fc7c88b5448e3db59fced3464f5161dc3b1e07a342",
-    "stretch-uneven-subset-no-overflow": "527ab0fc610fb5384979e0697ca722e3564828a436db6eb8af42fd991ac03fd8",
-    "stretch-wic-idle-laps-over-2-ttrt": "371c37e275715752541b34e568b21a2c453f3eb4a2fcb534f326d17251ec5955",
-    "token0-sat-typical": lambda: run(
+        "token0-sat-typical": lambda: run(
             _preset_ring("typical", 8.0, token_time_us=0.0), SaturationWorkload(512), 200.0, seed=1),
         "token0-wic-58": lambda: run(_fig3_ring(8.0, token_time_us=0.0), w, 200.0, seed=1),
         "idle-typical": lambda: run(_preset_ring("typical", 8.0), None, 100.0, seed=0),
@@ -194,6 +192,34 @@ def _stretch_cases() -> dict:
     }
 
 
+def _lap0_cases() -> dict:
+    """Lap 0, where every stop last saw the token at t = 0: its end, the
+    warm-up mark and the rotation bound inside it."""
+    largest = _preset_ring("largest", 8.0)
+    illegal = _preset_ring("largest", 1 / 64, allow_any_ttrt=True)
+    late = tuple(range(300, 1000, 7))
+    # 200 idle stops 1 us apart: a burst at station 150 as station 20 is
+    # passed, one at station 40 on its own pass, and one at station 92 on
+    # its own pass at the warm-up mark (0.1 ms), once station 40 has sent
+    idle = {**{i: [] for i in range(200)},
+            150: [(0.02, [512])], 40: [(0.04, [100])], 92: [(0.1, [100])]}
+    return {
+        # station 0 holds 8 ms; the run ends in the unusable passes after it
+        "lap0-largest-ends-in-lap": lambda: run(largest, SaturationWorkload(100), 10.0, seed=1),
+        "lap0-largest-mark-in-lap": lambda: run(
+            largest._replace(async_overflow=False), SaturationWorkload(100), 95.0, seed=1),
+        # a TTRT of 1/64 ms: lap 0 counts the rotations of 2 x TTRT or more
+        "lap0-largest-illegal-1/64": lambda: run(illegal, SaturationWorkload(100), 5.0, seed=1),
+        # the first stop is station 300, 0.87 ms from station 0: usable at
+        # TTRT 8 ms; at 0.4 ms it is past 2 x TTRT and no stop of lap 0 is usable
+        "lap0-subset-late-first-stop": lambda: run(
+            largest._replace(async_overflow=False), SaturationWorkload(4500, late), 30.0, seed=1),
+        "lap0-subset-late-first-stop-illegal": lambda: run(
+            illegal._replace(ttrt_ms=0.4), SaturationWorkload(512, late), 12.0, seed=1),
+        "lap0-script-idle-ties": _scripted(200, idle, 1.0),
+    }
+
+
 CORPUS = {
     **_saturated_cases(),
     **_subset_cases(),
@@ -201,6 +227,7 @@ CORPUS = {
     **_variant_cases(),
     **_scripted_cases(),
     **_stretch_cases(),
+    **_lap0_cases(),
 }
 
 DIGESTS = {
@@ -209,6 +236,12 @@ DIGESTS = {
     "active-typical-sparse": "95ba59d2081014db4cc840d0634e457be422ae1a95ea14f3a18fd71b3449268c",
     "active-wic-sparse": "a47dd05b952e277f90021cc50ef76cff7434ebc125748457d0358decfc3b0d45",
     "idle-typical": "22ce268ff93e3d0bb27c2ea5880bd1abde3b2766794795b805d903057fddd6df",
+    "lap0-largest-ends-in-lap": "ea6410d32b49d5fd2ee936bb5ca75152cda3ae28db75d48cecbc5c43ca0ade92",
+    "lap0-largest-illegal-1/64": "6a50b0fbc93285eeefd150c63604b65ba3aaeacda13dea8843a1c4b6a127e594",
+    "lap0-largest-mark-in-lap": "fac3fd19bd7dc04a37ba75e3aaa00ea2bb83148d68b307c5fbe72a99a9035db6",
+    "lap0-script-idle-ties": "d0db616764a32f53ef0a4138eced5b026163f9e6c2b48ba56a5b6dff6f5282ac",
+    "lap0-subset-late-first-stop": "c50f4a45935130ec268a4a9c7ba4e9d155c7937d7a34ce060a86406518b663e7",
+    "lap0-subset-late-first-stop-illegal": "5fbbb0ef9246c940c73ea270ebcefa77d64a76f82386a4bc4f1c0a205253f0c9",
     "no-warmup-wic-28": "046813582cad2c5f6791ebc2ef532064bcf2b2567d16d58e93b998bb250fa71b",
     "sat-largest-165-no-overflow": "c98ef6c7f76ce10e12a363d368583c45d24da5076c0a1dab9a02d46f18a3d5e9",
     "sat-largest-165-overflow": "7747ebd548a47b45cdd8b54fb8b741901135fb6c4dad59a842944c3721e01114",

@@ -9,7 +9,9 @@ must also match the overflow model within (2D + 2F) / W: one latency D at
 each edge of the measured window W and one frame F credited at each edge.
 
 A saturated run must also be the run of a pass-by-pass reference walk, on
-rings whose TTRT reaches below the ring latency.
+rings whose TTRT reaches below the ring latency, both over tens of
+rotations and over runs short enough that lap 0, in which every stop last
+saw the token at t = 0, meets the warm-up mark or the end.
 
 The TTRT-binding certificate is checked the same way: whenever
 `simcore.reuse_at` stands a bursty run at T1 in for a higher T2, the run at
@@ -154,6 +156,29 @@ def test_saturated_random_rings(ring, frame_bytes, rotations):
         return
     tolerance = (2 * d_ms + 2 * f_ms) / report.measured_interval_ms
     assert abs(report.efficiency - model.efficiency) <= tolerance
+
+
+@RANDOM_RINGS
+@given(rings(min_sourced=0, max_stations=MAX_MAC_COUNT, ttrt=ANY_TTRT_MS),
+       st.integers(1, MAX_FRAME_BYTES), st.floats(0.02, 4.0), st.booleans())
+# The largest ring at TTRT 8 ms: the run ends half an idle rotation after
+# station 0's holding, inside lap 0, and the mark falls in that holding.
+@example((RingConfig.uniform(1000, 200.0, 8.0), tuple(range(1000))), 100, 0.5, True)
+# Stops 1 us apart at TTRT 2 us: station 0 holds 2 us, and in lap 0 the
+# token reaches station 2 exactly at 2 x TTRT, a counted violation.
+@example((RingConfig.uniform(10, 0.0, 0.002, token_time_us=0.0, allow_any_ttrt=True),
+          tuple(range(10))), 1, 1.0, True)
+def test_saturated_short_runs(ring, frame_bytes, rotations, after_holding):
+    # from a fiftieth of an idle rotation to four, counted from t = 0 or
+    # from about the end of the first stop's holding of up to one TTRT
+    config, stations = ring
+    load = SaturationWorkload(frame_bytes, stations)
+    d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
+    duration_ms = rotations * d_ms + (config.ttrt_ms if after_holding else 0.0)
+    result = run(config, load, duration_ms=duration_ms, seed=0)
+    walk = _walk(config, frame_bytes, stations, result.duration_ns)
+    assert {name: getattr(result, name) for name in walk} == walk
+    _check_run(result, stations, len(stations), frame_bytes)
 
 
 @RANDOM_RINGS
