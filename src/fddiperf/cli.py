@@ -293,27 +293,6 @@ def _analytical_row(row: dict, d_ms: float) -> dict:
     return row
 
 
-def _bound_inputs(config, load, n_active: int) -> dict:
-    """The access-delay bound's inputs for the stations of a RingConfig that
-    send: n_active saturated ones, or every station."""
-    from .workload import SaturationWorkload
-    return dict(
-        n_active=n_active if isinstance(load, SaturationWorkload) else config.n_stations,
-        max_frame_bytes=load.max_frame_bytes,
-    )
-
-
-def _summarize(result, load, n_active: int):
-    """The MetricsReport of one RunResult, with the access-delay bound checked."""
-    from . import metrics
-    config = result.config
-    return metrics.summarize(
-        result,
-        offered_load_mbps=load.total_offered_load_mbps(config.n_stations),
-        **_bound_inputs(config, load, n_active),
-    )
-
-
 def _simulated_row(row: dict, config, load, report) -> dict:
     """Fill the run-input columns of a row from the RingConfig and workload of
     a run, and its metric columns from the run's MetricsReport; with none, mark
@@ -412,9 +391,10 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     if load_pct is not None:
         return WicWorkload.for_utilization(load_pct / 100.0, row["mac_count"])
     frame_bytes = row["frame_bytes"]
+    n_active = row["n_active"]
     return SaturationWorkload(
         frame_bytes=DEFAULT_LARGE_FRAME_BYTES if frame_bytes is None else frame_bytes,
-        stations=tuple(range(row["n_active"])),
+        stations=None if n_active == row["mac_count"] else tuple(range(n_active)),
     )
 
 
@@ -454,7 +434,7 @@ def _print_report(report, say: Callable[[str], None]) -> None:
 
 
 def cmd_simulate(res: Resolver) -> int:
-    from . import simcore, workload
+    from . import metrics, simcore, workload
     preset_name, macs, fiber = _resolve_ring(res)
     kind, interburst = res.get("workload"), None
     # bursty traffic loads every station, so only saturation reads --active
@@ -475,8 +455,7 @@ def cmd_simulate(res: Resolver) -> int:
     load = _build_workload(row, row["load_pct"], interburst)
     say = res.finish()
 
-    report = _summarize(simcore.run(config, load, duration_ms=duration, seed=seed),
-                        load, n_active)
+    report = metrics.summarize(simcore.run(config, load, duration_ms=duration, seed=seed))
     _print_report(report, say)
     if res.args.out:
         _write_rows([_simulated_row(row, config, load, report)], res.args.out)
@@ -533,26 +512,21 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
     )
 
 
-def _reuse_or_run(held, config, load, duration_ms: float, seed: int, n_active: int) -> tuple:
+def _reuse_or_run(held, config, load, duration_ms: float, seed: int) -> tuple:
     """The MetricsReport of one simulated sweep point, and the certified (result,
-    load, report) to hold for the next point of its replication. held is
-    the one kept from an earlier point, or None; when simcore.reuse_at cannot
-    stand it in for this point, it is dropped before the simulator runs, so
-    that no result outlives the next run unless TTRT provably never bound
-    it. A reused run keeps its report but for the fields of the TTRT."""
+    report) to hold for the next point of its replication. held is the one
+    kept from an earlier point, or None; when simcore.reuse_at cannot stand
+    it in for this point, it is dropped before the simulator runs, so that
+    no result outlives the next run unless TTRT provably never bound it. A
+    reused run keeps its report but for the fields of the TTRT."""
     from . import metrics, simcore
-    result = None
-    if held is not None and held[1] == load:
-        result = simcore.reuse_at(held[0], config, load)
+    result = None if held is None else simcore.reuse_at(held[0], config, load)
     if result is not None:
-        report = metrics.reuse_at(held[2], result, **_bound_inputs(config, load, n_active))
-        return report, held
+        return metrics.reuse_at(held[1], result), held
     held = None
     result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
-    report = _summarize(result, load, n_active)
-    if simcore.certified(result, load):
-        held = (result, load, report)
-    return report, held
+    report = metrics.summarize(result)
+    return report, (result, report) if simcore.certified(result) else None
 
 
 def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> list[dict]:
@@ -566,7 +540,7 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
     latency = functools.cache(_ring_latency_ms)  # once per ring of this sweep
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
-            held: dict[int, tuple | None] = {}  # replication -> certified (result, load, report)
+            held: dict[int, tuple | None] = {}  # replication -> certified (result, report)
             for value in spec.grid:
                 point = _base_row(
                     figure=figure, preset=preset_name, sweep_var=spec.sweep_var,
@@ -591,7 +565,7 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
                     if not saturated:
                         # popped, so that a real run finds no result held for it
                         report, held[rep] = _reuse_or_run(held.pop(rep, None), config, load,
-                                                          duration, seed + rep, point["n_active"])
+                                                          duration, seed + rep)
                     rows.append(_simulated_row(row, config, load, report))
     return rows
 

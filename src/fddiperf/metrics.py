@@ -8,7 +8,8 @@ warm-up: it absorbs the zeroed rotation clocks and empty queues at t=0.
 Frames count toward response statistics only if they arrive after the
 boundary; access episodes count only if they open after it; completed bits
 are attributed to their completion instant, so the throughput window is
-exact.
+exact. A run carries its workload, so its offered load and the access-delay
+bound of its sourced stations are worked out from the run alone.
 """
 
 from __future__ import annotations
@@ -89,18 +90,17 @@ def access_delay_bound_ms(
     return res.max_access_delay_ms
 
 
-def _ttrt_fields(
-    result: RunResult, access: SampleStats | None,
-    n_active: int | None, max_frame_bytes: int | None,
-) -> dict:
+def _ttrt_fields(result: RunResult, access: SampleStats | None) -> dict:
     """The report fields that depend on the run's TTRT: the access-delay
-    bound (when n_active and max_frame_bytes are given) checked against the
-    largest access delay, and the rotation bound checked against the longest
-    rotation, the one the run's end left open included."""
+    bound for the run's sourced stations and its workload's largest frame
+    (none on an idle ring), checked against the largest access delay, and
+    the rotation bound checked against the longest rotation, the one the
+    run's end left open included."""
     bound_ms = None
     exceeded = False
-    if n_active is not None and max_frame_bytes is not None:
-        bound_ms = access_delay_bound_ms(result, n_active, max_frame_bytes)
+    if result.workload is not None:
+        bound_ms = access_delay_bound_ms(result, len(result.sourced_stations),
+                                         result.workload.max_frame_bytes)
         if bound_ms is not None and access is not None:
             # max_ms is whole nanoseconds over NS_PER_MS, so it reads back exactly
             peak_ns = round(access.max_ms * NS_PER_MS)
@@ -111,18 +111,9 @@ def _ttrt_fields(
                 trt_bound_ok=rotation_ns < 2 * ttrt_ns)
 
 
-def summarize(
-    result: RunResult,
-    *,
-    offered_load_mbps: float | None = None,
-    n_active: int | None = None,
-    max_frame_bytes: int | None = None,
-) -> MetricsReport:
-    """Turn one run's samples into a MetricsReport.
-
-    Pass n_active and max_frame_bytes to have the analytical access-delay
-    bound computed and checked against the run's samples.
-    """
+def summarize(result: RunResult) -> MetricsReport:
+    """Turn one run's samples into a MetricsReport. The offered load and the
+    access-delay bound come from the run's workload; an idle run has neither."""
     b = result.boundary
     mark_ns = b.at_ns
     interval_ns = result.duration_ns - mark_ns
@@ -138,13 +129,15 @@ def summarize(
     responses = [c - a for a, c in result.response_samples if a >= mark_ns]
     accesses = [cap - start for start, cap in result.access_samples if start >= mark_ns]
     access = _stats(accesses, with_p95=False)
+    load = result.workload
 
     return MetricsReport(
         throughput_mbps=throughput,
         efficiency=throughput / LINE_RATE_MBPS,
         response_time=_stats(responses, with_p95=True),
         access_delay=access,
-        offered_load_mbps=offered_load_mbps,
+        offered_load_mbps=None if load is None else load.total_offered_load_mbps(
+            result.config.n_stations),
         measured_interval_ms=interval_ns / NS_PER_MS,
         warmup_ms=mark_ns / NS_PER_MS,
         warmup_frames_discarded=len(result.response_samples) - len(responses),
@@ -153,20 +146,13 @@ def summarize(
         completed_frames=result.completed_frames,
         max_rotation_ms=result.max_rotation_ms,
         seed=result.seed,
-        **_ttrt_fields(result, access, n_active, max_frame_bytes),
+        **_ttrt_fields(result, access),
     )
 
 
-def reuse_at(
-    report: MetricsReport,
-    result: RunResult,
-    *,
-    n_active: int | None = None,
-    max_frame_bytes: int | None = None,
-) -> MetricsReport:
+def reuse_at(report: MetricsReport, result: RunResult) -> MetricsReport:
     """The report `summarize` would give for `result`, a run that
     simcore.reuse_at handed out in place of the run `report` summarizes:
     the samples are the same, so only the fields of the TTRT are computed
-    again. n_active and max_frame_bytes are as for `summarize`."""
-    fields = _ttrt_fields(result, report.access_delay, n_active, max_frame_bytes)
-    return report._replace(**fields)
+    again."""
+    return report._replace(**_ttrt_fields(result, report.access_delay))

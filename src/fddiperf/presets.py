@@ -73,13 +73,18 @@ TABLE1_GOLDEN: dict[str, dict[float, tuple[float, float]]] = {
 def paper_round(value: float, places: int = 2) -> float:
     """Round half away from zero at the given decimal place, on the digits of
     repr(value), as the reference values were printed; round() would round the
-    binary value half to even. int / int rounds correctly, as float() would."""
+    binary value half to even. int / int rounds correctly, as float() would.
+    A float of 1e16 or more is a whole number, so it is its own rounding;
+    inf and nan raise ValueError."""
     text = repr(abs(value))
     whole, _, frac = text.partition(".")
     digits = whole + frac[:places].ljust(places, "0")
     if "e" in text or not digits.isdigit() or places < 0:
-        # an exponent, inf or nan: let decimal round it (or refuse it)
-        from decimal import ROUND_HALF_UP, Decimal
+        if not math.isfinite(value):
+            raise ValueError(f"cannot round {value!r} to {places} places")
+        if abs(value) >= 1e16 and places >= 0:
+            return value
+        from decimal import ROUND_HALF_UP, Decimal  # a small exponent or places < 0
         return float(Decimal(repr(value)).quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP))
     return math.copysign((int(digits) + (frac[places:places + 1] >= "5")) / 10 ** places, value)
 

@@ -59,9 +59,10 @@ the token's next event is compared against the earliest of them:
 - The warm-up snapshot is taken arithmetically when the first event at or
   after the mark is reached; events exactly at the mark stay outside it.
 
-A bursty run that the TTRT never bound (no holding cut short, every token
-usable) is also the run at any higher TTRT; `reuse_at` hands it out for one
-without simulating again.
+A RunResult carries the workload it simulated. A bursty run that the TTRT
+never bound (no holding cut short, every token usable) is also the run of
+that workload at any higher TTRT; `reuse_at` hands it out for one without
+simulating again.
 """
 
 from __future__ import annotations
@@ -217,10 +218,13 @@ class RunResult(SimpleNamespace):
     # the longest rotation the run's end left open: the run's length past
     # the stop that has waited longest for the token
     open_rotation_ns: int
+    # the traffic simulated, None on an idle ring
+    workload: object
 
-    def __init__(self, sourced_stations=(), budget_cuts=0, open_rotation_ns=0, **fields):
+    def __init__(self, sourced_stations=(), budget_cuts=0, open_rotation_ns=0, workload=None,
+                 **fields):
         super().__init__(**fields, sourced_stations=sourced_stations, budget_cuts=budget_cuts,
-                         open_rotation_ns=open_rotation_ns)
+                         open_rotation_ns=open_rotation_ns, workload=workload)
 
     def _replace(self, **changes) -> "RunResult":
         return RunResult(**{**vars(self), **changes})
@@ -286,8 +290,9 @@ def _trt_enforced(config: RingConfig, workload) -> bool:
     return _ns_from_ms(config.ttrt_ms) >= d_ns + n * tt_ns + tt_ns + max_frame_ns
 
 
-def certified(result: RunResult, workload) -> bool:
-    """Whether the TTRT never bound a run of this workload: see reuse_at."""
+def certified(result: RunResult) -> bool:
+    """Whether the TTRT never bound the run: see reuse_at."""
+    workload = result.workload
     if workload is None or isinstance(workload, SaturationWorkload):
         return False
     if result.budget_cuts or result.trt_violations:
@@ -301,8 +306,9 @@ def certified(result: RunResult, workload) -> bool:
 def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | None:
     """The run of `workload` on `config` without simulating it, when the TTRT
     provably cannot change it; else None. `result` must be a run of the same
-    workload, seed and run length, and `config` the same as its config with
-    only ttrt_ms changed, to a value no lower than before.
+    seed and run length; None when `workload` is not the run's own, or
+    `config` is other than its config with only ttrt_ms changed, to a value
+    no lower than before.
 
     The run at T1 = result's TTRT is certified when its ring is bursty, no
     holding released the token with frames still queued (budget_cuts == 0),
@@ -324,7 +330,7 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
     old = result.config
     if config.ttrt_ms < old.ttrt_ms or config != old._replace(ttrt_ms=config.ttrt_ms):
         return None
-    if not certified(result, workload):
+    if workload != result.workload or not certified(result):
         return None
     return result._replace(config=config, trt_bound_enforced=_trt_enforced(config, workload))
 
@@ -670,4 +676,5 @@ def run(
         sourced_stations=tuple(stops),
         budget_cuts=budget_cuts,
         open_rotation_ns=duration_ns - min(map(add, key, offset)),
+        workload=workload,
     )

@@ -59,16 +59,10 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[ACCEPTANCE] criterion {num} ({name}): {state}{suffix}")
 
 
-def _run_sim(label, config, load, duration_ms, seed, n_active):
+def _run_sim(label, config, load, duration_ms, seed):
     result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
     _ROTATION_LEDGER.append((label, config.ttrt_ms, result.max_rotation_ms))
-    report = metrics.summarize(
-        result,
-        n_active=n_active,
-        max_frame_bytes=load.max_frame_bytes,
-        offered_load_mbps=load.total_offered_load_mbps(config.n_stations),
-    )
-    return result, report
+    return result, metrics.summarize(result)
 
 
 def test_criterion_1_golden_table():
@@ -155,7 +149,7 @@ def test_criterion_4_simulator_cross_validation():
                 )
                 label = f"crossval:{preset_name}/{ttrt:g}ms/{n_active}"
                 result, report = _run_sim(
-                    label, config, load, CROSSVAL_DURATION_MS, seed=3, n_active=n_active
+                    label, config, load, CROSSVAL_DURATION_MS, seed=3
                 )
                 model = analytical.overflow_model(
                     RingParameters(
@@ -225,7 +219,7 @@ def test_criterion_6_figure_shapes():
             )
             _, report = _run_sim(
                 f"fig3:{load_pct}%/{ttrt:g}ms", config, wic,
-                simcore.DEFAULT_DURATION_MS, seed=5, n_active=presets.FIG3_STATIONS,
+                simcore.DEFAULT_DURATION_MS, seed=5,
             )
             if report.access_bound_exceeded:
                 problems.append(f"fig3 {load_pct}%/{ttrt}: access bound exceeded")
@@ -266,7 +260,7 @@ def test_criterion_6_figure_shapes():
 def test_criterion_7_fairness():
     config = RingConfig.uniform(10, 2.0, 4.0)
     load = SaturationWorkload(frame_bytes=4500)
-    _, report = _run_sim("fairness:10sat", config, load, 6000.0, seed=11, n_active=10)
+    _, report = _run_sim("fairness:10sat", config, load, 6000.0, seed=11)
     shares = report.station_throughput_mbps
     mean = sum(shares) / len(shares)
     dev = max(abs(s - mean) / mean for s in shares)
@@ -327,7 +321,7 @@ def test_criterion_5_rotation_bound():
         config = RingConfig.uniform(20, 4.0, 8.0, token_time_us=0.0)
         _run_sim(
             "fallback", config, SaturationWorkload(frame_bytes=512), 1000.0,
-            seed=1, n_active=20,
+            seed=1,
         )
     violations = [
         (label, ttrt, rot)

@@ -332,9 +332,9 @@ def test_reused_reports_are_the_reports_of_real_runs(tmp_path, monkeypatch):
     assert _run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     assert len(points) == 15
     assert reused
-    for (config, load, duration_ms, seed, n_active), report in points:
+    for (config, load, duration_ms, seed), report in points:
         result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
-        assert report == cli._summarize(result, load, n_active)
+        assert report == metrics.summarize(result)
 
 
 def test_token_that_never_returns_breaks_the_rotation_bound(capsys, tmp_path):
@@ -361,6 +361,38 @@ def test_non_finite_input_is_one_error_line(argv, capsys):
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert "finite" in err[0]
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["validate", "--ttrt", "8", "--ring-latency-ms", "1e300"], 1,
+     "min_legal_ttrt_ms: 1e+300 (rounds to 1e+300)"),
+    (["analyze", "--macs", "10", "--fiber-km", "1e300", "--ttrt", "8"], 1,
+     "ring_latency_ms: 5.085e+297 (rounds to 5.085e+297)"),
+])
+def test_huge_finite_input_is_reported(argv, code, line, capsys):
+    assert _run(argv) == code
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8"],  # latency is inf
+    ["sweep", "--var", "ttrt", "--grid", "1e300,1e305", "--macs", "10", "--fiber-km", "1"],
+])
+def test_input_that_overflows_is_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: cannot round")
+    assert not out.exists()
+
+
+def test_whole_ring_row_binds_every_station_without_a_list():
+    row = dict(mac_count=6, n_active=6, frame_bytes=100)
+    load = cli._build_workload(row)
+    assert load.stations is None
+    assert load.bind(6, 0) == load._replace(stations=tuple(range(6))).bind(6, 0)
+    assert cli._build_workload(dict(row, n_active=4)).stations == (0, 1, 2, 3)
 
 
 def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):

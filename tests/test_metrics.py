@@ -103,11 +103,15 @@ def test_warmup_filters_by_episode_start():
 def test_idle_run_reports_zero_efficiency():
     cfg = RingConfig.uniform(4, 2.0, 8.0)
     res = run(cfg, None, duration_ms=20.0, seed=0)
+    assert res.workload is None
     rep = summarize(res)
     assert rep.efficiency == 0.0
     assert rep.response_time is None
     assert rep.completed_frames == 0
     assert rep.trt_bound_ok
+    # with no traffic there is neither an offered load nor an access bound
+    assert rep.offered_load_mbps is None
+    assert rep.access_bound_ms is None
 
 
 def test_single_frame_response_decomposition():
@@ -132,12 +136,7 @@ def test_throughput_equals_load_below_saturation():
     w = WicWorkload.for_utilization(0.58, n)
     cfg = RingConfig.uniform(n, 8.0, 8.0)
     res = run(cfg, w, duration_ms=2000.0, seed=17)
-    rep = summarize(
-        res,
-        offered_load_mbps=w.total_offered_load_mbps(n),
-        n_active=n,
-        max_frame_bytes=w.max_frame_bytes,
-    )
+    rep = summarize(res)
     assert rep.throughput_mbps == pytest.approx(rep.offered_load_mbps, rel=0.02)
     assert 0.0 <= rep.efficiency <= 1.0
     assert not rep.access_bound_exceeded
@@ -149,25 +148,21 @@ def test_saturated_efficiency_matches_reference_cell():
     cfg = RingConfig.uniform(20, 4.0, 8.0, token_time_us=0.0)
     w = SaturationWorkload(frame_bytes=512)
     res = run(cfg, w, duration_ms=1500.0, seed=2)
-    rep = summarize(res, n_active=20, max_frame_bytes=512)
+    rep = summarize(res)
     assert rep.efficiency == pytest.approx(0.9947, rel=0.02)
-    assert rep.offered_load_mbps is None  # not passed through here
-    rep2 = summarize(
-        res, offered_load_mbps=math.inf, n_active=20, max_frame_bytes=512
-    )
-    assert rep2.offered_load_mbps == math.inf
+    assert rep.offered_load_mbps == math.inf
 
 
 def test_access_bound_reported_and_checked():
     cfg = RingConfig.uniform(4, 5.0, 8.0, token_time_us=0.0)
     w = SaturationWorkload(frame_bytes=512)
     res = run(cfg, w, duration_ms=500.0, seed=3)
-    rep = summarize(res, n_active=4, max_frame_bytes=512)
+    rep = summarize(res)
     assert rep.access_bound_ms is not None
     assert not rep.access_bound_exceeded
     assert rep.access_delay.max_ms <= rep.access_bound_ms + 1e-6
-    # without workload context the bound is not computed
-    assert summarize(res).access_bound_ms is None
+    # an idle run has none
+    assert summarize(run(cfg, None, duration_ms=500.0, seed=3)).access_bound_ms is None
 
 
 def test_access_bound_is_exceeded_one_nanosecond_past_its_slack():
@@ -178,18 +173,42 @@ def test_access_bound_is_exceeded_one_nanosecond_past_its_slack():
     bound_ms = access_delay_bound_ms(plain, 2, 512)
     limit_ns = int(round(bound_ms * NS_PER_MS)) + 1
     for over in (0, 1):
-        res = _result_with_samples(accesses=[(mark, mark + limit_ns + over)])
-        rep = summarize(res, n_active=2, max_frame_bytes=512)
+        res = _result_with_samples(accesses=[(mark, mark + limit_ns + over)])._replace(
+            workload=SaturationWorkload(frame_bytes=512), sourced_stations=(0, 1))
+        rep = summarize(res)
         assert rep.access_bound_ms == bound_ms
         assert rep.access_bound_exceeded is bool(over)
-        assert reuse_at(rep, res, n_active=2, max_frame_bytes=512) == rep
+        assert reuse_at(rep, res) == rep
+
+
+_SUBSET_LOADS = {
+    "saturated": (SaturationWorkload(frame_bytes=1000, stations=(2, 5, 7)), (2, 5, 7), math.inf),
+    "wic": (WicWorkload.for_utilization(0.3, 10, stations=(0, 1, 2, 3)), (0, 1, 2, 3),
+            4 * WicWorkload.for_utilization(0.3, 10).offered_load_mbps()),
+    "scripted": (ScriptedWorkload({1: [(0.5, [100, 300])], 6: [(1.0, [200])]}), (1, 6), None),
+}
+
+
+@pytest.mark.parametrize("name", _SUBSET_LOADS)
+def test_summary_takes_its_bound_and_offered_load_from_the_run(name):
+    # the bound counts the stations the run sourced and its workload's
+    # largest frame; the offered load is the workload's over the ring
+    load, stations, offered = _SUBSET_LOADS[name]
+    result = run(RingConfig.uniform(10, 2.0, 8.0), load, duration_ms=50.0, seed=5)
+    assert result.workload == load
+    assert result.sourced_stations == stations
+    rep = summarize(result)
+    bound_ms = access_delay_bound_ms(result, len(stations), load.max_frame_bytes)
+    assert bound_ms is not None
+    assert rep.access_bound_ms == bound_ms
+    assert rep.offered_load_mbps == offered
 
 
 def test_station_throughput_shares():
     cfg = RingConfig.uniform(4, 2.0, 8.0, token_time_us=0.0)
     w = SaturationWorkload(frame_bytes=512, stations=(0, 1))
     res = run(cfg, w, duration_ms=500.0, seed=4)
-    rep = summarize(res, n_active=2, max_frame_bytes=512)
+    rep = summarize(res)
     assert rep.station_throughput_mbps[2] == 0.0
     assert rep.station_throughput_mbps[3] == 0.0
     active = rep.station_throughput_mbps[:2]

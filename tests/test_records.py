@@ -29,7 +29,7 @@ def _bursty_run(ttrt_ms: float = 8.0) -> RunResult:
 
 def _records() -> list:
     result = _bursty_run()
-    report = summarize(result, n_active=6, max_frame_bytes=512)
+    report = summarize(result)
     return [
         RingParameters(4, 8.0, 0.1, 0.04), PhysicalRing(1.0, 4),
         basic_model(RingParameters(4, 8.0, 0.1)), validate_ttrt(3.0, 0.1),
@@ -138,10 +138,12 @@ def test_run_result_is_weakly_referenced_and_compared_field_by_field():
 def test_run_result_defaults():
     result = _bursty_run()
     fields = {k: v for k, v in vars(result).items()
-              if k not in ("sourced_stations", "budget_cuts", "open_rotation_ns")}
+              if k not in ("sourced_stations", "budget_cuts", "open_rotation_ns", "workload")}
     bare = RunResult(**fields)
-    assert (bare.sourced_stations, bare.budget_cuts, bare.open_rotation_ns) == ((), 0, 0)
-    assert bare == RunResult(**fields, sourced_stations=(), budget_cuts=0, open_rotation_ns=0)
+    assert (bare.sourced_stations, bare.budget_cuts, bare.open_rotation_ns,
+            bare.workload) == ((), 0, 0, None)
+    assert bare == RunResult(**fields, sourced_stations=(), budget_cuts=0, open_rotation_ns=0,
+                             workload=None)
 
 
 def test_importing_the_cli_loads_no_slow_module():

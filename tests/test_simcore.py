@@ -64,14 +64,14 @@ def test_ring_latency_is_the_simulated_rotation_on_uneven_hops():
     res = run(cfg, None, duration_ms=1.0)
     assert cfg.ring_latency_ms * NS_PER_MS == res.max_rotation_ns
     saturated = run(cfg, SaturationWorkload(1, (0,)), duration_ms=40.0)
-    assert not metrics.summarize(saturated, n_active=1, max_frame_bytes=1).access_bound_exceeded
+    assert not metrics.summarize(saturated).access_bound_exceeded
 
 
 def test_access_bound_counts_token_time_in_simulated_nanoseconds():
     # a 0.0006 us token time is charged as 1 ns at each of the 1000 hops
     cfg = RingConfig.uniform(1000, 200.0, 8.0, token_time_us=0.0006)
     res = run(cfg, SaturationWorkload(1, (0,)), duration_ms=100.0)
-    assert not metrics.summarize(res, n_active=1, max_frame_bytes=1).access_bound_exceeded
+    assert not metrics.summarize(res).access_bound_exceeded
 
 
 def test_single_station_saturated_cycle():
@@ -93,7 +93,7 @@ def test_single_station_saturated_cycle():
     assert res.max_rotation_ns == kf_ns + d_ns
     assert res.rotation_count == 2 * (res.duration_ns // cycle_ns) + 1
     # measured efficiency matches the overflow model closely
-    rep = metrics.summarize(res, n_active=1, max_frame_bytes=100)
+    rep = metrics.summarize(res)
     model = overflow_model(
         RingParameters(1, 5.0, cfg.ring_latency_ms, frame_time_ms(100))
     )
@@ -129,14 +129,18 @@ def test_budget_cut_is_counted_and_binds_the_ttrt():
     script = ScriptedWorkload({0: [(0.0, [4500] * 20)]})
     cut = run(_single_station_config(4.0), script, duration_ms=30.0)
     assert cut.budget_cuts == 1
-    assert not simcore.certified(cut, script)
+    assert not simcore.certified(cut)
     assert simcore.reuse_at(cut, _single_station_config(8.0), script) is None
     free = run(_single_station_config(8.0), script, duration_ms=30.0)
     assert free.budget_cuts == 0
-    assert simcore.certified(free, script)
+    assert simcore.certified(free)
     wide = _single_station_config(20.0)
     assert simcore.reuse_at(free, wide, script) == run(wide, script, duration_ms=30.0)
     assert simcore.reuse_at(free, _single_station_config(4.0), script) is None
+    # the run stands in only for its own workload
+    other = ScriptedWorkload({0: [(0.0, [4500] * 19)]})
+    assert simcore.reuse_at(free, wide, other) is None
+    assert simcore.reuse_at(free, wide, None) is None
 
 
 def test_rotation_the_run_end_leaves_open_counts_against_the_bound():
@@ -307,7 +311,7 @@ def _traced_lines(n_stations: int) -> tuple[int, int]:
 
     def once():
         result = run(config, load, duration_ms=400.0, seed=1)
-        metrics.summarize(result, n_active=n_stations, max_frame_bytes=4500)
+        metrics.summarize(result)
         return len(result.access_samples)
 
     once()  # untraced first, so that per-ring caches are warm for both sizes

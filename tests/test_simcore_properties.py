@@ -73,13 +73,13 @@ def rings(draw, min_sourced: int, max_stations: int, ttrt=LEGAL_TTRT_MS):
     return config, tuple(sorted(stations))
 
 
-def _check_run(result, stations, n_active, max_frame_bytes):
+def _check_run(result, stations):
     assert result.busy_ns + result.idle_ns + result.overhead_ns == result.duration_ns
     assert sum(result.station_bits) == result.completed_bits
     assert all(bits == 0 for i, bits in enumerate(result.station_bits) if i not in stations)
     if result.trt_bound_enforced:
         assert result.max_rotation_ns < 2 * result.config.ttrt_ms * NS_PER_MS
-    report = summarize(result, n_active=n_active, max_frame_bytes=max_frame_bytes)
+    report = summarize(result)
     assert not report.access_bound_exceeded
     return report
 
@@ -144,8 +144,8 @@ def test_saturated_random_rings(ring, frame_bytes, rotations):
     result = run(config, load, duration_ms=rotations * max(config.ttrt_ms, d_ms), seed=0)
     walk = _walk(config, frame_bytes, stations, result.duration_ns)
     assert {name: getattr(result, name) for name in walk} == walk
-    report = _check_run(result, stations, len(stations), frame_bytes)
-    assert not certified(result, load)
+    report = _check_run(result, stations)
+    assert not certified(result)
     assert reuse_at(result, config._replace(ttrt_ms=config.ttrt_ms + 1.0), load) is None
     if not (config.async_overflow and stations):
         return
@@ -178,7 +178,7 @@ def test_saturated_short_runs(ring, frame_bytes, rotations, after_holding):
     result = run(config, load, duration_ms=duration_ms, seed=0)
     walk = _walk(config, frame_bytes, stations, result.duration_ns)
     assert {name: getattr(result, name) for name in walk} == walk
-    _check_run(result, stations, len(stations), frame_bytes)
+    _check_run(result, stations)
 
 
 @RANDOM_RINGS
@@ -188,7 +188,7 @@ def test_bursty_random_rings(ring, utilization, duration_ms, seed):
     config, stations = ring
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
     result = run(config, load, duration_ms=duration_ms, seed=seed)
-    _check_run(result, stations, len(stations), load.max_frame_bytes)
+    _check_run(result, stations)
 
 
 def _one_station(hop_us: float, overflow: bool):
@@ -215,12 +215,9 @@ def test_certified_run_is_the_run_at_every_higher_ttrt(ring, utilization, durati
     high = low._replace(ttrt_ms=t1_ms * factor)
     result = run(low, load, duration_ms=duration_ms, seed=seed)
     reused = reuse_at(result, high, load)
-    assert (reused is not None) == certified(result, load)
+    assert (reused is not None) == certified(result)
     if reused is not None:
         rerun = run(high, load, duration_ms=duration_ms, seed=seed)
         assert rerun == reused
         # so does the report, once the fields of the TTRT are recomputed
-        bound = dict(n_active=len(stations), max_frame_bytes=load.max_frame_bytes)
-        report = summarize(result, offered_load_mbps=1.0, **bound)
-        assert metrics.reuse_at(report, reused, **bound) == summarize(
-            rerun, offered_load_mbps=1.0, **bound)
+        assert metrics.reuse_at(summarize(result), reused) == summarize(rerun)

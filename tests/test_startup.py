@@ -104,14 +104,21 @@ def _decimal_round(value: float, places: int) -> float:
 @example(1.5e+16, 2)
 @example(1e+30, 2)
 @example(12345678901.125, 2)  # a tie with eleven whole digits
+@example(-1.5e+20, 2)
+@example(1e+300, 3)  # past decimal's context, and returned as it is
 def test_paper_round_matches_decimal(value, places):
     try:
         expected = _decimal_round(value, places)
-    except InvalidOperation:  # too many digits for decimal's context
-        with pytest.raises(InvalidOperation):
-            paper_round(value, places)
+    except InvalidOperation:  # too many digits for decimal's context: a whole number
+        assert paper_round(value, places) == value
         return
     assert repr(paper_round(value, places)) == repr(expected)  # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_paper_round_refuses_what_is_not_finite(value):
+    with pytest.raises(ValueError):
+        paper_round(value)
 
 
 def _fmt(value) -> str:
