@@ -34,15 +34,17 @@ the token's next event is compared against the earliest of them:
 - A stretch of passes with no capture is one closed-form step on a
   saturated ring and on an idle bursty ring. Bisection over the keys finds
   the next usable stop (none on an idle ring, nor in lap 0 once one stop
-  could not use the token), bisection over the offsets the first pass at
-  or after the next burst, the warm-up mark or the end, and slice
-  assignments set the clock of every stop passed. After lap 0 the
+  could not use the token), and bisection over the offsets the first pass
+  at or after the next burst, the warm-up mark or the end. After lap 0 the
   stretch's first rotation is its largest and the rotations of 2 x TTRT or
   more are a prefix of it; in lap 0, which ends a stretch at its wrap, the
   last is the largest and they are a suffix. Each capture and the passes
   of a busy bursty ring go through an inline loop, a few integer updates
-  per pass. The per-ring set-up is done in whole-list operations, so a
-  run's Python work grows with its captures, not with its stations.
+  per pass. A saturated ring keeps its keys as runs of stops that share
+  one key, so a stretch, a read and the run's end cost O(runs); a bursty
+  ring's busy passes read and set one key each, in a plain list. The
+  per-ring set-up is done in whole-list operations, so a run's Python
+  work grows with its captures, not with its stations.
 - A holding period is one step. A ring is saturated or bursty as a whole.
   On a saturated ring every sourced station is always backlogged and sends
   ceil(THT / F) frames with overflow, floor(THT / F) without; on a bursty
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappush, heappop
 from itertools import accumulate, compress, repeat
 from operator import add, is_not, mul, neg, sub, truediv
@@ -261,33 +263,78 @@ def _by_station(bits: list[int], stops: list[int], n: int) -> tuple[int, ...]:
     return tuple(map(dict(zip(stops, bits)).get, range(n), repeat(0)))
 
 
-def _leading_passes(key: list[int], k: int, c: int, period: int, bound: int, cap: int) -> int:
+class _LapClocks:
+    """A saturated ring's lap-clock keys as runs: keys[r] is the key of stops
+    starts[r] to starts[r + 1] - 1. The stops from `reached` on, which lap 0
+    has not passed, keep their key of -offset[j] without a run."""
+
+    __slots__ = ("offset", "starts", "keys", "reached")
+
+    def __init__(self, offset: list[int]):
+        self.offset, self.starts, self.keys, self.reached = offset, [], [], 0
+
+    def __getitem__(self, j: int) -> int:
+        if j >= self.reached:
+            return -self.offset[j]
+        return self.keys[bisect_right(self.starts, j) - 1]
+
+    def __setitem__(self, j: int, c: int) -> None:
+        self.fill(j, j + 1, c)
+
+    def fill(self, lo: int, hi: int, c: int) -> None:
+        """Set the keys of stops lo to hi - 1 to c; lo is at most `reached`."""
+        if lo >= hi:
+            return
+        starts, keys = self.starts, self.keys
+        a = bisect_left(starts, lo)
+        b = bisect_left(starts, hi)
+        if hi >= self.reached:
+            self.reached = hi
+        elif b == len(starts) or starts[b] != hi:
+            starts.insert(b, hi)  # stop hi keeps the key of the run it was in
+            keys.insert(b, keys[b - 1])
+        starts[a:b] = (lo,)
+        keys[a:b] = (c,)
+
+    def first_above(self, x: int, lo: int, hi: int) -> int:
+        """bisect_right(key, x, lo, hi) over keys that do not decrease from
+        stop lo to stop hi - 1, all of them past lap 0."""
+        starts = self.starts
+        b = bisect_left(starts, hi)  # the runs from the one holding lo to b - 1 cover them
+        r = bisect_right(self.keys, x, bisect_right(starts, lo) - 1, b)
+        return hi if r == b else max(starts[r], lo)
+
+    def earliest(self) -> int:
+        """The least key + offset: the earliest of the stops' last arrivals."""
+        if self.reached < len(self.offset):
+            return 0  # a stop lap 0 has not reached last saw the token at t = 0
+        return min(map(add, self.keys, map(self.offset.__getitem__, self.starts)))
+
+
+def _leading_passes(above, nst: int, k: int, c: int, period: int, bound: int, cap: int) -> int:
     """How many of the first `cap` passes from stop k at lap clock c, with
-    no capture, measure a rotation of at least `bound`. The keys after lap 0
-    ascend from stop k to the last stop and from stop 0 to stop k - 1, so
-    the rotations never grow along the passes and those passes lead them:
+    no capture, measure a rotation of at least `bound`; above(x, lo, hi) is
+    bisect_right(key, x, lo, hi) over the nst stops' keys. The keys after
+    lap 0 ascend from stop k to the last stop and from stop 0 to stop k - 1,
+    so the rotations never grow along the passes and those passes lead them:
     the stops from k on at clock c, the stops before k one period later,
     then every stop once per period with a rotation of exactly one period."""
-    nst = len(key)
-    i = bisect_right(key, c - bound, k)
+    i = above(c - bound, k, nst)
     if i < nst:
         return min(i - k, cap)
-    i = bisect_right(key, c + period - bound, 0, k)
+    i = above(c + period - bound, 0, k)
     if i < k or period < bound:
         return min(nst - k + i, cap)
     return cap
 
 
-def _trt_enforced(config: RingConfig, workload) -> bool:
-    """Whether the TTRT covers the ring's effective latency (its hops'
-    propagation, repeat delays and one token time per hop, plus one more)
+def _trt_enforced(config: RingConfig, workload, period: int) -> bool:
+    """Whether the TTRT covers one idle rotation `period` of the ring (its
+    hops' propagation, repeat delays and token times), one more token time
     and one maximum-size frame of the workload, so that every rotation
     must stay below 2 x TTRT."""
-    n = config.n_stations
-    tt_ns = _ns_from_us(config.token_time_us)
-    d_ns = sum(_hop_ns(config.segment_delays_us)) + n * _ns_from_us(STATION_DELAY_US)
     max_frame_ns = (workload.max_frame_bytes if workload is not None else 0) * NS_PER_BYTE
-    return _ns_from_ms(config.ttrt_ms) >= d_ns + n * tt_ns + tt_ns + max_frame_ns
+    return _ns_from_ms(config.ttrt_ms) >= period + _ns_from_us(config.token_time_us) + max_frame_ns
 
 
 def certified(result: RunResult) -> bool:
@@ -332,7 +379,10 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
         return None
     if workload != result.workload or not certified(result):
         return None
-    return result._replace(config=config, trt_bound_enforced=_trt_enforced(config, workload))
+    period = sum(_hop_ns(config.segment_delays_us)) + config.n_stations * (
+        _ns_from_us(STATION_DELAY_US) + _ns_from_us(config.token_time_us))
+    return result._replace(config=config,
+                           trt_bound_enforced=_trt_enforced(config, workload, period))
 
 
 def run(
@@ -353,7 +403,6 @@ def run(
     n = config.n_stations
     sd_ns = _ns_from_us(STATION_DELAY_US)
     tt_ns = _ns_from_us(config.token_time_us)
-    seg_ns = _hop_ns(config.segment_delays_us)
     ttrt_ns = _ns_from_ms(config.ttrt_ms)
     two_ttrt = 2 * ttrt_ns
     check_finite(duration_ms=duration_ms)
@@ -363,8 +412,10 @@ def run(
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    # pre[i]: the time from station 0 to station i in an idle rotation
-    pre = [0, *accumulate(map(add, seg_ns, repeat(sd_ns + tt_ns)))]
+    # hops[i]: the token's travel time from station i to the next; pre[i]:
+    # the time from station 0 to station i in an idle rotation
+    hops = list(map(add, _hop_ns(config.segment_delays_us), repeat(sd_ns + tt_ns)))
+    pre = [0, *accumulate(hops)]
     period = pre[n]  # one idle rotation
 
     sources = list(workload.bind(n, seed)) if workload is not None else [None] * n
@@ -373,21 +424,23 @@ def run(
     # The token only stops at sourced stations (station 0 on a ring without
     # any); per-stop state is indexed by position k in `stops`. A saturated
     # ring's stops always have a frame of sat bytes; a bursty ring's have feeds.
-    stops = list(compress(range(n), map(is_not, sources, repeat(None))))
+    stops = (list(compress(range(n), map(is_not, sources, repeat(None))))
+             if None in sources else range(n))
     sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
     feeds = [] if sat else list(map(sources.__getitem__, stops))
     stops = stops or [0]
     nst = len(stops)
     # offset[k]: stop k's offset from stop 0 in an idle rotation; leap[k]:
     # the token's travel time from stop k to the next
-    offset = pre[:n] if nst == n else list(
-        map(sub, map(pre.__getitem__, stops), repeat(pre[stops[0]])))
-    leap = list(map(sub, offset[1:], offset))
-    leap.append(period - offset[-1])
+    if nst == n:
+        offset, leap = pre[:n], hops
+    else:
+        offset = list(map(sub, map(pre.__getitem__, stops), repeat(pre[stops[0]])))
+        leap = list(map(sub, [*offset[1:], period], offset))
     if min(leap) <= 0:
         raise ValueError("the token must take time to travel between sourced stations")
 
-    trt_enforced = _trt_enforced(config, workload)
+    trt_enforced = _trt_enforced(config, workload, period)
     # a saturated stop can use the token while its rotation is below gap
     gap = ttrt_ns if overflow else ttrt_ns - sat * NS_PER_BYTE + 1
 
@@ -411,7 +464,15 @@ def run(
 
     # Rotation clocks as lap-clock keys: key[k] is stop k's last arrival
     # less offset[k]; before lap 0 every stop last saw the token at t = 0.
-    key = list(map(neg, offset))
+    if sat:
+        key = _LapClocks(offset)
+        fill, above = key.fill, key.first_above
+    else:
+        key = list(map(neg, offset))
+        above = partial(bisect_right, key)
+
+        def fill(lo: int, hi: int, c: int) -> None:
+            key[lo:hi] = [c] * (hi - lo)
     # a saturated stop never queues: the token reads its frame size from sat
     queues: list[deque | None] = [None] * nst if sat else [deque() for _ in range(nst)]
     want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
@@ -518,7 +579,7 @@ def run(
                     # if stop k cannot use the token, no later stop of the lap can
                     n_pass = 0 if sat and t < gap else min(n_pass, nst - k)
                 elif sat:
-                    n_pass = _leading_passes(key, k, c, period, gap, n_pass)
+                    n_pass = _leading_passes(above, nst, k, c, period, gap, n_pass)
                 if n_pass:
                     last = k + n_pass - 1 if lap0 else k
                     trt = c - key[last]  # the stretch's largest rotation
@@ -529,19 +590,18 @@ def run(
                         v = bisect_left(offset, two_ttrt - c, k, last) if lap0 else k
                         if trt_enforced:
                             raise _rotation_error(c - key[v], stops[v], ttrt_ns)
-                        trt_violations += (last + 1 - v if lap0 else
-                                           _leading_passes(key, k, c, period, two_ttrt, n_pass))
+                        trt_violations += (last + 1 - v if lap0 else _leading_passes(
+                            above, nst, k, c, period, two_ttrt, n_pass))
                     rotation_count += n_pass
                     # the token stops at i after `laps` wraps; each stop
                     # passed keeps the lap clock of its last pass
                     laps, i = divmod(k + n_pass, nst)
                     if laps:
                         c += laps * period
-                        key[:i] = [c] * i
-                        lo = max(i, k) if laps == 1 else i
-                        key[lo:] = [c - period] * (nst - lo)
+                        fill(0, i, c)
+                        fill(max(i, k) if laps == 1 else i, nst, c - period)
                     else:
-                        key[k:i] = [c] * (i - k)
+                        fill(k, i, c)
                     k = i
                     t = c + offset[k]
                     if t >= limit or lap0:
@@ -675,6 +735,6 @@ def run(
         boundary=boundary,
         sourced_stations=tuple(stops),
         budget_cuts=budget_cuts,
-        open_rotation_ns=duration_ns - min(map(add, key, offset)),
+        open_rotation_ns=duration_ns - (key.earliest() if sat else min(map(add, key, offset))),
         workload=workload,
     )

@@ -11,7 +11,9 @@ each edge of the measured window W and one frame F credited at each edge.
 A saturated run must also be the run of a pass-by-pass reference walk, on
 rings whose TTRT reaches below the ring latency, both over tens of
 rotations and over runs short enough that lap 0, in which every stop last
-saw the token at t = 0, meets the warm-up mark or the end.
+saw the token at t = 0, meets the warm-up mark or the end. The run-length
+lap-clock keys of a saturated ring must answer as a plain list of keys does
+under random fills and single sets, from lap 0 on.
 
 The TTRT-binding certificate is checked the same way: whenever
 `simcore.reuse_at` stands a bursty run at T1 in for a higher T2, the run at
@@ -21,7 +23,9 @@ recomputed must equal the rerun's, and a saturated run is never certified.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
+from operator import add
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,7 +45,7 @@ from fddiperf.analytical import (
 )
 from fddiperf.metrics import summarize
 from fddiperf.simcore import (
-    NS_PER_BYTE, NS_PER_MS, NS_PER_US, RingConfig, certified, reuse_at, run)
+    NS_PER_BYTE, NS_PER_MS, NS_PER_US, RingConfig, _LapClocks, certified, reuse_at, run)
 from fddiperf.workload import SaturationWorkload, WicWorkload
 
 RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
@@ -124,6 +128,7 @@ def _walk(config, frame_bytes, stations, duration_ns):
         t += leap[k]
         k = (k + 1) % len(stops)
     out["station_bits"] = tuple(bits)
+    out["open_rotation_ns"] = duration_ns - min(last)
     rest = duration_ns - out["busy_ns"]
     out["overhead_ns"], out["idle_ns"] = (rest, 0) if stations else (0, rest)
     return out
@@ -136,6 +141,10 @@ def _walk(config, frame_bytes, stations, duration_ns):
 # next usable stop lies past the wrap but ahead of the token's index.
 @example((RingConfig.uniform(10, 55.0, 5.0, token_time_us=0.0, async_overflow=False),
           tuple(range(10))), 3225, 20)
+# The largest ring at TTRT 8 ms, every station sourced and a scattered subset:
+# after each holding one stretch passes a whole lap across the wrap.
+@example((RingConfig.uniform(1000, 200.0, 8.0), tuple(range(1000))), 100, 10)
+@example((RingConfig.uniform(1000, 200.0, 8.0), tuple(range(3, 1000, 7))), 100, 10)
 def test_saturated_random_rings(ring, frame_bytes, rotations):
     config, stations = ring
     load = SaturationWorkload(frame_bytes, stations)
@@ -179,6 +188,39 @@ def test_saturated_short_runs(ring, frame_bytes, rotations, after_holding):
     walk = _walk(config, frame_bytes, stations, result.duration_ns)
     assert {name: getattr(result, name) for name in walk} == walk
     _check_run(result, stations)
+
+
+@RANDOM_RINGS
+@given(st.lists(st.integers(1, 50), max_size=11),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 12), st.integers(0, 50)),
+                max_size=40))
+def test_lap_clock_runs_match_a_plain_list(gaps, steps):
+    # stops at strictly ascending offsets; each step sets the keys of stops
+    # lo to hi - 1 (one stop: a single set) to a lap clock that never falls,
+    # from a stop that lap 0 has reached, as a run's stretches and captures do
+    offset = [0, *accumulate(gaps)]
+    n = len(offset)
+    plain = [-o for o in offset]
+    runs = _LapClocks(offset)
+    c = 0
+    for lo, size, rise in steps:
+        lo = min(lo, runs.reached, n - 1)
+        hi = min(lo + size, n)
+        c += rise
+        if size == 1:
+            runs[lo] = c
+        else:
+            runs.fill(lo, hi, c)
+        plain[lo:hi] = [c] * (hi - lo)
+        assert [runs[j] for j in range(n)] == plain
+        assert runs.earliest() == min(map(add, plain, offset))
+        # first_above on every longest range of keys past lap 0 that do not fall
+        for a in range(runs.reached):
+            b = a + 1
+            while b < runs.reached and plain[b - 1] <= plain[b]:
+                b += 1
+            for x in {v + d for v in plain[a:b] for d in (-1, 0)}:
+                assert runs.first_above(x, a, b) == bisect_right(plain, x, a, b)
 
 
 @RANDOM_RINGS
