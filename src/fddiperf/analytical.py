@@ -132,42 +132,51 @@ def ring_latency(ring: PhysicalRing) -> float:
     return us / _MS_TO_US
 
 
-def _usable_budget_us(p: RingParameters) -> float:
-    """Per-rotation transmission budget in us; raises when latency eats it."""
-    t_us = p.ttrt_ms * _MS_TO_US
-    d_us = p.ring_latency_ms * _MS_TO_US
+def heavy_load(n_active: int, ttrt_ms: float, ring_latency_ms: float,
+               frame_time_ms: float | None = None) -> tuple[float, float, int | None]:
+    """(efficiency, max access delay in ms, frames per opportunity) under
+    heavy load: the basic model when frame_time_ms is None (no frame count),
+    else the overflow model. The arguments are a RingParameters' fields,
+    unchecked. Raises RingSaturatedError when ttrt <= ring_latency; a clamped
+    zero would hide an unusable configuration from parameter sweeps."""
+    t_us = ttrt_ms * _MS_TO_US
+    d_us = ring_latency_ms * _MS_TO_US
     if t_us <= d_us:
         raise RingSaturatedError(
-            f"TTRT {p.ttrt_ms} ms does not exceed ring latency {p.ring_latency_ms} ms"
+            f"TTRT {ttrt_ms} ms does not exceed ring latency {ring_latency_ms} ms"
         )
-    return t_us - d_us
+    n = n_active
+    if frame_time_ms is None:
+        delay_us = (n - 1) * t_us + 2.0 * d_us
+        return n * (t_us - d_us) / (n * t_us + d_us), delay_us / _MS_TO_US, None
+    # Asynchronous overflow: the frame in progress when the holding budget
+    # expires is completed, so each opportunity carries k whole frames, k*F
+    # being the budget rounded up to a frame boundary.
+    ratio = (t_us - d_us) / (frame_time_ms * _MS_TO_US)
+    k = round(ratio)
+    if not (k >= 1 and abs(ratio - k) <= _FRAME_SNAP_REL * k):
+        k = max(1, math.ceil(ratio))
+    kf_us = k * frame_time_ms * _MS_TO_US
+    return (n * kf_us / (n * (kf_us + d_us) + d_us),
+            ((n - 1) * (kf_us + d_us) + 2.0 * d_us) / _MS_TO_US, k)
 
 
 def efficiency(p: RingParameters) -> float:
-    """Usable bandwidth as a fraction of the line rate under heavy load.
-
-    Raises RingSaturatedError when ttrt <= ring_latency; a clamped zero
-    would hide an unusable configuration from parameter sweeps.
-    """
-    budget_us = _usable_budget_us(p)
-    t_us = p.ttrt_ms * _MS_TO_US
-    d_us = p.ring_latency_ms * _MS_TO_US
-    return p.n_active * budget_us / (p.n_active * t_us + d_us)
+    """Usable bandwidth as a fraction of the line rate under heavy load."""
+    return heavy_load(p.n_active, p.ttrt_ms, p.ring_latency_ms)[0]
 
 
 def max_access_delay(p: RingParameters) -> float:
-    """Worst-case wait for a usable token in ms. With a single active
-    station this is twice the ring latency: every alternate token it
-    receives is unusable."""
-    t_us = p.ttrt_ms * _MS_TO_US
-    d_us = p.ring_latency_ms * _MS_TO_US
-    return ((p.n_active - 1) * t_us + 2.0 * d_us) / _MS_TO_US
+    """Worst-case wait for a usable token in ms, raising RingSaturatedError
+    as efficiency does. With a single active station this is twice the ring
+    latency: every alternate token it receives is unusable."""
+    return heavy_load(p.n_active, p.ttrt_ms, p.ring_latency_ms)[1]
 
 
 def basic_model(p: RingParameters) -> AnalyticalResult:
     """Efficiency and max access delay with the holding budget treated as
     exactly spendable (no frame quantization)."""
-    return AnalyticalResult(efficiency(p), max_access_delay(p))
+    return AnalyticalResult(*heavy_load(p.n_active, p.ttrt_ms, p.ring_latency_ms))
 
 
 def single_station_efficiency(ttrt_ms: float, ring_latency_ms: float) -> float:
@@ -188,35 +197,18 @@ def asymptotic_efficiency(ttrt_ms: float, ring_latency_ms: float) -> float:
     return 1.0 - ring_latency_ms / ttrt_ms
 
 
+def overflow_model(p: RingParameters) -> AnalyticalResult:
+    """Heavy-load prediction with asynchronous overflow, frame_time_ms
+    given. When k*F lands exactly on the budget this reduces to basic_model."""
+    if p.frame_time_ms is None:
+        raise ValueError("frame_time_ms is required")
+    return AnalyticalResult(*heavy_load(*p))
+
+
 def frames_per_opportunity(p: RingParameters) -> int:
     """Whole frames a saturated station sends per usable token: the holding
     budget rounded up to the next frame boundary."""
-    if p.frame_time_ms is None:
-        raise ValueError("frame_time_ms is required")
-    budget_us = _usable_budget_us(p)
-    frame_us = p.frame_time_ms * _MS_TO_US
-    ratio = budget_us / frame_us
-    nearest = round(ratio)
-    if nearest >= 1 and abs(ratio - nearest) <= _FRAME_SNAP_REL * nearest:
-        return int(nearest)
-    return max(1, math.ceil(ratio))
-
-
-def overflow_model(p: RingParameters) -> AnalyticalResult:
-    """Heavy-load prediction with asynchronous overflow: the frame in
-    progress when the holding budget expires is completed, so each
-    opportunity carries k whole frames where k*F is the budget rounded up
-    to a frame boundary.
-
-    When k*F lands exactly on the budget this reduces to basic_model.
-    """
-    k = frames_per_opportunity(p)
-    d_us = p.ring_latency_ms * _MS_TO_US
-    kf_us = k * p.frame_time_ms * _MS_TO_US
-    n = p.n_active
-    eff = n * kf_us / (n * (kf_us + d_us) + d_us)
-    delay_us = (n - 1) * (kf_us + d_us) + 2.0 * d_us
-    return AnalyticalResult(eff, delay_us / _MS_TO_US, k)
+    return overflow_model(p).frames_per_opportunity
 
 
 @record("requested_ttrt_ms ring_latency_ms sync_allocation_ms max_frame_time_ms t_max_ms "

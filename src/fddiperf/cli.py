@@ -262,13 +262,23 @@ def _active(n_active: int | None, macs: int) -> int:
 
 
 def _base_row(**kwargs) -> dict:
-    row = dict.fromkeys(CSV_COLUMNS)
-    row.update(kwargs)
-    return row
+    return dict(dict.fromkeys(CSV_COLUMNS), **kwargs)
 
 
 def _ring_latency_ms(fiber_km: float, mac_count: int) -> float:
     return analytical.ring_latency(PhysicalRing(fiber_km=fiber_km, mac_count=mac_count))
+
+
+def _heavy_load(n_active: int, ttrt_ms: float, d_ms: float, frame_time_ms: float | None = None):
+    """analytical.heavy_load on a row's inputs, its active count and frame
+    time checked as they were read. A TTRT or latency RingParameters refuses
+    fails with the record's own error, a TTRT that overflows the model by name."""
+    if not (0 < ttrt_ms < math.inf and d_ms < math.inf):
+        RingParameters(n_active, ttrt_ms, d_ms, frame_time_ms)  # raises
+    out = analytical.heavy_load(n_active, ttrt_ms, d_ms, frame_time_ms)
+    if not out[0] > 0:  # T > D makes it positive unless n_active * T overflowed
+        raise CliError(f"ttrt_ms {ttrt_ms} overflows the closed form with {n_active} active MACs")
+    return out
 
 
 def _analytical_row(row: dict, d_ms: float) -> dict:
@@ -278,18 +288,17 @@ def _analytical_row(row: dict, d_ms: float) -> dict:
     swallows the TTRT."""
     row["mode"] = "analytical"
     frame_bytes = row["frame_bytes"]
+    frame_ms = analytical.frame_time_ms(frame_bytes) if frame_bytes else None
     try:
-        p = RingParameters(row["n_active"], row["ttrt_ms"], d_ms,
-                           analytical.frame_time_ms(frame_bytes) if frame_bytes else None)
-        result = analytical.overflow_model(p) if frame_bytes else analytical.basic_model(p)
+        eff, delay_ms, k = _heavy_load(row["n_active"], row["ttrt_ms"], d_ms, frame_ms)
     except RingSaturatedError:
         row["error"] = SATURATED_MARKER
         return row
-    row["efficiency"] = result.efficiency
-    row["efficiency_pct_rounded"] = paper_round(result.efficiency * 100.0)
-    row["max_access_delay_ms"] = result.max_access_delay_ms
-    row["access_delay_s_rounded"] = paper_round(result.max_access_delay_ms / 1000.0)
-    row["frames_per_opportunity"] = result.frames_per_opportunity
+    row["efficiency"] = eff
+    row["efficiency_pct_rounded"] = paper_round(eff * 100.0)
+    row["max_access_delay_ms"] = delay_ms
+    row["access_delay_s_rounded"] = paper_round(delay_ms / 1000.0)
+    row["frames_per_opportunity"] = k
     return row
 
 
@@ -340,11 +349,10 @@ def cmd_analyze(res: Resolver) -> int:
     say(f"n_active: {n_active}")
     say(f"ttrt_ms: {ttrt:g}")
     try:
-        basic = analytical.basic_model(RingParameters(n_active, ttrt, d_ms))
+        eff, delay_ms, _ = _heavy_load(n_active, ttrt, d_ms)
     except RingSaturatedError as exc:
         print(f"error: {SATURATED_MARKER}: {exc}", file=sys.stderr)
         return 1
-    eff, delay_ms = basic.efficiency, basic.max_access_delay_ms
     say(f"efficiency: {eff!r} ({paper_round(eff * 100.0):.2f}%)")
     say(
         f"max_access_delay_ms: {delay_ms!r} "
@@ -541,17 +549,16 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
             held: dict[int, tuple | None] = {}  # replication -> certified (result, report)
+            template = _base_row(figure=figure, preset=preset_name, sweep_var=spec.sweep_var,
+                                 mac_count=macs, fiber_km=fiber, n_active=spec.n_active,
+                                 ttrt_ms=spec.ttrt_ms, frame_bytes=spec.frame_bytes)
             for value in spec.grid:
-                point = _base_row(
-                    figure=figure, preset=preset_name, sweep_var=spec.sweep_var,
-                    sweep_value=value, mac_count=macs, fiber_km=fiber,
-                    n_active=spec.n_active, ttrt_ms=spec.ttrt_ms, frame_bytes=spec.frame_bytes,
-                )
-                point[column] = value
+                point = template.copy()
+                point["sweep_value"] = point[column] = value
                 point["n_active"] = _active(point["n_active"], point["mac_count"])
                 if spec.mode != "simulate":
                     d_ms = latency(point["fiber_km"], point["mac_count"])
-                    rows.append(_analytical_row(dict(point), d_ms))
+                    rows.append(_analytical_row(dict(point) if sim else point, d_ms))
                 if not sim:
                     continue
                 duration, seed, ring = sim

@@ -17,9 +17,9 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fddiperf import analytical
+from fddiperf import analytical, cli
 from fddiperf.analytical import (
     MAX_RING_LATENCY_MS,
     PhysicalRing,
@@ -209,6 +209,63 @@ def test_overflow_never_below_basic(n, ttrt, d_frac, frame):
     base = efficiency(RingParameters(n, ttrt, d))
     res = overflow_model(RingParameters(n, ttrt, d, frame))
     assert res.efficiency >= base - 1e-12
+
+
+def step_by_step_model(n: int, t: float, d: float, f: float | None) -> tuple:
+    """Independent oracle: (efficiency, max access delay, frames per
+    opportunity) computed one model at a time, in the float operations
+    every frozen CSV was written with. Raises RingSaturatedError on T <= D."""
+    t_us, d_us = t * 1000.0, d * 1000.0
+    if t_us <= d_us:
+        raise RingSaturatedError
+    budget_us = t_us - d_us
+    if f is None:
+        return n * budget_us / (n * t_us + d_us), ((n - 1) * t_us + 2.0 * d_us) / 1000.0, None
+    ratio = budget_us / (f * 1000.0)
+    k = round(ratio)
+    if not (k >= 1 and abs(ratio - k) <= 1e-9 * k):  # within the snap width of k frames
+        k = max(1, math.ceil(ratio))
+    kf_us = k * f * 1000.0
+    eff = n * kf_us / (n * (kf_us + d_us) + d_us)
+    return eff, ((n - 1) * (kf_us + d_us) + 2.0 * d_us) / 1000.0, k
+
+
+@st.composite
+def closed_form_inputs(draw):
+    """(n_active, TTRT, ring latency, frame bytes or None): a TTRT that is
+    anything, exactly the latency, a hair either side of it, or the latency
+    plus a whole number of frames, where the frame count snaps."""
+    n = draw(st.integers(1, 1000))
+    d = ring_latency(PhysicalRing(draw(st.floats(0.0, 200.0)), draw(st.integers(0, 1000))))
+    frame_bytes = draw(st.none() | st.integers(1, 4500))
+    t = draw(st.floats(0.001, 200.0)
+             | st.sampled_from([d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)])
+             | st.integers(1, 2000).map(lambda k: d + k * frame_time_ms(frame_bytes or 4500)))
+    assume(t > 0)
+    return n, t, d, frame_bytes
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(closed_form_inputs())
+def test_closed_form_row_is_the_records_bit_for_bit(inputs):
+    # a sweep row calls the kernel unchecked; its cells are the fields of the
+    # model records on checked inputs, and both are the step-by-step oracle's
+    n, t, d, frame_bytes = inputs
+    f = frame_time_ms(frame_bytes) if frame_bytes else None
+    p = RingParameters(n, t, d, f)
+    row = cli._analytical_row(dict(n_active=n, ttrt_ms=t, frame_bytes=frame_bytes, error=None), d)
+    try:
+        res = overflow_model(p) if f else basic_model(p)
+    except RingSaturatedError:
+        assert row["error"] == cli.SATURATED_MARKER
+        with pytest.raises(RingSaturatedError):
+            step_by_step_model(n, t, d, f)
+        return
+    assert row["error"] is None
+    cells = (row["efficiency"], row["max_access_delay_ms"], row["frames_per_opportunity"])
+    assert cells == tuple(res) == step_by_step_model(n, t, d, f)
+    assert row["efficiency_pct_rounded"] == cli.paper_round(res.efficiency * 100.0)
+    assert row["access_delay_s_rounded"] == cli.paper_round(res.max_access_delay_ms / 1000.0)
 
 
 # ------------------------------------------------------------- properties

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fddiperf import cli, metrics, simcore
+from fddiperf import analytical, cli, metrics, simcore
 
 
 def _run(argv):
@@ -374,17 +374,83 @@ def test_huge_finite_input_is_reported(argv, code, line, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8"],  # latency is inf
-    ["sweep", "--var", "ttrt", "--grid", "1e300,1e305", "--macs", "10", "--fiber-km", "1"],
+_TTRT_OVERFLOWS = "error: ttrt_ms 1e+305 overflows the closed form with 10 active MACs"
+
+
+@pytest.mark.parametrize("argv,line", [
+    pytest.param(["analyze", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8"],
+                 "error: cannot round inf to 2 places", id="argv0"),  # latency is inf
+    # n_active * TTRT overflows, and the efficiency with it
+    pytest.param(["sweep", "--var", "ttrt", "--grid", "1e300,1e305", "--macs", "10",
+                  "--fiber-km", "1"], _TTRT_OVERFLOWS, id="argv1"),
+    pytest.param(["analyze", "--macs", "10", "--fiber-km", "1", "--ttrt", "1e305",
+                  "--frame-bytes", "512"], _TTRT_OVERFLOWS, id="analyze-ttrt"),
 ])
-def test_input_that_overflows_is_one_error_line(argv, tmp_path, capsys):
+def test_input_that_overflows_is_one_error_line(argv, line, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: cannot round")
+    assert capsys.readouterr().err.splitlines() == [line]
     assert not out.exists()
+
+
+_TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
+
+
+# Each refusal of a closed-form input: its one stderr line, exit 2, no CSV.
+# The inf TTRT of a sweep over another variable and the infinite latency of
+# a 1e308 km extent reach no check before the row's closed form.
+@pytest.mark.parametrize("argv,line", [
+    (["sweep", "--var", "ttrt", "--grid=-1,2", *_TEN_MACS], "ttrt_ms must be > 0, got -1.0"),
+    (["sweep", "--var", "ttrt", "--grid", "0,2", *_TEN_MACS], "ttrt_ms must be > 0, got 0.0"),
+    (["sweep", "--var", "ttrt", "--grid", "0,2", "--frame-bytes", "512", *_TEN_MACS],
+     "ttrt_ms must be > 0, got 0.0"),
+    (["sweep", "--var", "active_macs", "--grid", "1,2", "--ttrt", "-3", *_TEN_MACS],
+     "ttrt_ms must be > 0, got -3.0"),
+    (["sweep", "--var", "active_macs", "--grid", "1,2", "--ttrt", "0", *_TEN_MACS],
+     "ttrt_ms must be > 0, got 0.0"),
+    (["sweep", "--var", "active_macs", "--grid", "1,2", "--ttrt", "inf", *_TEN_MACS],
+     "ttrt_ms must be finite, got inf"),
+    (["sweep", "--var", "active_macs", "--grid", "0,2", *_TEN_MACS],
+     "active count 0 outside [1, 10]"),
+    (["sweep", "--var", "active_macs", "--grid", "1,20", *_TEN_MACS],
+     "active count 20 outside [1, 10]"),
+    (["sweep", "--var", "frame_size", "--grid=-5,10", *_TEN_MACS],
+     "frame_bytes must be > 0, got -5"),
+    (["sweep", "--var", "extent", "--grid=-1,2", "--macs", "10"],
+     "fiber_km must be >= 0, got -1.0"),
+    (["sweep", "--var", "extent", "--grid", "1,1e308", "--macs", "10"],
+     "ring_latency_ms must be finite, got inf"),
+    (["sweep", "--var", "total_stations", "--grid", "0,5", "--fiber-km", "1"],
+     "active count 0 outside [1, 0]"),
+    (["analyze", "--ttrt", "-1", *_TEN_MACS], "ttrt_ms must be > 0, got -1.0"),
+])
+def test_closed_form_refusal_is_one_error_line(argv, line, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: " + line]
+    assert not out.exists()
+
+
+def test_closed_form_rows_build_no_ring_parameters(tmp_path, monkeypatch):
+    # a closed-form row checks its inputs with comparisons, not a record:
+    # the records a sweep builds do not grow with its grid
+    built = []
+    check = analytical.RingParameters._check
+
+    def counted(self) -> None:
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(analytical.RingParameters, "_check", counted)
+
+    def sweep(points: int) -> int:
+        built.clear()
+        grid = ",".join(str(0.25 + 0.42 * i) for i in range(points))
+        assert _run(["sweep", "--var", "ttrt", "--grid", grid, "--preset", "largest",
+                     "--frame-bytes", "512", "--out", str(tmp_path / "out.csv")]) == 0
+        return len(built)
+
+    assert sweep(16) == sweep(400)
 
 
 def test_whole_ring_row_binds_every_station_without_a_list():
