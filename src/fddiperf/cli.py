@@ -255,6 +255,8 @@ def _resolve_ring(res: Resolver, swept: str = "") -> tuple[str, int | None, floa
 def _active(n_active: int | None, macs: int) -> int:
     """The active count (every MAC by default) checked against the ring; zero
     MACs, the closed form's idealised zero-latency ring, bounds none."""
+    if n_active is None and macs == 0:
+        raise CliError("a ring of 0 MACs needs --active")
     n_active = macs if n_active is None else n_active
     if n_active < 1 or n_active > macs > 0:
         raise CliError(f"active count {n_active} outside [1, {macs}]")
@@ -266,14 +268,16 @@ def _base_row(**kwargs) -> dict:
 
 
 def _ring_latency_ms(fiber_km: float, mac_count: int) -> float:
-    return analytical.ring_latency(PhysicalRing(fiber_km=fiber_km, mac_count=mac_count))
+    d_ms = analytical.ring_latency(PhysicalRing(fiber_km=fiber_km, mac_count=mac_count))
+    analytical.check_finite(ring_latency_ms=d_ms)  # a finite extent can overflow it
+    return d_ms
 
 
 def _heavy_load(n_active: int, ttrt_ms: float, d_ms: float, frame_time_ms: float | None = None):
-    """analytical.heavy_load on a row's inputs, its active count and frame
-    time checked as they were read. A TTRT or latency RingParameters refuses
+    """analytical.heavy_load on a row's inputs, its active count, frame time
+    and latency checked as they were read. A TTRT RingParameters refuses
     fails with the record's own error, a TTRT that overflows the model by name."""
-    if not (0 < ttrt_ms < math.inf and d_ms < math.inf):
+    if not 0 < ttrt_ms < math.inf:
         RingParameters(n_active, ttrt_ms, d_ms, frame_time_ms)  # raises
     out = analytical.heavy_load(n_active, ttrt_ms, d_ms, frame_time_ms)
     if not out[0] > 0:  # T > D makes it positive unless n_active * T overflowed

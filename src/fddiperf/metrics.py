@@ -9,7 +9,8 @@ Frames count toward response statistics only if they arrive after the
 boundary; access episodes count only if they open after it; completed bits
 are attributed to their completion instant, so the throughput window is
 exact. A run carries its workload, so its offered load and the access-delay
-bound of its sourced stations are worked out from the run alone.
+bound of its sourced stations (`access_delay_bound_ms(result)`) are worked
+out from the run alone.
 """
 
 from __future__ import annotations
@@ -64,18 +65,19 @@ class MetricsReport:
     misleading zero. station_throughput_mbps has one entry per station."""
 
 
-def access_delay_bound_ms(
-    result: RunResult, n_active: int, max_frame_bytes: int
-) -> float | None:
-    """Worst-case access delay for the run's ring, from the overflow model
-    with the effective idle rotation (latency plus per-hop token times)
-    standing in for the ring latency. None when that rotation already
+def access_delay_bound_ms(result: RunResult) -> float | None:
+    """Worst-case access delay of the run's sourced stations sending its
+    workload's largest frame, from the overflow model with the effective
+    idle rotation (latency plus per-hop token times) standing in for the
+    ring latency. None on an idle run, and when that rotation already
     swallows the TTRT."""
     cfg = result.config
-    token_us = round(cfg.token_time_us * NS_PER_US) / NS_PER_US  # as run charges each hop
-    d_eff_ms = cfg.ring_latency_ms + cfg.n_stations * token_us / 1000.0
+    n_active = len(result.sourced_stations)
+    max_frame_bytes = result.workload.max_frame_bytes if result.workload is not None else 0
     if max_frame_bytes <= 0 or n_active < 1:
         return None
+    token_us = round(cfg.token_time_us * NS_PER_US) / NS_PER_US  # as run charges each hop
+    d_eff_ms = cfg.ring_latency_ms + cfg.n_stations * token_us / 1000.0
     try:
         res = analytical.overflow_model(
             RingParameters(
@@ -92,19 +94,15 @@ def access_delay_bound_ms(
 
 def _ttrt_fields(result: RunResult, access: SampleStats | None) -> dict:
     """The report fields that depend on the run's TTRT: the access-delay
-    bound for the run's sourced stations and its workload's largest frame
-    (none on an idle ring), checked against the largest access delay, and
-    the rotation bound checked against the longest rotation, the one the
-    run's end left open included."""
-    bound_ms = None
+    bound (none on an idle ring) checked against the largest access delay,
+    and the rotation bound checked against the longest rotation, the one
+    the run's end left open included."""
+    bound_ms = access_delay_bound_ms(result)
     exceeded = False
-    if result.workload is not None:
-        bound_ms = access_delay_bound_ms(result, len(result.sourced_stations),
-                                         result.workload.max_frame_bytes)
-        if bound_ms is not None and access is not None:
-            # max_ms is whole nanoseconds over NS_PER_MS, so it reads back exactly
-            peak_ns = round(access.max_ms * NS_PER_MS)
-            exceeded = peak_ns > int(round(bound_ms * NS_PER_MS)) + _BOUND_SLACK_NS
+    if bound_ms is not None and access is not None:
+        # max_ms is whole nanoseconds over NS_PER_MS, so it reads back exactly
+        peak_ns = round(access.max_ms * NS_PER_MS)
+        exceeded = peak_ns > int(round(bound_ms * NS_PER_MS)) + _BOUND_SLACK_NS
     ttrt_ns = int(round(result.config.ttrt_ms * NS_PER_MS))
     rotation_ns = max(result.max_rotation_ns, result.open_rotation_ns)
     return dict(access_bound_ms=bound_ms, access_bound_exceeded=exceeded,

@@ -60,6 +60,11 @@ the token's next event is compared against the earliest of them:
   full.
 - The warm-up snapshot is taken arithmetically when the first event at or
   after the mark is reached; events exactly at the mark stay outside it.
+- Outside a holding the ring is in overhead while a frame waits (always,
+  on a saturated ring) and idle otherwise, so a burst into an idle ring
+  ends an idle segment and a capture always ends an overhead segment. The
+  run keeps only per-stop bits: its totals of bits and frames are worked
+  out from them, or from the response samples, at the end.
 
 A RunResult carries the workload it simulated. A bursty run that the TTRT
 never bound (no holding cut short, every token usable) is also the run of
@@ -188,14 +193,16 @@ class RunSnapshot:
 class RunResult(SimpleNamespace):
     """Raw samples and exact time accounting from one run.
 
-    completed bits are attributed to the completion instant; busy/overhead/
-    idle nanoseconds partition the simulated time exactly. Access-delay
-    samples are (episode start, token capture) pairs; one episode opens per
-    empty-to-nonempty queue transition or token release with work left, and
-    closes at the next usable capture.
+    completed bits are attributed to the completion instant, and
+    completed_bits is the sum of station_bits, here and in the boundary
+    snapshot; busy/overhead/idle nanoseconds partition the simulated time
+    exactly. Access-delay samples are (episode start, token capture) pairs;
+    one episode opens per empty-to-nonempty queue transition or token
+    release with work left, and closes at the next usable capture.
 
     Unlike the package's other records it is a mutable namespace, built
-    from keywords, so that a sweep can hold one by weak reference.
+    from keywords, that can be held by weak reference: the tests hold runs
+    that way to show that a sweep keeps none it no longer needs.
     """
 
     config: RingConfig
@@ -441,8 +448,9 @@ def run(
         raise ValueError("the token must take time to travel between sourced stations")
 
     trt_enforced = _trt_enforced(config, workload, period)
+    frame_ns = sat * NS_PER_BYTE  # a saturated stop's frame time
     # a saturated stop can use the token while its rotation is below gap
-    gap = ttrt_ns if overflow else ttrt_ns - sat * NS_PER_BYTE + 1
+    gap = ttrt_ns if overflow else ttrt_ns - frame_ns + 1
 
     mark_ns = int(duration_ns * warmup_fraction)
     if mark_ns >= duration_ns:
@@ -478,8 +486,6 @@ def run(
     want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
     nonempty = 0
 
-    completed_bits = 0
-    completed_frames = 0
     bits = [0] * nst
     response_samples: list[tuple[int, int]] = []
     access_samples: list[tuple[int, int]] = []
@@ -497,8 +503,7 @@ def run(
     sat_frames = 0
     cur_arrival = 0
     cur_size = 0
-    seg_start = 0
-    seg_idle = not sat
+    seg_start = 0  # where the ring's idle or overhead segment began
 
     # The token's next event is a visit to stop k at t or, while stop k
     # holds, the completion of its frame(s) at t. A burst due at t is ordered
@@ -531,13 +536,12 @@ def run(
                 q = queues[kb]
                 if sizes:
                     if not q:
-                        nonempty += 1
-                        if holding != kb and want_since[kb] < 0:
-                            want_since[kb] = at
-                        if holding < 0 and seg_idle:
+                        if holding < 0 and not nonempty:  # the ring's idle segment ends
                             idle_total += at - seg_start
                             seg_start = at
-                            seg_idle = False
+                        nonempty += 1
+                        if holding != kb:
+                            want_since[kb] = at
                     for size in sizes:
                         q.append((at, size))
                 nb = feeds[kb].next_burst(at)
@@ -547,17 +551,14 @@ def run(
             if held is not None:
                 heappush(pending, held)
             if boundary is None and t >= mark_ns:
-                snap_bits = completed_bits
                 snap_busy = busy_total
                 snap_station = list(bits)
                 if holding >= 0:
                     snap_busy += mark_ns - hold_start
                     if sat:
-                        sent = (mark_ns - hold_start - 1) // (sat * NS_PER_BYTE)
-                        snap_bits += sent * sat * 8
-                        snap_station[k] += sent * sat * 8
-                boundary = RunSnapshot(
-                    mark_ns, snap_bits, snap_busy, _by_station(snap_station, stops, n))
+                        snap_station[k] += (mark_ns - hold_start - 1) // frame_ns * sat * 8
+                boundary = RunSnapshot(mark_ns, sum(snap_station), snap_busy,
+                                       _by_station(snap_station, stops, n))
             if t > duration_ns:
                 break
             limit = pending[0][0] if pending and pending[0][0] < end_ns else end_ns
@@ -620,18 +621,13 @@ def run(
                 if sat or q:
                     tht = ttrt_ns - trt
                     if tht > 0 and (overflow or (sat or q[0][1]) * NS_PER_BYTE <= tht):
-                        ws = want_since[k]
-                        access_samples.append((ws if ws >= 0 else t, t))
+                        access_samples.append((want_since[k], t))
                         want_since[k] = -1
-                        if seg_idle:
-                            idle_total += t - seg_start
-                        else:
-                            overhead_total += t - seg_start
+                        overhead_total += t - seg_start
                         holding = k
                         hold_start = t
                         hold_tht = tht
                         if sat:
-                            frame_ns = sat * NS_PER_BYTE
                             sat_frames = -(-tht // frame_ns) if overflow else tht // frame_ns
                             t += sat_frames * frame_ns
                         else:
@@ -653,15 +649,10 @@ def run(
         # stop k holds the token; its frame(s) complete at t
         q = queues[k]
         if sat:
-            sent_bits = sat_frames * sat * 8
-            completed_bits += sent_bits
-            bits[k] += sent_bits
-            completed_frames += sat_frames
+            bits[k] += sat_frames * sat * 8
         else:
             while True:
-                completed_bits += cur_size * 8
                 bits[k] += cur_size * 8
-                completed_frames += 1
                 response_samples.append((cur_arrival, t))
                 more = q and (
                     t - hold_start < hold_tht if overflow
@@ -685,7 +676,6 @@ def run(
         if sat or q:
             want_since[k] = t
         seg_start = t
-        seg_idle = not nonempty and not sat
         parent_t = t
         t += leap[k]
         after_t = t
@@ -695,17 +685,12 @@ def run(
 
     if holding >= 0:
         if sat:
-            sent = (duration_ns - hold_start) // (sat * NS_PER_BYTE)
-            completed_bits += sent * sat * 8
-            bits[holding] += sent * sat * 8
-            completed_frames += sent
+            bits[holding] += (duration_ns - hold_start) // frame_ns * sat * 8
         busy_total += duration_ns - hold_start
+    elif sat or nonempty:
+        overhead_total += duration_ns - seg_start
     else:
-        dt = duration_ns - seg_start
-        if seg_idle:
-            idle_total += dt
-        else:
-            overhead_total += dt
+        idle_total += duration_ns - seg_start
 
     if sat:
         # every released holding leaves a saturated station backlogged
@@ -720,8 +705,8 @@ def run(
         config=config,
         duration_ns=duration_ns,
         seed=seed,
-        completed_bits=completed_bits,
-        completed_frames=completed_frames,
+        completed_bits=sum(bits),
+        completed_frames=sum(bits) // (sat * 8) if sat else len(response_samples),
         station_bits=_by_station(bits, stops, n),
         response_samples=response_samples,
         access_samples=access_samples,

@@ -31,6 +31,7 @@ from fddiperf.analytical import (
     basic_model,
     efficiency,
     frame_time_ms,
+    frames_per_opportunity,
     max_access_delay,
     overflow_model,
     ring_latency,
@@ -188,6 +189,14 @@ def test_overflow_collapses_at_exact_multiples():
                     assert res.max_access_delay_ms == pytest.approx(
                         base.max_access_delay_ms, rel=1e-12
                     )
+
+
+def test_frames_per_opportunity_is_the_brute_force_count():
+    # the whole frames a saturated station sends per usable token
+    for n, t, d, f in ((100, 8.0, 1.117, 0.36), (10, 2.0, 1.9, 0.36), (1000, 165.0, 1.773, 0.008)):
+        assert frames_per_opportunity(RingParameters(n, t, d, f)) == brute_force_frames(t, d, f)
+    with pytest.raises(RingSaturatedError):
+        frames_per_opportunity(RingParameters(10, 1.0, 1.0, 0.36))
 
 
 def test_overflow_requires_frame_time():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fddiperf import analytical, cli, metrics, simcore
+from fddiperf import analytical, cli, metrics, presets, simcore
 
 
 def _run(argv):
@@ -82,6 +82,22 @@ def test_table1_green(tmp_path):
     assert all(r["error"] == "" for r in rows)
 
 
+def test_table1_mismatch_is_a_verdict_with_the_csv_kept(tmp_path, monkeypatch, capsys):
+    # one wrong golden cell: exit 1, the mismatch on stderr, and the CSV
+    # written with that row alone marked
+    monkeypatch.setitem(presets.TABLE1_GOLDEN["big"], 8.0, (0.79, 85.93))
+    out = tmp_path / "t1.csv"
+    assert _run(["table1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "golden table mismatches:",
+        "  big/8 ms: access 0.79 (golden 0.79), efficiency 85.92 (golden 85.93)",
+    ]
+    rows = _read_csv(out)
+    assert len(rows) == 18
+    marked = [(r["preset"], r["sweep_value"], r["error"]) for r in rows if r["error"]]
+    assert marked == [("big", "8.0", "golden_mismatch")]
+
+
 def test_validate_exit_codes(capsys):
     assert _run(["validate", "--ttrt", "8", "--max-ring"]) == 0
     assert _run(["validate", "--ttrt", "3", "--max-ring"]) == 1
@@ -95,6 +111,15 @@ def test_validate_advisory(capsys):
     ])
     assert rc == 0
     assert "advisory_ttrt_ms: 10" in capsys.readouterr().out
+
+
+def test_validate_rule_4_keeps_the_advisory(capsys):
+    argv = ["validate", "--ttrt", "170", "--max-ring", "--service-interval-ms", "30"]
+    assert _run(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict: violates rules 4" in out
+    assert "  rule 4: TTRT 170 ms exceeds T_max = 165 ms" in out
+    assert "  rule 1 advisory: a 30 ms service interval calls for requesting TTRT = 15 ms" in out
 
 
 def test_validate_min_legal(capsys):
@@ -379,7 +404,7 @@ _TTRT_OVERFLOWS = "error: ttrt_ms 1e+305 overflows the closed form with 10 activ
 
 @pytest.mark.parametrize("argv,line", [
     pytest.param(["analyze", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8"],
-                 "error: cannot round inf to 2 places", id="argv0"),  # latency is inf
+                 "error: ring_latency_ms must be finite, got inf", id="argv0"),  # latency is inf
     # n_active * TTRT overflows, and the efficiency with it
     pytest.param(["sweep", "--var", "ttrt", "--grid", "1e300,1e305", "--macs", "10",
                   "--fiber-km", "1"], _TTRT_OVERFLOWS, id="argv1"),
@@ -397,8 +422,9 @@ _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
 
 
 # Each refusal of a closed-form input: its one stderr line, exit 2, no CSV.
-# The inf TTRT of a sweep over another variable and the infinite latency of
-# a 1e308 km extent reach no check before the row's closed form.
+# The inf TTRT of a sweep over another variable reaches no check before the
+# row's closed form; the infinite latency of a 1e308 km extent is refused
+# where the latency is computed.
 @pytest.mark.parametrize("argv,line", [
     (["sweep", "--var", "ttrt", "--grid=-1,2", *_TEN_MACS], "ttrt_ms must be > 0, got -1.0"),
     (["sweep", "--var", "ttrt", "--grid", "0,2", *_TEN_MACS], "ttrt_ms must be > 0, got 0.0"),
@@ -421,7 +447,7 @@ _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
     (["sweep", "--var", "extent", "--grid", "1,1e308", "--macs", "10"],
      "ring_latency_ms must be finite, got inf"),
     (["sweep", "--var", "total_stations", "--grid", "0,5", "--fiber-km", "1"],
-     "active count 0 outside [1, 0]"),
+     "a ring of 0 MACs needs --active"),
     (["analyze", "--ttrt", "-1", *_TEN_MACS], "ttrt_ms must be > 0, got -1.0"),
 ])
 def test_closed_form_refusal_is_one_error_line(argv, line, tmp_path, capsys):
@@ -482,6 +508,14 @@ def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
     # the simulator charges whole nanoseconds; the CSV would echo 0.0006
     ["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "50",
      "--token-time-us", "0.0006"],
+    ["analyze", "--preset", "nope", "--ttrt", "8"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "foo"],
+    ["sweep", "--var", "ttrt", "--grid", "1,x", "--preset", "typical"],
+    ["sweep", "--var", "ttrt", "--grid", ",", "--preset", "typical"],
+    ["sweep", "--preset", "big"],
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--mode", "fast"],
+    ["analyze", "--preset", "typical", "--ttrt", "8", "--config", "/nonexistent.ini"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []

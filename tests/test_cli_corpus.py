@@ -3,8 +3,10 @@ both modes, a bursty sweep, and analyze / simulate / validate on their own.
 
 For each case the exit code, the sha256 of the CSV bytes written with
 --out (None when no file is written) and the sha256 of stdout are pinned.
-The last three cases, the saturated largest-ring runs the benchmark times,
-were recorded later, before lap 0 of a run was taken in closed form.
+The three saturated largest-ring runs the benchmark times were recorded
+later, before lap 0 of a run was taken in closed form, and the four fig3
+runs at their default 1000 ms later still, before the simulator dropped
+its idle flag and running totals.
 The values were recorded before the sweep engine was unified and must not
 be edited: a refactor of the CLI is correct only if every case still
 matches.
@@ -92,6 +94,8 @@ CASES: dict[str, tuple[str, ...]] = {
                              "--ttrt", "165"),
     "simulate-largest-165-no-overflow": ("simulate", "--preset", "largest", "--frame-bytes",
                                          "100", "--ttrt", "165", "--no-overflow"),
+    # the published simulated figure at its default 1000 ms
+    **{f"fig3-seed{s}": ("sweep", "--figure", "fig3", "--seed", str(s)) for s in (1, 5, 23, 47)},
 }
 
 # name: (exit code, sha256 of the CSV or None, sha256 of stdout)
@@ -189,6 +193,14 @@ EXPECTED: dict[str, tuple[int, str | None, str]] = {
     "simulate-largest-165-no-overflow": (0,
         "6d4794c269a4a41aa35b6d0f3fea12af352a83b7ef79433434363f8e43fdd07b",
         "1921eae8f52c2d1b6069b01d3339e39424d372b59f70c164af631fb52b6c697c"),
+    "fig3-seed1": (0, "dd33fc64ffb30b1511d7c7655d23c2524ec8b9343fd315057458a5776d864c34",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig3-seed5": (0, "e117cd9ad51d560b3d5199b16e76e974de48ee1fdf7a8c61dbae1930246486d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig3-seed23": (0, "75a5213489dd383f3038c5aea8c99638ba78da34c04f55c85b44176a019aef3b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig3-seed47": (0, "f7c8f844e04daaa9bff9fdbebc3f2e1e7d3b1848947e3dce40fc320be927975b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 

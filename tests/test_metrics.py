@@ -10,7 +10,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fddiperf import simcore
+from fddiperf import analytical, simcore
+from fddiperf.analytical import TOKEN_TIME_US, RingParameters
 from fddiperf.metrics import SampleStats, _stats, access_delay_bound_ms, reuse_at, summarize
 from fddiperf.simcore import NS_PER_MS, WARMUP_FRACTION, RingConfig, RunResult, RunSnapshot, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
@@ -170,7 +171,8 @@ def test_access_bound_is_exceeded_one_nanosecond_past_its_slack():
     # nanoseconds, in summarize and in reuse_at alike
     plain = _result_with_samples()
     mark = plain.boundary.at_ns
-    bound_ms = access_delay_bound_ms(plain, 2, 512)
+    bound_ms = access_delay_bound_ms(plain._replace(
+        workload=SaturationWorkload(frame_bytes=512), sourced_stations=(0, 1)))
     limit_ns = int(round(bound_ms * NS_PER_MS)) + 1
     for over in (0, 1):
         res = _result_with_samples(accesses=[(mark, mark + limit_ns + over)])._replace(
@@ -198,8 +200,11 @@ def test_summary_takes_its_bound_and_offered_load_from_the_run(name):
     assert result.workload == load
     assert result.sourced_stations == stations
     rep = summarize(result)
-    bound_ms = access_delay_bound_ms(result, len(stations), load.max_frame_bytes)
-    assert bound_ms is not None
+    cfg = result.config
+    bound_ms = analytical.overflow_model(RingParameters(
+        n_active=len(stations), ttrt_ms=8.0,
+        ring_latency_ms=cfg.ring_latency_ms + cfg.n_stations * TOKEN_TIME_US / 1000.0,
+        frame_time_ms=analytical.frame_time_ms(load.max_frame_bytes))).max_access_delay_ms
     assert rep.access_bound_ms == bound_ms
     assert rep.offered_load_mbps == offered
 
