@@ -448,6 +448,8 @@ def _print_report(report, say: Callable[[str], None]) -> None:
 def cmd_simulate(res: Resolver) -> int:
     from . import metrics, simcore, workload
     preset_name, macs, fiber = _resolve_ring(res)
+    if macs == 0:  # the closed form's zero-latency ring has no station to simulate
+        raise CliError("the simulator needs at least one MAC")
     kind, interburst = res.get("workload"), None
     # bursty traffic loads every station, so only saturation reads --active
     n_active = _active(res.get("active") if kind == "saturation" else None, macs)

@@ -16,7 +16,8 @@ out from the run alone.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from collections import deque
+from itertools import compress, repeat
 from operator import mul, sub, truediv
 
 from . import analytical
@@ -120,9 +121,15 @@ def summarize(result: RunResult) -> MetricsReport:
 
     window_bits = result.completed_bits - b.completed_bits
     throughput = window_bits / interval_ns * 1000.0  # bits/ns -> Mbps
-    # (bits - mark) / interval_ns * 1000.0 per station, in whole-list operations
-    station_tp = tuple(map(mul, map(truediv, map(sub, result.station_bits, b.station_bits),
-                                    repeat(interval_ns)), repeat(1000.0)))
+    # (bits - mark) / interval_ns * 1000.0 per station, which is 0.0 at a
+    # station that sent nothing (bits never fall): only the stations that
+    # sent are worked out and scattered into place, in whole-list operations
+    now, then = result.station_bits, b.station_bits
+    sent = list(compress(range(len(now)), now))
+    station_tp = [0.0] * len(now)
+    deque(map(station_tp.__setitem__, sent, map(mul, map(truediv, map(
+        sub, map(now.__getitem__, sent), map(then.__getitem__, sent)),
+        repeat(interval_ns)), repeat(1000.0))), maxlen=0)
 
     responses = [c - a for a, c in result.response_samples if a >= mark_ns]
     accesses = [cap - start for start, cap in result.access_samples if start >= mark_ns]
@@ -140,7 +147,7 @@ def summarize(result: RunResult) -> MetricsReport:
         warmup_ms=mark_ns / NS_PER_MS,
         warmup_frames_discarded=len(result.response_samples) - len(responses),
         warmup_access_discarded=len(result.access_samples) - len(accesses),
-        station_throughput_mbps=station_tp,
+        station_throughput_mbps=tuple(station_tp),
         completed_frames=result.completed_frames,
         max_rotation_ms=result.max_rotation_ms,
         seed=result.seed,

@@ -42,9 +42,10 @@ the token's next event is compared against the earliest of them:
   of a busy bursty ring go through an inline loop, a few integer updates
   per pass. A saturated ring keeps its keys as runs of stops that share
   one key, so a stretch, a read and the run's end cost O(runs); a bursty
-  ring's busy passes read and set one key each, in a plain list. The
-  per-ring set-up is done in whole-list operations, so a run's Python
-  work grows with its captures, not with its stations.
+  ring's busy passes read and set one key each, in a plain list. A ring's
+  layout (its hops, idle-rotation offsets and latency) is worked out once
+  per ring and cached, the rest of the set-up in whole-list operations,
+  so a run's Python work grows with its captures, not with its stations.
 - A holding period is one step. A ring is saturated or bursty as a whole.
   On a saturated ring every sourced station is always backlogged and sends
   ceil(THT / F) frames with overflow, floor(THT / F) without; on a bursty
@@ -128,7 +129,7 @@ class RingConfig:
 
     def _check(self) -> None:
         segs = self.segment_delays_us
-        if not isinstance(segs, tuple):  # `run` caches its hops by them
+        if not isinstance(segs, tuple):  # the ring's layout is cached by them
             raise TypeError(f"segment_delays_us must be a tuple, got {type(segs).__name__}")
         # a hop that is NaN or infinite makes their sum so: one pass checks all
         check_finite(ttrt_ms=self.ttrt_ms, token_time_us=self.token_time_us,
@@ -181,8 +182,7 @@ class RingConfig:
     def ring_latency_ms(self) -> float:
         """Propagation plus summed repeat delays (token time excluded), each
         hop in the whole nanoseconds that `run` simulates."""
-        us = sum(map(truediv, _hop_ns(self.segment_delays_us), repeat(NS_PER_US)))
-        return (us + self.n_stations * STATION_DELAY_US) / 1000.0
+        return _layout(self.segment_delays_us, self.token_time_us)[-1]
 
 
 @record("at_ns completed_bits busy_ns station_bits")
@@ -252,9 +252,16 @@ def _ns_from_ms(ms: float) -> int:
 
 
 @lru_cache(maxsize=8)  # a sweep simulates one ring at a time
-def _hop_ns(segment_delays_us: tuple[float, ...]) -> tuple[int, ...]:
-    """A ring's hop delays in the whole nanoseconds `run` simulates."""
-    return tuple(map(round, map(mul, segment_delays_us, repeat(NS_PER_US))))
+def _layout(segment_delays_us: tuple[float, ...], token_time_us: float) -> tuple:
+    """A ring's hops (repeat delay and token time in) and stations' offsets in
+    an idle rotation, in the whole nanoseconds `run` simulates and as tuples
+    no run can change; then that rotation, its shortest hop and latency (ms)."""
+    hop_ns = list(map(round, map(mul, segment_delays_us, repeat(NS_PER_US))))
+    repeat_ns = _ns_from_us(STATION_DELAY_US) + _ns_from_us(token_time_us)
+    hops = tuple(map(add, hop_ns, repeat(repeat_ns)))
+    *offsets, period = accumulate(hops, initial=0)
+    latency_us = sum(map(truediv, hop_ns, repeat(NS_PER_US))) + len(hops) * STATION_DELAY_US
+    return hops, tuple(offsets), period, min(hops), latency_us / 1000.0
 
 
 def _rotation_error(trt: int, station: int, ttrt_ns: int) -> InvariantViolation:
@@ -386,8 +393,7 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
         return None
     if workload != result.workload or not certified(result):
         return None
-    period = sum(_hop_ns(config.segment_delays_us)) + config.n_stations * (
-        _ns_from_us(STATION_DELAY_US) + _ns_from_us(config.token_time_us))
+    period = _layout(config.segment_delays_us, config.token_time_us)[2]
     return result._replace(config=config,
                            trt_bound_enforced=_trt_enforced(config, workload, period))
 
@@ -408,8 +414,6 @@ def run(
     that regime violations are only counted.
     """
     n = config.n_stations
-    sd_ns = _ns_from_us(STATION_DELAY_US)
-    tt_ns = _ns_from_us(config.token_time_us)
     ttrt_ns = _ns_from_ms(config.ttrt_ms)
     two_ttrt = 2 * ttrt_ns
     check_finite(duration_ms=duration_ms)
@@ -419,20 +423,17 @@ def run(
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    # hops[i]: the token's travel time from station i to the next; pre[i]:
-    # the time from station 0 to station i in an idle rotation
-    hops = list(map(add, _hop_ns(config.segment_delays_us), repeat(sd_ns + tt_ns)))
-    pre = [0, *accumulate(hops)]
-    period = pre[n]  # one idle rotation
+    hops, pre, period, shortest, _ = _layout(config.segment_delays_us, config.token_time_us)
 
     sources = list(workload.bind(n, seed)) if workload is not None else [None] * n
     if len(sources) != n:
         raise ValueError(f"workload bound {len(sources)} stations, ring has {n}")
     # The token only stops at sourced stations (station 0 on a ring without
-    # any); per-stop state is indexed by position k in `stops`. A saturated
+    # any; all() passes a ring that sources every one without comparing with
+    # None); per-stop state is indexed by position k in `stops`. A saturated
     # ring's stops always have a frame of sat bytes; a bursty ring's have feeds.
-    stops = (list(compress(range(n), map(is_not, sources, repeat(None))))
-             if None in sources else range(n))
+    stops = (range(n) if all(sources)
+             else list(compress(range(n), map(is_not, sources, repeat(None)))))
     sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
     feeds = [] if sat else list(map(sources.__getitem__, stops))
     stops = stops or [0]
@@ -440,11 +441,12 @@ def run(
     # offset[k]: stop k's offset from stop 0 in an idle rotation; leap[k]:
     # the token's travel time from stop k to the next
     if nst == n:
-        offset, leap = pre[:n], hops
+        offset, leap = pre, hops
     else:
         offset = list(map(sub, map(pre.__getitem__, stops), repeat(pre[stops[0]])))
         leap = list(map(sub, [*offset[1:], period], offset))
-    if min(leap) <= 0:
+        shortest = min(leap)
+    if shortest <= 0:
         raise ValueError("the token must take time to travel between sourced stations")
 
     trt_enforced = _trt_enforced(config, workload, period)
@@ -455,9 +457,7 @@ def run(
     mark_ns = int(duration_ns * warmup_fraction)
     if mark_ns >= duration_ns:
         raise ValueError("warm-up must end before the run does")
-    boundary: RunSnapshot | None = None
-    if mark_ns == 0:
-        boundary = RunSnapshot(0, 0, 0, (0,) * n)
+    boundary = RunSnapshot(0, 0, 0, (0,) * n) if mark_ns == 0 else None
 
     # Pending bursts (time, stop, frame sizes), at most one per source;
     # drawn[k] is when stop k's pending burst was scheduled.

@@ -49,6 +49,11 @@ def _station_rng(seed: int, station: int) -> random.Random:
     return random.Random(f"{seed}/{station}")
 
 
+def _check_stations(stations) -> None:
+    if stations is not None and not stations:
+        raise ValueError("stations must name at least one station; None means every station")
+
+
 def _bound_stations(stations, n_stations: int) -> set[int]:
     """The station ids a source binds to (every station when None), each
     checked to lie on the ring."""
@@ -63,13 +68,15 @@ class WicWorkload:
     """Bursty-Poisson arrivals in the fixed WIC mix: exponential gaps of mean
     `mean_interburst_ms` between bursts of five frames, 65% small / 35% large.
 
-    `stations` selects which ring positions generate traffic (None = all).
+    `stations` selects which ring positions generate traffic (None = all;
+    a set names at least one).
     """
 
     def _check(self) -> None:
         check_finite(mean_interburst_ms=self.mean_interburst_ms)
         if self.mean_interburst_ms <= 0:
             raise ValueError(f"mean_interburst_ms must be > 0, got {self.mean_interburst_ms}")
+        _check_stations(self.stations)
 
     @classmethod
     def for_utilization(
@@ -130,12 +137,14 @@ class WicGenerator:
 
 @record("", frame_bytes=DEFAULT_LARGE_FRAME_BYTES, stations=None)
 class SaturationWorkload:
-    """Designated stations always have a fixed-size frame queued; the ring
-    runs at its usable-bandwidth limit."""
+    """Designated stations (None = all; a set names at least one) always
+    have a fixed-size frame queued; the ring runs at its usable-bandwidth
+    limit."""
 
     def _check(self) -> None:
         if not 0 < self.frame_bytes <= MAX_FRAME_BYTES:
             raise ValueError(f"frame size {self.frame_bytes} outside (0, {MAX_FRAME_BYTES}] bytes")
+        _check_stations(self.stations)
 
     @property
     def max_frame_bytes(self) -> int:

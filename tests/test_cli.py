@@ -479,6 +479,16 @@ def test_closed_form_rows_build_no_ring_parameters(tmp_path, monkeypatch):
     assert sweep(16) == sweep(400)
 
 
+def test_a_simulated_sweep_lays_its_ring_out_once(tmp_path):
+    # the points of a TTRT sweep share one ring: its hops, offsets and latency
+    # are worked out once, not for each point's run and summary
+    simcore._layout.cache_clear()
+    assert _run(["sweep", "--var", "ttrt", "--grid", "8,20,165", "--preset", "largest",
+                 "--duration-ms", "50", "--mode", "simulate",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert simcore._layout.cache_info().misses == 1
+
+
 def test_whole_ring_row_binds_every_station_without_a_list():
     row = dict(mac_count=6, n_active=6, frame_bytes=100)
     load = cli._build_workload(row)
@@ -496,6 +506,22 @@ def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     assert cli._build_parser.cache_info().misses == 1
+
+
+# the closed form's 0-MAC ring has no station for the simulator to run
+_ZERO_MAC_SIMULATIONS = [
+    ["simulate", "--macs", "0", "--fiber-km", "1", "--ttrt", "8", "--workload", "wic",
+     "--load-pct", "40"],
+    ["simulate", "--macs", "0", "--fiber-km", "1", "--ttrt", "8", "--workload", "saturation",
+     "--active", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _ZERO_MAC_SIMULATIONS)
+def test_zero_mac_simulation_says_the_simulator_needs_a_mac(argv, capsys):
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the simulator needs at least one MAC"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -516,6 +542,7 @@ def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
     ["sweep", "--preset", "big"],
     ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--mode", "fast"],
     ["analyze", "--preset", "typical", "--ttrt", "8", "--config", "/nonexistent.ini"],
+    *_ZERO_MAC_SIMULATIONS,
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []

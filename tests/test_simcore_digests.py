@@ -19,6 +19,7 @@ import hashlib
 
 import pytest
 
+from fddiperf import simcore
 from fddiperf.presets import FIG3_FIBER_KM, FIG3_STATIONS, PRESETS
 from fddiperf.simcore import RingConfig, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
@@ -291,3 +292,26 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_run_result_digest_is_frozen(name):
     assert run_digest(CORPUS[name]()) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("ring,load", [
+    pytest.param(_preset_ring("largest", 8.0), SaturationWorkload(frame_bytes=100),
+                 id="saturated-largest"),
+    pytest.param(_fig3_ring(8.0), WicWorkload(mean_interburst_ms=0.9, stations=(2, 9, 10, 33)),
+                 id="wic-subset"),
+])
+def test_a_ring_evicted_from_the_layout_cache_runs_as_a_fresh_one(ring, load):
+    # a ring's layout is cached for 8 rings: a ring run again after nine
+    # others is laid out anew, and its run is the same as a fresh ring's
+    simcore._layout.cache_clear()
+    fresh = run_digest(run(ring, load, 50.0, seed=3))
+    assert run_digest(run(ring, load, 50.0, seed=3)) == fresh  # from the cache
+    for n in range(2, 11):
+        run(RingConfig.uniform(n, 1.0, 8.0), SaturationWorkload(frame_bytes=100), 5.0, seed=3)
+    misses = simcore._layout.cache_info().misses
+    assert run_digest(run(ring, load, 50.0, seed=3)) == fresh
+    assert simcore._layout.cache_info().misses == misses + 1
+    # no run can change a layout that later runs share
+    layout = simcore._layout(ring.segment_delays_us, ring.token_time_us)
+    assert type(layout) is tuple
+    assert type(layout[0]) is tuple and type(layout[1]) is tuple

@@ -147,7 +147,7 @@ def _walk(config, frame_bytes, stations, duration_ns):
 @example((RingConfig.uniform(1000, 200.0, 8.0), tuple(range(3, 1000, 7))), 100, 10)
 def test_saturated_random_rings(ring, frame_bytes, rotations):
     config, stations = ring
-    load = SaturationWorkload(frame_bytes, stations)
+    load = SaturationWorkload(frame_bytes, stations) if stations else None  # None: idle
     d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
     # below the ring latency, run for as many idle rotations instead
     result = run(config, load, duration_ms=rotations * max(config.ttrt_ms, d_ms), seed=0)
@@ -181,7 +181,7 @@ def test_saturated_short_runs(ring, frame_bytes, rotations, after_holding):
     # from a fiftieth of an idle rotation to four, counted from t = 0 or
     # from about the end of the first stop's holding of up to one TTRT
     config, stations = ring
-    load = SaturationWorkload(frame_bytes, stations)
+    load = SaturationWorkload(frame_bytes, stations) if stations else None  # None: idle
     d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
     duration_ms = rotations * d_ms + (config.ttrt_ms if after_holding else 0.0)
     result = run(config, load, duration_ms=duration_ms, seed=0)

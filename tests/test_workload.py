@@ -113,6 +113,20 @@ def test_wic_validation():
         WicWorkload(mean_interburst_ms=0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda stations: SaturationWorkload(512, stations=stations),
+    lambda stations: WicWorkload(5.0, stations=stations),
+    lambda stations: WicWorkload.for_utilization(0.4, 10, stations=stations),
+], ids=["saturation", "wic", "wic-for-utilization"])
+def test_an_empty_station_set_is_refused(make):
+    # None binds every station; a set must name at least one
+    with pytest.raises(ValueError, match="at least one station") as refused:
+        make(())
+    assert len(str(refused.value).splitlines()) == 1
+    assert make(None).bind(3, seed=0).count(None) == 0
+    assert make((1,)).bind(3, seed=0).count(None) == 2
+
+
 def test_saturation_workload():
     w = SaturationWorkload(frame_bytes=512, stations=(0, 2))
     feeds = w.bind(3, seed=0)
