@@ -11,11 +11,16 @@ seeds, zero token time, scripted arrivals that land exactly on token
 visits, frame completions and the warm-up mark, and runs whose end, mark or
 rotation-bound violations fall inside lap 0. The lap-0 digests were
 recorded with the pass-by-pass walk of lap 0 that preceded its closed form.
+The tie digests, of bursts that land on a token event of their own stop
+(held behind it in zero-gap runs, or at its frame completions) and of empty
+bursts, were recorded with the per-run burst heap that preceded a run's
+pre-merged arrivals.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -166,6 +171,56 @@ def _scripted_cases() -> dict:
     }
 
 
+def _grid_script(seed: int, n: int, steps: int, step_ms: float) -> dict:
+    """A seeded script of n stations on a grid of step_ms: a third of the
+    gaps zero, bursts of 0, 1 or 2 frames of 25, 100 or 512 bytes."""
+    rng = random.Random(seed)
+    script = {}
+    for station in range(n):
+        bursts, at = [], 0
+        while at < steps:
+            at += rng.choice((0, 0, 1, 1, 2, 3, 8, 16))
+            bursts.append((at * step_ms, rng.choice(([], [100], [100, 100], [512], [25]))))
+        script[station] = bursts
+    return script
+
+
+def _tie_cases() -> dict:
+    """Bursts that tie with a token event of their own stop: recorded before
+    a run's bursts were drawn ahead of it and merged into one list."""
+    return {
+        # stop 1 is visited at 4 us; its burst there was drawn at 3.5 us,
+        # after the pass of stop 0 at 3 us, so the visit goes first and the
+        # burst and its three zero-gap successors wait for the next event;
+        # stops 0 and 2 take theirs in at that instant
+        "script-zero-gap-held": _scripted(3, {
+            0: [(0.004, [100])],
+            1: [(0.0035, [100]), (0.004, [100]), (0.004, [512]), (0.004, []), (0.004, [100]),
+                (0.02, [100])],
+            2: [(0.004, [100, 100]), (0.004, [])],
+        }, 1.0),
+        # bursts at the holder's own frame completions: drawn before the
+        # frame started they go first, drawn after it they wait
+        "script-completion-ties": _scripted(2, {
+            0: [(0.0005, [100]), (0.01, [100]), (0.018, [100]), (0.018, []), (0.018, [100]),
+                (0.05, [100]), (0.058, [100])],
+            1: [(0.0015, []), (0.0025, [100]), (0.011, [100]), (0.019, []), (0.019, [100])],
+        }, 1.0),
+        "script-empty-bursts": _scripted(3, {
+            0: [(0.0, []), (0.0, []), (0.003, []), (0.05, [])],
+            1: [(0.001, []), (0.004, []), (0.004, [100]), (0.1, []), (0.1, [])],
+            2: [(0.0, []), (0.2, [])],
+        }, 0.5),
+        # 1 us grids at a TTRT of 50 us: 8 bursts each wait behind a token
+        # event of their stop, most of them at a frame completion
+        "script-grid-random-ties": _scripted(
+            1, _grid_script(22, 1, 300, 0.001), 0.36, ttrt_ms=0.05, allow_any_ttrt=True),
+        "script-grid-random-ties-no-overflow": _scripted(
+            2, _grid_script(22, 2, 300, 0.001), 0.36, ttrt_ms=0.05, allow_any_ttrt=True,
+            async_overflow=False),
+    }
+
+
 def _stretch_cases() -> dict:
     """Edges of the closed-form stretch of passes with no capture."""
     uneven = RingConfig(
@@ -227,6 +282,7 @@ CORPUS = {
     **_wic_cases(),
     **_variant_cases(),
     **_scripted_cases(),
+    **_tie_cases(),
     **_stretch_cases(),
     **_lap0_cases(),
 }
@@ -259,11 +315,16 @@ DIGESTS = {
     "sat-typical-8-overflow": "cebdafe00cb46ca217ac95e8fa5b164cc9daca2cb8615edc055bf15c83442576",
     "sat-typical-illegal-0.3": "f8823a0005c9dd3e62d3fcdafcf56db1eaed3dc83656459c82ab917c580a0619",
     "script-chained-tie": "148e6f32a663739e88a52329ece1aea24a4534cc412e0c385609cbfc3de7aacc",
+    "script-completion-ties": "4dbda97d2c77454bde57fd76fdd980829441caa539dcd230d7055bc5e7bfddc8",
+    "script-empty-bursts": "2aae2110d8c38ab5a26c2dcd0d3b74734fe05441ddd7f148757383e2e8e24bb4",
+    "script-grid-random-ties": "6b8953c469d66f36fb27699d924ecad1c0b209f8f565f457cc8775cfcb59f6eb",
+    "script-grid-random-ties-no-overflow": "344341ad9da5c094c2ebeddaa5c8cf5f68aa6294752086b1325dd506d5805967",
     "script-grid-ties": "2cf08c262b3ed3a718f807e28d3bdfd106cd992b5b92eb9685d0d9f4ddb3fcd2",
     "script-grid-ties-no-overflow": "edaffbf8ed9928bf748e653f206612924224f8f5b21a6ed782cf0d3afb7a9a28",
     "script-hand-trace": "1e201d4a0d41f4b9a999a12b74cfd95e67bd9e6d8371043868d0545b92e79166",
     "script-mid-burst": "07063506427b3d301a2ddc2529a60f82a8142129d3a1a8e65326920e9c0da1b9",
     "script-unusable-token": "fedc8f06611d677611c757e5d50975f3eaf99434aa080f474332ec2ec24a010a",
+    "script-zero-gap-held": "313bcc1f442796a843c4fd1b20cc3e69f8ad9b1a873df79395b896b371d95fbc",
     "skip-chain-dense": "5a00b25b4b9e6f981b6f9e0006f3c9c64b2d1c0116db5f3b2ae47359a842c823",
     "skip-chain-sparse": "2dbf143a09e7e69201c144e543f590edfe61b959fa9a32fed618eedfe2cd2c15",
     "stretch-idle-rotation-over-ttrt": "92a5503921c2d6d3cb7a6612ddf0e73487e358d91acd8bbc427be4d035c68c82",
