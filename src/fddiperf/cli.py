@@ -263,6 +263,14 @@ def _active(n_active: int | None, macs: int) -> int:
     return n_active
 
 
+def _simulable(macs: int) -> int:
+    """The MAC count of a ring to simulate: the closed form's zero-latency
+    ring of 0 MACs has no station to simulate."""
+    if macs == 0:
+        raise CliError("the simulator needs at least one MAC")
+    return macs
+
+
 def _base_row(**kwargs) -> dict:
     return dict(dict.fromkeys(CSV_COLUMNS), **kwargs)
 
@@ -448,8 +456,7 @@ def _print_report(report, say: Callable[[str], None]) -> None:
 def cmd_simulate(res: Resolver) -> int:
     from . import metrics, simcore, workload
     preset_name, macs, fiber = _resolve_ring(res)
-    if macs == 0:  # the closed form's zero-latency ring has no station to simulate
-        raise CliError("the simulator needs at least one MAC")
+    _simulable(macs)
     kind, interburst = res.get("workload"), None
     # bursty traffic loads every station, so only saturation reads --active
     n_active = _active(res.get("active") if kind == "saturation" else None, macs)
@@ -527,20 +534,29 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
 
 
 def _reuse_or_run(held, config, load, duration_ms: float, seed: int) -> tuple:
-    """The MetricsReport of one simulated sweep point, and the certified (result,
-    report) to hold for the next point of its replication. held is the one
-    kept from an earlier point, or None; when simcore.reuse_at cannot stand
-    it in for this point, it is dropped before the simulator runs, so that
-    no result outlives the next run unless TTRT provably never bound it. A
-    reused run keeps its report but for the fields of the TTRT."""
+    """The MetricsReport of one simulated sweep point, and what its replication
+    holds for the next point: the (result, report) of its last run if TTRT
+    provably never bound it, else None, and the simcore.Arrivals that run
+    read. held is what an earlier point left, or None. When simcore.reuse_at
+    cannot stand the held run in for this point, it is dropped before the
+    simulator runs, so that no result outlives the next run unless TTRT
+    provably never bound it; the arrivals are read again by a run of the
+    same traffic and dropped before other traffic is drawn. A reused run
+    keeps its report but for the fields of the TTRT."""
     from . import metrics, simcore
-    result = None if held is None else simcore.reuse_at(held[0], config, load)
+    kept, arrivals = held or (None, None)
+    result = None if kept is None else simcore.reuse_at(kept[0], config, load)
     if result is not None:
-        return metrics.reuse_at(held[1], result), held
-    held = None
-    result = simcore.run(config, load, duration_ms=duration_ms, seed=seed)
+        return metrics.reuse_at(kept[1], result), held
+    held = kept = None
+    key = (load, config.n_stations, seed, duration_ms)
+    if arrivals is not None and arrivals.key != key:
+        arrivals = None  # dropped before other traffic is drawn
+    if arrivals is None:
+        arrivals = simcore.Arrivals(*key)
+    result = simcore.run(config, load, duration_ms=duration_ms, seed=seed, arrivals=arrivals)
     report = metrics.summarize(result)
-    return report, (result, report) if simcore.certified(result) else None
+    return report, ((result, report) if simcore.certified(result) else None, arrivals)
 
 
 def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> list[dict]:
@@ -548,13 +564,14 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
     giving its closed-form row and/or, when spec simulates, one simulated
     row per replication, run with sim, the command's _sim_settings. On a
     TTRT sweep a replication reuses its last run that TTRT never bound for
-    every higher TTRT, instead of simulating it again."""
+    every higher TTRT, instead of simulating it again, and every run of the
+    same traffic reads its bursts from one draw."""
     column = SWEEP_VARS[spec.var][0]
     rows: list[dict] = []
     latency = functools.cache(_ring_latency_ms)  # once per ring of this sweep
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
-            held: dict[int, tuple | None] = {}  # replication -> certified (result, report)
+            held: dict[int, tuple] = {}  # replication -> what _reuse_or_run holds for it
             template = _base_row(figure=figure, preset=preset_name, sweep_var=spec.sweep_var,
                                  mac_count=macs, fiber_km=fiber, n_active=spec.n_active,
                                  ttrt_ms=spec.ttrt_ms, frame_bytes=spec.frame_bytes)
@@ -568,7 +585,7 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
                 if not sim:
                     continue
                 duration, seed, ring = sim
-                config = ring(point["mac_count"], point["fiber_km"], point["ttrt_ms"])
+                config = ring(_simulable(point["mac_count"]), point["fiber_km"], point["ttrt_ms"])
                 load = _build_workload(point, load_pct)
                 saturated = point["ttrt_ms"] <= latency(point["fiber_km"], point["mac_count"])
                 for rep in range(replications):

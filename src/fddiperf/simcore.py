@@ -14,9 +14,12 @@ closes exactly. At 100 Mbps one byte is exactly 80 ns on the wire.
 
 The model is event driven: token visits, frame completions and burst
 arrivals, taken in the order of (time, order of scheduling). The loop
-computes that order without putting token visits or frame completions on
-a queue. Only pending bursts, one per traffic source, sit in a heap, and
-the token's next event is compared against the earliest of them:
+computes that order without putting any event on a queue. A run's bursts
+are drawn ahead of it, up to its end, in the order a heap of each source's
+next burst would hand them out (`Arrivals`), and the token's next event is
+compared against the earliest burst not yet taken in. A source's stream
+depends only on the seed and its station, so the runs of one workload,
+ring size, seed and run length, at every TTRT, can read one draw:
 
 - Stations without a traffic source never transmit, so the token leaps
   from one sourced station to the next in a single step.
@@ -49,8 +52,10 @@ the token's next event is compared against the earliest of them:
 - A holding period is one step. A ring is saturated or bursty as a whole.
   On a saturated ring every sourced station is always backlogged and sends
   ceil(THT / F) frames with overflow, floor(THT / F) without; on a bursty
-  ring queued frames are sent in a plain loop over the queue. As in FDDI,
-  the token is released right behind the last frame.
+  ring a stop's queue is a window onto its frames in the arrivals, and its
+  queued frames are sent in a plain loop over it. As in FDDI, the token is
+  released right behind the last frame, so the frames of a holding fill
+  it: it sent 8 bits per NS_PER_BYTE of its length.
 - Bursts are brought in, in time order, just before the first token event
   at or after them, so every station decision sees the queues the
   event-by-event order would show it. A burst landing at the same
@@ -58,7 +63,9 @@ the token's next event is compared against the earliest of them:
   preceded that event's: the burst was drawn earlier than the token's
   previous event, or at the same instant and ahead of it. That ordering
   is kept per station, which reproduces the event-by-event tie order in
-  full.
+  full. A burst that waits behind a token event is not taken in, so its
+  stop's later bursts at that instant, which that order has not drawn
+  yet, compare as it did and wait behind it.
 - The warm-up snapshot is taken arithmetically when the first event at or
   after the mark is reached; events exactly at the mark stay outside it.
 - Outside a holding the ring is in overhead while a frame waits (always,
@@ -75,12 +82,10 @@ simulating again.
 
 from __future__ import annotations
 
-from collections import deque
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
-from heapq import heappush, heappop
 from itertools import accumulate, compress, repeat
-from operator import add, is_not, mul, neg, sub, truediv
+from operator import add, is_not, itemgetter, mul, neg, sub, truediv
 from types import SimpleNamespace
 
 from .analytical import (
@@ -182,7 +187,7 @@ class RingConfig:
     def ring_latency_ms(self) -> float:
         """Propagation plus summed repeat delays (token time excluded), each
         hop in the whole nanoseconds that `run` simulates."""
-        return _layout(self.segment_delays_us, self.token_time_us)[-1]
+        return _ring_layout(self)[-1]
 
 
 @record("at_ns completed_bits busy_ns station_bits")
@@ -262,6 +267,20 @@ def _layout(segment_delays_us: tuple[float, ...], token_time_us: float) -> tuple
     *offsets, period = accumulate(hops, initial=0)
     latency_us = sum(map(truediv, hop_ns, repeat(NS_PER_US))) + len(hops) * STATION_DELAY_US
     return hops, tuple(offsets), period, min(hops), latency_us / 1000.0
+
+
+_last_layout: list = [None, None, None]  # the ring last looked up: hops, token time, layout
+
+
+def _ring_layout(config: RingConfig) -> tuple:
+    """`_layout` of the config's ring. The ring last looked up is known by
+    its hop tuple's identity, which its configs at other TTRTs share, so a
+    second look (a run's summary after the run) hashes none of its hops."""
+    segs, token_time_us = config.segment_delays_us, config.token_time_us
+    last = _last_layout
+    if last[0] is not segs or last[1] != token_time_us:
+        last[:] = segs, token_time_us, _layout(segs, token_time_us)
+    return last[2]
 
 
 def _rotation_error(trt: int, station: int, ttrt_ns: int) -> InvariantViolation:
@@ -393,9 +412,66 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
         return None
     if workload != result.workload or not certified(result):
         return None
-    period = _layout(config.segment_delays_us, config.token_time_us)[2]
+    period = _ring_layout(config)[2]
     return result._replace(config=config,
                            trt_bound_enforced=_trt_enforced(config, workload, period))
+
+
+def _duration_ns(duration_ms: float) -> int:
+    check_finite(duration_ms=duration_ms)
+    duration_ns = _ns_from_ms(duration_ms)
+    if duration_ns <= 0:
+        raise ValueError(f"duration_ms must be > 0, got {duration_ms}")
+    return duration_ns
+
+
+class Arrivals:
+    """The traffic of every run of `key` = (workload, n_stations, seed,
+    duration_ms), at any TTRT, drawn up to the run's end; no run changes it.
+
+    The token stops only at `stops`, the sourced stations in ring order
+    (station 0 on a ring without any), and per-stop lists are indexed by a
+    stop's position k in it. A saturated ring's stops always have a frame of
+    `sat` bytes. On a bursty ring (`sat` 0) burst b comes at times[b] to
+    stop burst_stop[b] with burst_frames[b] frames, in the order a heap of
+    each source's next burst hands them out: by time, then stop, a stop's
+    bursts at one instant as drawn, which needs each source's bursts in
+    time order. Stop k's frames arrive at frame_at[k], a burst's frames
+    sharing its time's int, and have frame_bytes[k] bytes."""
+
+    __slots__ = ("key", "stops", "sat", "times", "burst_stop", "burst_frames", "frame_at",
+                 "frame_bytes", "__weakref__")
+
+    def __init__(self, workload, n_stations: int, seed: int = 0,
+                 duration_ms: float = DEFAULT_DURATION_MS):
+        n = n_stations
+        duration_ns = _duration_ns(duration_ms)
+        self.key = (workload, n_stations, seed, duration_ms)
+        sources = list(workload.bind(n, seed)) if workload is not None else [None] * n
+        if len(sources) != n:
+            raise ValueError(f"workload bound {len(sources)} stations, ring has {n}")
+        # all() passes a ring that sources every station without comparing with None
+        stops = (range(n) if all(sources)
+                 else list(compress(range(n), map(is_not, sources, repeat(None)))))
+        self.sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
+        feeds = [] if self.sat else list(map(sources.__getitem__, stops))
+        self.stops = stops or [0]
+        bursts = []  # (time, stop, frames), stop by stop
+        self.frame_at, self.frame_bytes = [], []
+        for k, feed in enumerate(feeds):
+            at_k, bytes_k = [], []
+            burst = feed.next_burst(0)
+            while burst is not None and burst[0] <= duration_ns:
+                at, sizes = burst
+                bursts.append((at, k, len(sizes)))
+                at_k += [at] * len(sizes)
+                bytes_k += sizes
+                burst = feed.next_burst(at)
+            self.frame_at.append(at_k)
+            self.frame_bytes.append(bytes_k)
+        bursts.sort(key=itemgetter(0))  # stable: by stop, then as drawn, within an instant
+        self.times, self.burst_stop, self.burst_frames = (
+            map(list, zip(*bursts)) if bursts else ([], [], []))
 
 
 def run(
@@ -404,6 +480,8 @@ def run(
     duration_ms: float = DEFAULT_DURATION_MS,
     seed: int = 0,
     warmup_fraction: float = WARMUP_FRACTION,
+    *,
+    arrivals: Arrivals | None = None,
 ) -> RunResult:
     """Simulate from t=0 (token injected at station 0, all rotation clocks
     zeroed) to t=duration. Deterministic given (config, workload, seed).
@@ -412,31 +490,27 @@ def run(
     hard error whenever the configured TTRT covers the effective ring
     latency plus one maximum-size frame of the attached workload; outside
     that regime violations are only counted.
+
+    `arrivals`, the Arrivals of (workload, n_stations, seed, duration_ms),
+    are drawn for the run when not given.
     """
     n = config.n_stations
     ttrt_ns = _ns_from_ms(config.ttrt_ms)
     two_ttrt = 2 * ttrt_ns
-    check_finite(duration_ms=duration_ms)
-    duration_ns = _ns_from_ms(duration_ms)
-    if duration_ns <= 0:
-        raise ValueError(f"duration_ms must be > 0, got {duration_ms}")
+    duration_ns = _duration_ns(duration_ms)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    hops, pre, period, shortest, _ = _layout(config.segment_delays_us, config.token_time_us)
+    hops, pre, period, shortest, _ = _ring_layout(config)
 
-    sources = list(workload.bind(n, seed)) if workload is not None else [None] * n
-    if len(sources) != n:
-        raise ValueError(f"workload bound {len(sources)} stations, ring has {n}")
-    # The token only stops at sourced stations (station 0 on a ring without
-    # any; all() passes a ring that sources every one without comparing with
-    # None); per-stop state is indexed by position k in `stops`. A saturated
-    # ring's stops always have a frame of sat bytes; a bursty ring's have feeds.
-    stops = (range(n) if all(sources)
-             else list(compress(range(n), map(is_not, sources, repeat(None)))))
-    sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
-    feeds = [] if sat else list(map(sources.__getitem__, stops))
-    stops = stops or [0]
+    if arrivals is None:
+        arrivals = Arrivals(workload, n, seed, duration_ms)
+    elif arrivals.key != (workload, n, seed, duration_ms):
+        raise ValueError("arrivals drawn for another workload, ring size, seed or run length")
+    # per-stop state is indexed by position k in `stops`
+    stops, sat = arrivals.stops, arrivals.sat
+    times, burst_stop, burst_frames = arrivals.times, arrivals.burst_stop, arrivals.burst_frames
+    frame_at, frame_bytes = arrivals.frame_at, arrivals.frame_bytes
     nst = len(stops)
     # offset[k]: stop k's offset from stop 0 in an idle rotation; leap[k]:
     # the token's travel time from stop k to the next
@@ -459,14 +533,13 @@ def run(
         raise ValueError("warm-up must end before the run does")
     boundary = RunSnapshot(0, 0, 0, (0,) * n) if mark_ns == 0 else None
 
-    # Pending bursts (time, stop, frame sizes), at most one per source;
-    # drawn[k] is when stop k's pending burst was scheduled.
-    pending: list[tuple[int, int, list[int]]] = []
+    # Bursts from `arrivals` are taken in from times[b], and those in
+    # `held` wait behind the token event at their instant. drawn[k] is when
+    # stop k's next burst was scheduled: at its last burst taken in.
+    b = 0
+    n_bursts = len(times)
+    held: list[int] = []
     drawn = [_FIRST_DRAW] * nst
-    for k, feed in enumerate(feeds):
-        first = feed.next_burst(0)
-        if first is not None:
-            heappush(pending, (first[0], k, first[1]))
     # ahead[k]: stop k's last burst went ahead of a token event at its instant.
     ahead = [False] * nst
 
@@ -481,8 +554,11 @@ def run(
 
         def fill(lo: int, hi: int, c: int) -> None:
             key[lo:hi] = [c] * (hi - lo)
-    # a saturated stop never queues: the token reads its frame size from sat
-    queues: list[deque | None] = [None] * nst if sat else [deque() for _ in range(nst)]
+    # Stop k's queue is its queued[k] frames from head[k] on in frame_at[k]
+    # and frame_bytes[k], the one in flight while it holds the token among
+    # them. A saturated stop always has one: the token reads its size from sat.
+    head = [0] * nst
+    queued = [1 if sat else 0] * nst
     want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
     nonempty = 0
 
@@ -499,10 +575,7 @@ def run(
     overhead_total = 0
     holding = -1
     hold_start = 0
-    hold_tht = 0
-    sat_frames = 0
-    cur_arrival = 0
-    cur_size = 0
+    hold_end = 0  # where the holding budget runs out
     seg_start = 0  # where the ring's idle or overhead segment began
 
     # The token's next event is a visit to stop k at t or, while stop k
@@ -523,33 +596,35 @@ def run(
                 parent = parent_t if t == after_t else t - leap[k - 1]
             else:
                 parent = parent_t
-            upto = min(t, duration_ns)
-            held = None
-            while pending and pending[0][0] <= upto:
-                at, kb, sizes = heappop(pending)
-                d = drawn[kb]
-                first = at == t and (d < parent or (d == parent and ahead[kb]))
-                ahead[kb] = first
-                if at == t and kb == k and not first:
-                    held = (at, kb, sizes)  # the token event at t goes first
-                    continue
-                q = queues[kb]
-                if sizes:
-                    if not q:
+            # the bursts held at an earlier instant come first
+            due = range(b, bisect_right(times, t, b))  # no burst is past the end
+            b = due.stop
+            if held:
+                due, held = held + list(due), []
+            for x in due:
+                kb = burst_stop[x]
+                at = times[x]
+                if at == t:
+                    d = drawn[kb]
+                    ahead[kb] = d < parent or (d == parent and ahead[kb])
+                    if kb == k and not ahead[kb]:
+                        # the token event at t goes first; the stop's later
+                        # bursts at t compare on the same d and wait too
+                        held.append(x)
+                        continue
+                else:
+                    ahead[kb] = False
+                drawn[kb] = at
+                m = burst_frames[x]
+                if m:
+                    if not queued[kb]:
                         if holding < 0 and not nonempty:  # the ring's idle segment ends
                             idle_total += at - seg_start
                             seg_start = at
                         nonempty += 1
                         if holding != kb:
                             want_since[kb] = at
-                    for size in sizes:
-                        q.append((at, size))
-                nb = feeds[kb].next_burst(at)
-                if nb is not None:
-                    heappush(pending, (nb[0], kb, nb[1]))
-                    drawn[kb] = at
-            if held is not None:
-                heappush(pending, held)
+                    queued[kb] += m
             if boundary is None and t >= mark_ns:
                 snap_busy = busy_total
                 snap_station = list(bits)
@@ -557,11 +632,13 @@ def run(
                     snap_busy += mark_ns - hold_start
                     if sat:
                         snap_station[k] += (mark_ns - hold_start - 1) // frame_ns * sat * 8
+                    else:  # the frames sent before the one in flight
+                        snap_station[k] += (parent_t - hold_start) * 8 // NS_PER_BYTE
                 boundary = RunSnapshot(mark_ns, sum(snap_station), snap_busy,
                                        _by_station(snap_station, stops, n))
             if t > duration_ns:
                 break
-            limit = pending[0][0] if pending and pending[0][0] < end_ns else end_ns
+            limit = times[held[0]] if held else times[b] if b < n_bursts else end_ns
             if boundary is None and mark_ns < limit:
                 limit = mark_ns
 
@@ -617,25 +694,21 @@ def run(
                     trt_violations += 1
                     if trt_enforced:
                         raise _rotation_error(trt, stops[k], ttrt_ns)
-                q = queues[k]
-                if sat or q:
+                if queued[k]:
                     tht = ttrt_ns - trt
-                    if tht > 0 and (overflow or (sat or q[0][1]) * NS_PER_BYTE <= tht):
+                    if tht > 0 and (
+                            overflow or (sat or frame_bytes[k][head[k]]) * NS_PER_BYTE <= tht):
                         access_samples.append((want_since[k], t))
                         want_since[k] = -1
                         overhead_total += t - seg_start
                         holding = k
                         hold_start = t
-                        hold_tht = tht
+                        hold_end = t + tht
                         if sat:
-                            sat_frames = -(-tht // frame_ns) if overflow else tht // frame_ns
-                            t += sat_frames * frame_ns
+                            t += (-(-tht // frame_ns) if overflow else tht // frame_ns) * frame_ns
                         else:
-                            cur_arrival, cur_size = q.popleft()
-                            if not q:
-                                nonempty -= 1
                             parent_t = t
-                            t += cur_size * NS_PER_BYTE
+                            t += frame_bytes[k][head[k]] * NS_PER_BYTE
                         break
                 t += leap[k]
                 k += 1
@@ -647,33 +720,33 @@ def run(
             continue
 
         # stop k holds the token; its frame(s) complete at t
-        q = queues[k]
-        if sat:
-            bits[k] += sat_frames * sat * 8
-        else:
+        if not sat:
+            q_at, q_bytes = frame_at[k], frame_bytes[k]
+            h = head[k]  # the frame at h completes at t
+            end = h + queued[k]
             while True:
-                bits[k] += cur_size * 8
-                response_samples.append((cur_arrival, t))
-                more = q and (
-                    t - hold_start < hold_tht if overflow
-                    else t - hold_start + q[0][1] * NS_PER_BYTE <= hold_tht
-                )
+                response_samples.append((q_at[h], t))
+                h += 1
+                more = h != end and (
+                    t < hold_end if overflow else t + q_bytes[h] * NS_PER_BYTE <= hold_end)
                 if not more:
                     break
-                cur_arrival, cur_size = q.popleft()
-                if not q:
-                    nonempty -= 1
                 parent_t = t
-                t += cur_size * NS_PER_BYTE
+                t += q_bytes[h] * NS_PER_BYTE
                 if t >= limit:
                     break
+            head[k], queued[k] = h, end - h
             if more:
                 continue  # a frame is in flight past the limit
-            if q:
+            if h != end:
                 budget_cuts += 1
+            else:
+                nonempty -= 1
+        # the holding sent its frames back to back: 8 bits per NS_PER_BYTE
+        bits[k] += (t - hold_start) * 8 // NS_PER_BYTE
         busy_total += t - hold_start
         holding = -1
-        if sat or q:
+        if queued[k]:
             want_since[k] = t
         seg_start = t
         parent_t = t
@@ -686,6 +759,8 @@ def run(
     if holding >= 0:
         if sat:
             bits[holding] += (duration_ns - hold_start) // frame_ns * sat * 8
+        else:  # the frames sent before the one in flight
+            bits[holding] += (parent_t - hold_start) * 8 // NS_PER_BYTE
         busy_total += duration_ns - hold_start
     elif sat or nonempty:
         overhead_total += duration_ns - seg_start

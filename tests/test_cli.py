@@ -324,6 +324,53 @@ def test_sweep_holds_no_result_across_a_real_run(argv, rows, max_runs, tmp_path,
     assert len(earlier) <= max_runs
 
 
+@pytest.mark.parametrize("replications", [1, 2])
+def test_a_sweep_draws_the_bursts_of_each_load_and_replication_once(replications, tmp_path,
+                                                                      monkeypatch):
+    # each TTRT point of a load reads the bursts its replication drew first
+    from fddiperf import workload
+    real_next_burst, real_arrivals = workload.WicGenerator.next_burst, simcore.Arrivals
+    bursts, keys = [], []
+
+    def counted_next_burst(self, now_ns):
+        bursts.append(now_ns)
+        return real_next_burst(self, now_ns)
+
+    def counted_arrivals(*key):
+        keys.append(key)
+        return real_arrivals(*key)
+
+    monkeypatch.setattr(workload.WicGenerator, "next_burst", counted_next_burst)
+    monkeypatch.setattr(simcore, "Arrivals", counted_arrivals)
+    assert _run(["sweep", "--figure", "fig3", "--duration-ms", "100", "--replications",
+                 str(replications), "--out", str(tmp_path / "out.csv")]) == 0
+    expected = [(workload.WicWorkload.for_utilization(load / 100.0, presets.FIG3_STATIONS),
+                 presets.FIG3_STATIONS, 1 + rep, 100.0)
+                for load in presets.FIG3_LOAD_PCT for rep in range(replications)]
+    assert keys == expected
+    drawn = len(bursts)
+    bursts.clear()
+    for key in expected:
+        real_arrivals(*key)
+    assert drawn == len(bursts) > 0
+
+
+def test_no_arrivals_outlive_a_sweep(tmp_path, monkeypatch):
+    real_arrivals = simcore.Arrivals
+    drawn = []
+
+    def tracked(*key):
+        arrivals = real_arrivals(*key)
+        drawn.append(weakref.ref(arrivals))
+        return arrivals
+
+    monkeypatch.setattr(simcore, "Arrivals", tracked)
+    assert _run(["sweep", "--figure", "fig3", "--duration-ms", "50", "--replications", "2",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(drawn) == 6
+    assert all(ref() is None for ref in drawn)
+
+
 def test_reused_runs_write_the_csv_of_real_runs(tmp_path, monkeypatch):
     argv = ["sweep", "--figure", "fig3", "--duration-ms", "50", "--seed", "5"]
     reused, rerun = tmp_path / "reused.csv", tmp_path / "rerun.csv"
@@ -514,6 +561,8 @@ _ZERO_MAC_SIMULATIONS = [
      "--load-pct", "40"],
     ["simulate", "--macs", "0", "--fiber-km", "1", "--ttrt", "8", "--workload", "saturation",
      "--active", "1"],
+    ["sweep", "--var", "total_stations", "--grid", "0,5", "--fiber-km", "1", "--mode", "simulate",
+     "--active", "1", "--ttrt", "8"],
 ]
 
 

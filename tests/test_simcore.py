@@ -289,6 +289,20 @@ def test_trt_violations_counted_when_not_enforced():
     assert res.trt_violations > 0
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param(dict(workload=WicWorkload(0.5)), id="workload"),
+    pytest.param(dict(n_stations=5), id="stations"),
+    pytest.param(dict(seed=2), id="seed"),
+    pytest.param(dict(duration_ms=20.0), id="duration"),
+])
+def test_arrivals_drawn_for_another_run_are_refused(change):
+    cfg = RingConfig.uniform(4, 1.0, 8.0)
+    drawn = dict(workload=WicWorkload(1.0), n_stations=4, seed=1, duration_ms=10.0)
+    arrivals = simcore.Arrivals(**{**drawn, **change})
+    with pytest.raises(ValueError, match="arrivals drawn for another"):
+        run(cfg, WicWorkload(1.0), duration_ms=10.0, seed=1, arrivals=arrivals)
+
+
 def test_workload_binding_must_cover_ring():
     class BadWorkload:
         max_frame_bytes = 100
@@ -328,6 +342,17 @@ def _traced_lines(n_stations: int) -> tuple[int, int]:
     finally:
         sys.settrace(None)
     return lines, captures
+
+
+def test_the_ring_last_laid_out_is_found_without_hashing_its_hops():
+    # a run's summary reads the latency of the ring the run just laid out,
+    # and a config at another TTRT shares its hop tuple: neither lookup
+    # reaches the layout cache, whose key hashes every hop
+    cfg = RingConfig.uniform(1000, 200.0, 8.0)
+    run(cfg, SaturationWorkload(frame_bytes=100), duration_ms=10.0)
+    before = simcore._layout.cache_info()
+    assert cfg._replace(ttrt_ms=20.0).ring_latency_ms == cfg.ring_latency_ms
+    assert simcore._layout.cache_info() == before
 
 
 def test_fixed_cost_of_a_run_does_not_grow_with_the_stations():

@@ -15,10 +15,12 @@ saw the token at t = 0, meets the warm-up mark or the end. The run-length
 lap-clock keys of a saturated ring must answer as a plain list of keys does
 under random fills and single sets, from lap 0 on.
 
-The TTRT-binding certificate is checked the same way: whenever
-`simcore.reuse_at` stands a bursty run at T1 in for a higher T2, the run at
-T2 must equal it in every field, its report with the fields of the TTRT
-recomputed must equal the rerun's, and a saturated run is never certified.
+Runs that read one draw of arrivals across a grid of TTRTs must each
+equal the run that draws its own. The TTRT-binding certificate is checked
+the same way: whenever `simcore.reuse_at` stands a bursty run at T1 in for
+a higher T2, the run at T2 must equal it in every field, its report with
+the fields of the TTRT recomputed must equal the rerun's, and a saturated
+run is never certified.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fddiperf.analytical import (
 )
 from fddiperf.metrics import summarize
 from fddiperf.simcore import (
-    NS_PER_BYTE, NS_PER_MS, NS_PER_US, RingConfig, _LapClocks, certified, reuse_at, run)
+    NS_PER_BYTE, NS_PER_MS, NS_PER_US, Arrivals, RingConfig, _LapClocks, certified, reuse_at, run)
 from fddiperf.workload import SaturationWorkload, WicWorkload
 
 RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
@@ -231,6 +233,24 @@ def test_bursty_random_rings(ring, utilization, duration_ms, seed):
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
     result = run(config, load, duration_ms=duration_ms, seed=seed)
     _check_run(result, stations)
+
+
+@RANDOM_RINGS
+@given(rings(min_sourced=1, max_stations=30), st.floats(0.05, 0.99), st.floats(5.0, 20.0),
+       st.integers(0, 99),
+       st.lists(st.floats(-4.0, 5.3).map(lambda x: 2.0 ** x), min_size=2, max_size=5))
+def test_runs_on_shared_arrivals_are_the_runs_that_draw_their_own(ring, utilization,
+                                                                  duration_ms, seed, ttrts_ms):
+    # one draw read by a run at each TTRT of a grid, from 1/16 to about 40 ms,
+    # in the grid's order: no run changes what the next one reads, and each
+    # equals the run that draws its own in every field
+    config, stations = ring
+    load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
+    shared = Arrivals(load, config.n_stations, seed, duration_ms)
+    for ttrt_ms in ttrts_ms:
+        at = config._replace(ttrt_ms=ttrt_ms, allow_any_ttrt=True)
+        own = run(at, load, duration_ms=duration_ms, seed=seed)
+        assert run(at, load, duration_ms=duration_ms, seed=seed, arrivals=shared) == own
 
 
 def _one_station(hop_us: float, overflow: bool):
