@@ -131,7 +131,7 @@ def summarize(result: RunResult) -> MetricsReport:
         sub, map(now.__getitem__, sent), map(then.__getitem__, sent)),
         repeat(interval_ns)), repeat(1000.0))), maxlen=0)
 
-    responses = [c - a for a, c in result.response_samples if a >= mark_ns]
+    responses = result.response_samples.delays_since(mark_ns)
     accesses = [cap - start for start, cap in result.access_samples if start >= mark_ns]
     access = _stats(accesses, with_p95=False)
     load = result.workload

@@ -73,6 +73,11 @@ ring size, seed and run length, at every TTRT, can read one draw:
   ends an idle segment and a capture always ends an overhead segment. The
   run keeps only per-stop bits: its totals of bits and frames are worked
   out from them, or from the response samples, at the end.
+- Per sent frame a bursty run keeps one fact, its completion time, 8 bytes
+  in its stop's array: a stop sends its frames in the order they arrived,
+  so the frame's arrival is read from the draw. `RunResult.response_samples`
+  is a view that pairs them in completion order; a saturated run keeps no
+  frame times.
 
 A RunResult carries the workload it simulated. A bursty run that the TTRT
 never bound (no holding cut short, every token usable) is also the run of
@@ -82,9 +87,10 @@ simulating again.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, is_not, itemgetter, mul, neg, sub, truediv
 from types import SimpleNamespace
 
@@ -201,9 +207,12 @@ class RunResult(SimpleNamespace):
     completed bits are attributed to the completion instant, and
     completed_bits is the sum of station_bits, here and in the boundary
     snapshot; busy/overhead/idle nanoseconds partition the simulated time
-    exactly. Access-delay samples are (episode start, token capture) pairs;
-    one episode opens per empty-to-nonempty queue transition or token
-    release with work left, and closes at the next usable capture.
+    exactly. response_samples is a read-only view of the (arrival,
+    completion) pairs of the frames sent, in completion order, that keeps
+    8 bytes per frame (`ResponseSamples`). Access-delay samples are (episode
+    start, token capture) pairs; one episode opens per empty-to-nonempty
+    queue transition or token release with work left, and closes at the
+    next usable capture.
 
     Unlike the package's other records it is a mutable namespace, built
     from keywords, that can be held by weak reference: the tests hold runs
@@ -216,7 +225,7 @@ class RunResult(SimpleNamespace):
     completed_bits: int
     completed_frames: int
     station_bits: tuple[int, ...]
-    response_samples: list[tuple[int, int]]
+    response_samples: ResponseSamples
     access_samples: list[tuple[int, int]]
     rotation_count: int
     max_rotation_ns: int
@@ -474,6 +483,52 @@ class Arrivals:
             map(list, zip(*bursts)) if bursts else ([], [], []))
 
 
+class ResponseSamples:
+    """A run's (arrival, completion) pair of each frame sent, read-only. The
+    run keeps each stop's completions; a stop sends its frames in the order
+    they arrived, so done[k][i] completes frame_at[k][i] of its Arrivals.
+    len builds no pairs; the rest build them sorted by completion, which
+    never ties across stops (every hop takes time), by a stable sort that
+    keeps each stop's order: the order in which the run completed them."""
+
+    __slots__ = ("_arrivals", "_done", "_len")
+
+    def __init__(self, arrivals: Arrivals, done: list):
+        self._arrivals, self._done = arrivals, done
+        self._len = sum(map(len, done))
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        return sorted(chain.from_iterable(map(zip, self._arrivals.frame_at, self._done)),
+                      key=itemgetter(1))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return iter(self._pairs())
+
+    def __getitem__(self, i):
+        return self._pairs()[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ResponseSamples):
+            other = other._pairs()
+        return self._pairs() == other
+
+    def __repr__(self) -> str:
+        return repr(self._pairs())
+
+    def delays_since(self, mark_ns: int) -> array:
+        """Completion less arrival of each frame that arrived at or after
+        mark_ns, stop by stop, as 8 bytes each: a stop's arrivals ascend,
+        so one bisection finds its first."""
+        delays = array("q")
+        for at, done in zip(self._arrivals.frame_at, self._done):
+            i = bisect_left(at, mark_ns, 0, len(done))
+            delays.extend(map(sub, done[i:], at[i:len(done)]))
+        return delays
+
+
 def run(
     config: RingConfig,
     workload=None,
@@ -510,7 +565,7 @@ def run(
     # per-stop state is indexed by position k in `stops`
     stops, sat = arrivals.stops, arrivals.sat
     times, burst_stop, burst_frames = arrivals.times, arrivals.burst_stop, arrivals.burst_frames
-    frame_at, frame_bytes = arrivals.frame_at, arrivals.frame_bytes
+    frame_bytes = arrivals.frame_bytes
     nst = len(stops)
     # offset[k]: stop k's offset from stop 0 in an idle rotation; leap[k]:
     # the token's travel time from stop k to the next
@@ -563,7 +618,7 @@ def run(
     nonempty = 0
 
     bits = [0] * nst
-    response_samples: list[tuple[int, int]] = []
+    done = [] if sat else [array("q") for _ in range(nst)]  # see ResponseSamples
     access_samples: list[tuple[int, int]] = []
     rotation_count = 0
     max_rotation = 0
@@ -721,11 +776,11 @@ def run(
 
         # stop k holds the token; its frame(s) complete at t
         if not sat:
-            q_at, q_bytes = frame_at[k], frame_bytes[k]
+            q_bytes, completed = frame_bytes[k], done[k].append
             h = head[k]  # the frame at h completes at t
             end = h + queued[k]
             while True:
-                response_samples.append((q_at[h], t))
+                completed(t)
                 h += 1
                 more = h != end and (
                     t < hold_end if overflow else t + q_bytes[h] * NS_PER_BYTE <= hold_end)
@@ -776,6 +831,7 @@ def run(
             f"overhead {overhead_total} != duration {duration_ns}"
         )
 
+    response_samples = ResponseSamples(arrivals, done)
     return RunResult(
         config=config,
         duration_ns=duration_ns,

@@ -573,6 +573,21 @@ def test_zero_mac_simulation_says_the_simulator_needs_a_mac(argv, capsys):
         "error: the simulator needs at least one MAC"]
 
 
+# a load of 100 % or more, named as the flag gives it, not as a utilization
+_LOAD_PCT_OUT_OF_RANGE = [
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic", "--load-pct", "100"],
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "typical", "--mode", "simulate",
+     "--load-pct", "150", "--duration-ms", "5"],
+]
+
+
+@pytest.mark.parametrize("argv, got", zip(_LOAD_PCT_OUT_OF_RANGE, ["100.0", "150.0"]))
+def test_load_pct_out_of_range_names_the_flag(argv, got, capsys):
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --load-pct must be in (0, 100), got {got}"]
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--preset", "typical", "--ttrt", "8", "--active", "50"],
     ["analyze", "--preset", "typical", "--ttrt", "8", "--active", "0"],
@@ -592,6 +607,7 @@ def test_zero_mac_simulation_says_the_simulator_needs_a_mac(argv, capsys):
     ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big", "--mode", "fast"],
     ["analyze", "--preset", "typical", "--ttrt", "8", "--config", "/nonexistent.ini"],
     *_ZERO_MAC_SIMULATIONS,
+    *_LOAD_PCT_OUT_OF_RANGE,
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from fddiperf import analytical, simcore
 from fddiperf.analytical import TOKEN_TIME_US, RingParameters
 from fddiperf.metrics import SampleStats, _stats, access_delay_bound_ms, reuse_at, summarize
-from fddiperf.simcore import NS_PER_MS, WARMUP_FRACTION, RingConfig, RunResult, RunSnapshot, run
+from fddiperf.simcore import (NS_PER_MS, WARMUP_FRACTION, ResponseSamples, RingConfig, RunResult,
+                              RunSnapshot, run)
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 
@@ -28,7 +30,9 @@ def _result_with_samples(duration_ms=100.0, responses=(), accesses=()):
         completed_bits=0,
         completed_frames=0,
         station_bits=(0, 0),
-        response_samples=list(responses),
+        # one stop per (arrival, completion) pair
+        response_samples=ResponseSamples(SimpleNamespace(frame_at=[[a] for a, _ in responses]),
+                                         [[c] for _, c in responses]),
         access_samples=list(accesses),
         rotation_count=1,
         max_rotation_ns=100,

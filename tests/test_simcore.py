@@ -6,17 +6,21 @@ transmission and access-delay samples can all be checked against pencil
 arithmetic. The remaining tests pin the protocol edges: idle rings are pure
 repeaters, a token arriving after a long rotation is unusable, the
 no-overflow discipline never exceeds the holding budget, runs are
-deterministic, and the busy/overhead/idle accounting closes exactly.
+deterministic, and the busy/overhead/idle accounting closes exactly. A
+bursty run keeps about 8 bytes per sent frame, measured with tracemalloc.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 
 import pytest
 
 from fddiperf import metrics, simcore, workload
 from fddiperf.analytical import RingParameters, frame_time_ms, overflow_model
+from fddiperf.presets import FIG3_FIBER_KM, FIG3_STATIONS
 from fddiperf.simcore import NS_PER_MS, RingConfig, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
@@ -363,3 +367,27 @@ def test_fixed_cost_of_a_run_does_not_grow_with_the_stations():
     small, large = _traced_lines(50), _traced_lines(1000)
     assert small[1] == large[1] > 0
     assert small[0] == large[0]
+
+
+def test_a_run_keeps_about_8_bytes_per_sent_frame():
+    # a bursty run keeps each sent frame's completion, 8 bytes, and reads its
+    # arrival from the draw; the access samples, about one per 6 frames,
+    # make up the rest. Kept as (arrival, completion) tuples and summarized
+    # through a list of delays, a frame cost 111.6 and 155.6 bytes.
+    config = RingConfig.uniform(FIG3_STATIONS, FIG3_FIBER_KM, 8.0)
+    load = WicWorkload.for_utilization(0.9, FIG3_STATIONS)
+    arrivals = simcore.Arrivals(load, FIG3_STATIONS, 5, 300.0)
+    run(config, load, 300.0, 5, arrivals=arrivals)  # caches filled outside the count
+    gc.collect()  # which empties the free lists, so every object is counted
+    tracemalloc.start()
+    try:
+        result = run(config, load, 300.0, 5, arrivals=arrivals)
+        kept = tracemalloc.get_traced_memory()[0]
+        metrics.summarize(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frames = result.completed_frames
+    assert frames > 10_000
+    assert kept / frames < 35  # 23.5 when written
+    assert peak / frames < 60  # 43.4 when written

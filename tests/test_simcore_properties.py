@@ -21,13 +21,21 @@ the same way: whenever `simcore.reuse_at` stands a bursty run at T1 in for
 a higher T2, the run at T2 must equal it in every field, its report with
 the fields of the TTRT recomputed must equal the rerun's, and a saturated
 run is never certified.
+
+A bursty run's response samples, on random WIC rings and on scripted bursts
+on a 1 us grid (many empty or tied), must come in strictly increasing
+completion order, one per completed frame, each stop's the prefix of its
+frames in the draw that its bits give; and the report's response
+statistics must be those of the pairs they give, with the warm-up mark on a
+burst's instant.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from itertools import accumulate
-from operator import add
+from operator import add, lt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,10 +53,10 @@ from fddiperf.analytical import (
     frame_time_ms,
     overflow_model,
 )
-from fddiperf.metrics import summarize
+from fddiperf.metrics import SampleStats, summarize
 from fddiperf.simcore import (
     NS_PER_BYTE, NS_PER_MS, NS_PER_US, Arrivals, RingConfig, _LapClocks, certified, reuse_at, run)
-from fddiperf.workload import SaturationWorkload, WicWorkload
+from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
 
@@ -283,3 +291,76 @@ def test_certified_run_is_the_run_at_every_higher_ttrt(ring, utilization, durati
         assert rerun == reused
         # so does the report, once the fields of the TTRT are recomputed
         assert metrics.reuse_at(summarize(result), reused) == summarize(rerun)
+
+
+def _warmup_at(mark_ns: int, duration_ns: int) -> float:
+    """The warm-up fraction whose mark falls on mark_ns."""
+    fraction = mark_ns / duration_ns
+    while int(duration_ns * fraction) < mark_ns:
+        fraction = math.nextafter(fraction, 1.0)
+    assert int(duration_ns * fraction) == mark_ns
+    return fraction
+
+
+def _check_samples(result, arrivals) -> None:
+    """A run's response samples against its draw and its bits, and the
+    response statistics of its report against the pairs the samples give."""
+    pairs = list(result.response_samples)
+    assert len(result.response_samples) == len(pairs) == result.completed_frames
+    completions = [c for _, c in pairs]
+    assert all(map(lt, completions, completions[1:]))
+    # each stop sent the prefix of its frames in the draw that its bits give
+    sent = []
+    for station, at, sizes in zip(arrivals.stops, arrivals.frame_at, arrivals.frame_bytes):
+        count = list(accumulate(sizes, initial=0)).index(result.station_bits[station] / 8)
+        sent += at[:count]
+    assert sorted(sent) == sorted(a for a, _ in pairs)
+
+    mark = result.boundary.at_ns
+    delays = [c - a for a, c in pairs if a >= mark]
+    expected = delays and SampleStats(
+        mean_ms=sum(delays) / len(delays) / NS_PER_MS, max_ms=max(delays) / NS_PER_MS,
+        count=len(delays), p95_ms=sorted(delays)[math.ceil(0.95 * len(delays)) - 1] / NS_PER_MS)
+    report = summarize(result)
+    assert report.response_time == (expected or None)
+    assert report.warmup_frames_discarded == len(pairs) - len(delays)
+
+
+@RANDOM_RINGS
+@given(rings(min_sourced=1, max_stations=30), st.floats(0.05, 0.99), st.floats(5.0, 20.0),
+       st.integers(0, 99), st.integers(0, 2**16))
+def test_response_samples_on_random_wic_rings(ring, utilization, duration_ms, seed, pick):
+    # the warm-up mark on the instant of a burst the draw holds
+    config, stations = ring
+    load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
+    arrivals = Arrivals(load, config.n_stations, seed, duration_ms)
+    duration_ns = round(duration_ms * NS_PER_MS)
+    instants = [t for t in arrivals.times if t < duration_ns] or [0]
+    warmup = _warmup_at(instants[pick % len(instants)], duration_ns)
+    result = run(config, load, duration_ms, seed, warmup, arrivals=arrivals)
+    _check_samples(result, arrivals)
+
+
+@st.composite
+def grid_scripts(draw):
+    """1-4 stations with bursts on a 1 us grid over 400 us, many of them empty
+    or at one instant, on a ring whose hops take 1 us."""
+    n = draw(st.integers(1, 4))
+    bursts = st.tuples(st.integers(0, 400), st.sampled_from(([], [25], [100], [100, 100], [512])))
+    script = {station: [(us / 1000, sizes) for us, sizes in draw(st.lists(bursts, max_size=40))]
+              for station in range(n)}
+    config = RingConfig.uniform(n, 0.0, draw(st.sampled_from([0.02, 0.05, 4.0])),
+                                token_time_us=0.0, async_overflow=draw(st.booleans()),
+                                allow_any_ttrt=True)
+    return config, ScriptedWorkload(script)
+
+
+@RANDOM_RINGS
+@given(grid_scripts(), st.integers(0, 2**16))
+def test_response_samples_of_scripted_ties(scripted, pick):
+    config, load = scripted
+    duration_ms = 0.5
+    arrivals = Arrivals(load, config.n_stations, 0, duration_ms)
+    instants = arrivals.times or [0]
+    warmup = _warmup_at(instants[pick % len(instants)], round(duration_ms * NS_PER_MS))
+    _check_samples(run(config, load, duration_ms, 0, warmup, arrivals=arrivals), arrivals)

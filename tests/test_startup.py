@@ -23,7 +23,9 @@ from fddiperf import cli
 from fddiperf.presets import paper_round
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-SIMULATOR = {"fddiperf.simcore", "fddiperf.metrics", "fddiperf.workload", "random", "decimal"}
+# array is a compiled extension that only a run's completion times need
+SIMULATOR = {"fddiperf.simcore", "fddiperf.metrics", "fddiperf.workload", "random", "decimal",
+             "array"}
 
 
 def _python(code: str, cwd: Path) -> list[str]:
