@@ -271,14 +271,6 @@ def _simulable(macs: int) -> int:
     return macs
 
 
-def _load_pct(res: Resolver) -> float | None:
-    """--load-pct, the share of the line rate WIC traffic offers, in percent."""
-    load_pct = res.get("load_pct")
-    if load_pct is not None and not 0 < load_pct < 100:
-        raise CliError(f"--load-pct must be in (0, 100), got {load_pct}")
-    return load_pct
-
-
 def _base_row(**kwargs) -> dict:
     return dict(dict.fromkeys(CSV_COLUMNS), **kwargs)
 
@@ -417,6 +409,8 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     if interburst_ms is not None:
         return WicWorkload(mean_interburst_ms=interburst_ms)
     if load_pct is not None:
+        if not 0 < load_pct < 100:
+            raise CliError(f"--load-pct must be in (0, 100), got {load_pct}")
         return WicWorkload.for_utilization(load_pct / 100.0, row["mac_count"])
     frame_bytes = row["frame_bytes"]
     n_active = row["n_active"]
@@ -475,7 +469,7 @@ def cmd_simulate(res: Resolver) -> int:
         row["frame_bytes"] = res.get("frame_bytes", default=workload.DEFAULT_LARGE_FRAME_BYTES)
     elif kind == "wic":
         interburst = res.get("interburst_ms")
-        row["load_pct"] = _load_pct(res) if interburst is None else None
+        row["load_pct"] = res.get("load_pct") if interburst is None else None
         if row["load_pct"] is None and interburst is None:
             raise CliError("wic workload needs --load-pct or --interburst-ms")
     else:
@@ -525,7 +519,7 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
     # bursty traffic loads every station with the fixed WIC frame mix, so it
     # cannot follow a grid of active counts or frame sizes
     bursty = mode != "analytical" and key not in ("active", "frame_bytes")
-    load_pct = _load_pct(res) if bursty else None
+    load_pct = res.get("load_pct") if bursty else None
     frame_unused = key == "frame_bytes" or (mode == "simulate" and load_pct is not None)
     return presets.Figure(
         description="",

@@ -90,7 +90,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, is_not, itemgetter, mul, neg, sub, truediv
 from types import SimpleNamespace
 
@@ -104,6 +104,7 @@ from .analytical import (
     check_finite,
     record,
 )
+from .samples import ResponseSamples
 from .workload import SaturationWorkload
 
 NS_PER_US = 1_000
@@ -481,52 +482,6 @@ class Arrivals:
         bursts.sort(key=itemgetter(0))  # stable: by stop, then as drawn, within an instant
         self.times, self.burst_stop, self.burst_frames = (
             map(list, zip(*bursts)) if bursts else ([], [], []))
-
-
-class ResponseSamples:
-    """A run's (arrival, completion) pair of each frame sent, read-only. The
-    run keeps each stop's completions; a stop sends its frames in the order
-    they arrived, so done[k][i] completes frame_at[k][i] of its Arrivals.
-    len builds no pairs; the rest build them sorted by completion, which
-    never ties across stops (every hop takes time), by a stable sort that
-    keeps each stop's order: the order in which the run completed them."""
-
-    __slots__ = ("_arrivals", "_done", "_len")
-
-    def __init__(self, arrivals: Arrivals, done: list):
-        self._arrivals, self._done = arrivals, done
-        self._len = sum(map(len, done))
-
-    def _pairs(self) -> list[tuple[int, int]]:
-        return sorted(chain.from_iterable(map(zip, self._arrivals.frame_at, self._done)),
-                      key=itemgetter(1))
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        return iter(self._pairs())
-
-    def __getitem__(self, i):
-        return self._pairs()[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ResponseSamples):
-            other = other._pairs()
-        return self._pairs() == other
-
-    def __repr__(self) -> str:
-        return repr(self._pairs())
-
-    def delays_since(self, mark_ns: int) -> array:
-        """Completion less arrival of each frame that arrived at or after
-        mark_ns, stop by stop, as 8 bytes each: a stop's arrivals ascend,
-        so one bisection finds its first."""
-        delays = array("q")
-        for at, done in zip(self._arrivals.frame_at, self._done):
-            i = bisect_left(at, mark_ns, 0, len(done))
-            delays.extend(map(sub, done[i:], at[i:len(done)]))
-        return delays
 
 
 def run(

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from fddiperf import analytical, simcore
 from fddiperf.analytical import TOKEN_TIME_US, RingParameters
 from fddiperf.metrics import SampleStats, _stats, access_delay_bound_ms, reuse_at, summarize
-from fddiperf.simcore import (NS_PER_MS, WARMUP_FRACTION, ResponseSamples, RingConfig, RunResult,
-                              RunSnapshot, run)
+from fddiperf.samples import ResponseSamples
+from fddiperf.simcore import NS_PER_MS, WARMUP_FRACTION, RingConfig, RunResult, RunSnapshot, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 

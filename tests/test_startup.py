@@ -24,8 +24,8 @@ from fddiperf.presets import paper_round
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # array is a compiled extension that only a run's completion times need
-SIMULATOR = {"fddiperf.simcore", "fddiperf.metrics", "fddiperf.workload", "random", "decimal",
-             "array"}
+SIMULATOR = {"fddiperf.simcore", "fddiperf.samples", "fddiperf.metrics", "fddiperf.workload",
+             "random", "decimal", "array"}
 
 
 def _python(code: str, cwd: Path) -> list[str]:
