@@ -59,6 +59,7 @@ from fddiperf.simcore import (
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
+SAMPLED_RUNS = settings(derandomize=True, deadline=None, max_examples=40)
 
 
 LEGAL_TTRT_MS = st.floats(T_MIN_MS, 165.0)
@@ -326,7 +327,7 @@ def _check_samples(result, arrivals) -> None:
     assert report.warmup_frames_discarded == len(pairs) - len(delays)
 
 
-@RANDOM_RINGS
+@SAMPLED_RUNS
 @given(rings(min_sourced=1, max_stations=30), st.floats(0.05, 0.99), st.floats(5.0, 20.0),
        st.integers(0, 99), st.integers(0, 2**16))
 def test_response_samples_on_random_wic_rings(ring, utilization, duration_ms, seed, pick):
@@ -355,7 +356,7 @@ def grid_scripts(draw):
     return config, ScriptedWorkload(script)
 
 
-@RANDOM_RINGS
+@SAMPLED_RUNS
 @given(grid_scripts(), st.integers(0, 2**16))
 def test_response_samples_of_scripted_ties(scripted, pick):
     config, load = scripted
