@@ -369,11 +369,11 @@ def test_fixed_cost_of_a_run_does_not_grow_with_the_stations():
     assert small[0] == large[0]
 
 
-def test_a_run_keeps_about_8_bytes_per_sent_frame():
+def test_bytes_a_bursty_run_keeps_per_sent_frame():
     # a bursty run keeps each sent frame's completion, 8 bytes, and reads its
     # arrival from the draw; the access samples, about one per 6 frames,
     # make up the rest. Kept as (arrival, completion) tuples and summarized
-    # through a list of delays, a frame cost 111.6 and 155.6 bytes.
+    # through a list of delays, a frame cost 111.5 and 155.6 bytes.
     config = RingConfig.uniform(FIG3_STATIONS, FIG3_FIBER_KM, 8.0)
     load = WicWorkload.for_utilization(0.9, FIG3_STATIONS)
     arrivals = simcore.Arrivals(load, FIG3_STATIONS, 5, 300.0)

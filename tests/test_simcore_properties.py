@@ -319,11 +319,12 @@ def _check_samples(result, arrivals) -> None:
 
     mark = result.boundary.at_ns
     delays = [c - a for a, c in pairs if a >= mark]
-    expected = delays and SampleStats(
+    expected = SampleStats(
         mean_ms=sum(delays) / len(delays) / NS_PER_MS, max_ms=max(delays) / NS_PER_MS,
-        count=len(delays), p95_ms=sorted(delays)[math.ceil(0.95 * len(delays)) - 1] / NS_PER_MS)
+        count=len(delays), p95_ms=sorted(delays)[math.ceil(0.95 * len(delays)) - 1] / NS_PER_MS,
+    ) if delays else None
     report = summarize(result)
-    assert report.response_time == (expected or None)
+    assert report.response_time == expected
     assert report.warmup_frames_discarded == len(pairs) - len(delays)
 
 
