@@ -31,6 +31,8 @@ MAX_FRAME_TIME_MS = MAX_FRAME_BYTES * 8 / (LINE_RATE_MBPS * 1000.0)
 MAX_RING_LATENCY_MS = 1.773  # maximum-size ring per the standard
 MAX_MAC_COUNT = 1000
 DEFAULT_DURATION_MS = 1000.0  # simulated time per run: simcore.run's and the CLI's default
+NS_PER_US = 1_000  # the simulator's whole nanoseconds
+NS_PER_MS = 1_000_000
 
 # TTRT legality window. T_MAX_COUNTER_MS is the alternate cap used by
 # stations that derive the timer from the symbol clock with a 22-bit counter.

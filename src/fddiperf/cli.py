@@ -390,7 +390,7 @@ def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Ca
     token_time_us = res.get("token_time_us")
     analytical.check_finite(token_time_us=token_time_us)
     # the simulator charges whole nanoseconds, while the CSV echoes the value
-    if round(token_time_us * simcore.NS_PER_US) / simcore.NS_PER_US != token_time_us:
+    if simcore._ns_from_us(token_time_us) / simcore.NS_PER_US != token_time_us:
         raise CliError(f"--token-time-us {token_time_us!r} is not a whole number of "
                        "nanoseconds")
     ring = functools.partial(
@@ -401,6 +401,14 @@ def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Ca
     return res.get("duration_ms"), res.get("seed"), ring
 
 
+def _load_pct(res: Resolver) -> float | None:
+    """--load-pct, refused outside (0, 100) before --dump-config prints."""
+    load_pct = res.get("load_pct")
+    if load_pct is not None and not 0 < load_pct < 100:
+        raise CliError(f"--load-pct must be in (0, 100), got {load_pct}")
+    return load_pct
+
+
 def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: float | None = None):
     """The traffic of a simulated row: bursty (WIC) traffic on every station
     with the given mean burst gap or target utilization, else saturated
@@ -409,8 +417,6 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     if interburst_ms is not None:
         return WicWorkload(mean_interburst_ms=interburst_ms)
     if load_pct is not None:
-        if not 0 < load_pct < 100:
-            raise CliError(f"--load-pct must be in (0, 100), got {load_pct}")
         return WicWorkload.for_utilization(load_pct / 100.0, row["mac_count"])
     frame_bytes = row["frame_bytes"]
     n_active = row["n_active"]
@@ -469,7 +475,7 @@ def cmd_simulate(res: Resolver) -> int:
         row["frame_bytes"] = res.get("frame_bytes", default=workload.DEFAULT_LARGE_FRAME_BYTES)
     elif kind == "wic":
         interburst = res.get("interburst_ms")
-        row["load_pct"] = res.get("load_pct") if interburst is None else None
+        row["load_pct"] = _load_pct(res) if interburst is None else None
         if row["load_pct"] is None and interburst is None:
             raise CliError("wic workload needs --load-pct or --interburst-ms")
     else:
@@ -519,7 +525,7 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
     # bursty traffic loads every station with the fixed WIC frame mix, so it
     # cannot follow a grid of active counts or frame sizes
     bursty = mode != "analytical" and key not in ("active", "frame_bytes")
-    load_pct = res.get("load_pct") if bursty else None
+    load_pct = _load_pct(res) if bursty else None
     frame_unused = key == "frame_bytes" or (mode == "simulate" and load_pct is not None)
     return presets.Figure(
         description="",

@@ -22,7 +22,7 @@ from operator import mul, sub, truediv
 
 from . import analytical
 from .analytical import LINE_RATE_MBPS, RingParameters, record
-from .simcore import NS_PER_MS, NS_PER_US, RunResult
+from .simcore import NS_PER_MS, NS_PER_US, RunResult, _ns_from_ms, _ns_from_us
 
 _BOUND_SLACK_NS = 1  # integer-nanosecond comparisons need no real slack
 
@@ -77,7 +77,7 @@ def access_delay_bound_ms(result: RunResult) -> float | None:
     max_frame_bytes = result.workload.max_frame_bytes if result.workload is not None else 0
     if max_frame_bytes <= 0 or n_active < 1:
         return None
-    token_us = round(cfg.token_time_us * NS_PER_US) / NS_PER_US  # as run charges each hop
+    token_us = _ns_from_us(cfg.token_time_us) / NS_PER_US  # as run charges each hop
     d_eff_ms = cfg.ring_latency_ms + cfg.n_stations * token_us / 1000.0
     try:
         res = analytical.overflow_model(
@@ -102,9 +102,9 @@ def _ttrt_fields(result: RunResult, access: SampleStats | None) -> dict:
     exceeded = False
     if bound_ms is not None and access is not None:
         # max_ms is whole nanoseconds over NS_PER_MS, so it reads back exactly
-        peak_ns = round(access.max_ms * NS_PER_MS)
-        exceeded = peak_ns > int(round(bound_ms * NS_PER_MS)) + _BOUND_SLACK_NS
-    ttrt_ns = int(round(result.config.ttrt_ms * NS_PER_MS))
+        peak_ns = _ns_from_ms(access.max_ms)
+        exceeded = peak_ns > _ns_from_ms(bound_ms) + _BOUND_SLACK_NS
+    ttrt_ns = _ns_from_ms(result.config.ttrt_ms)
     rotation_ns = max(result.max_rotation_ns, result.open_rotation_ns)
     return dict(access_bound_ms=bound_ms, access_bound_exceeded=exceeded,
                 trt_bound_ok=rotation_ns < 2 * ttrt_ns)

@@ -13,13 +13,14 @@ reproducible across platforms and the busy/overhead/idle time accounting
 closes exactly. At 100 Mbps one byte is exactly 80 ns on the wire.
 
 The model is event driven: token visits, frame completions and burst
-arrivals, taken in the order of (time, order of scheduling). The loop
-computes that order without putting any event on a queue. A run's bursts
-are drawn ahead of it, up to its end, in the order a heap of each source's
-next burst would hand them out (`Arrivals`), and the token's next event is
-compared against the earliest burst not yet taken in. A source's stream
-depends only on the seed and its station, so the runs of one workload,
-ring size, seed and run length, at every TTRT, can read one draw:
+arrivals, taken in time order; at one instant the bursts come first, so
+the token event at t sees every burst at or before t. The loop computes
+that order without putting any event on a queue. A run's bursts are drawn
+ahead of it, up to its end, in time order (`Arrivals`), and the token's
+next event is compared against the earliest burst not yet taken in. A
+source's stream depends only on the seed and its station, so the runs of
+one workload, ring size, seed and run length, at every TTRT, can read one
+draw:
 
 - Stations without a traffic source never transmit, so the token leaps
   from one sourced station to the next in a single step.
@@ -58,14 +59,8 @@ ring size, seed and run length, at every TTRT, can read one draw:
   it: it sent 8 bits per NS_PER_BYTE of its length.
 - Bursts are brought in, in time order, just before the first token event
   at or after them, so every station decision sees the queues the
-  event-by-event order would show it. A burst landing at the same
-  nanosecond as a token event goes first exactly when its own scheduling
-  preceded that event's: the burst was drawn earlier than the token's
-  previous event, or at the same instant and ahead of it. That ordering
-  is kept per station, which reproduces the event-by-event tie order in
-  full. A burst that waits behind a token event is not taken in, so its
-  stop's later bursts at that instant, which that order has not drawn
-  yet, compare as it did and wait behind it.
+  event-by-event order would show it: the token event at t sees every
+  burst at or before t.
 - The warm-up snapshot is taken arithmetically when the first event at or
   after the mark is reached; events exactly at the mark stay outside it.
 - Outside a holding the ring is in overhead while a frame waits (always,
@@ -96,6 +91,8 @@ from types import SimpleNamespace
 
 from .analytical import (
     DEFAULT_DURATION_MS,
+    NS_PER_MS,
+    NS_PER_US,
     PROPAGATION_US_PER_KM,
     STATION_DELAY_US,
     T_MAX_COUNTER_MS,
@@ -107,17 +104,10 @@ from .analytical import (
 from .samples import ResponseSamples
 from .workload import SaturationWorkload
 
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
 NS_PER_BYTE = 80  # 8 bits at 100 Mbps
 
 # The share of each run discarded as warm-up.
 WARMUP_FRACTION = 0.10
-
-# Scheduling instants before t = 0: the token is injected ahead of every
-# source's first burst.
-_INJECTED = -2
-_FIRST_DRAW = -1
 
 
 class InvariantViolation(RuntimeError):
@@ -181,7 +171,7 @@ class RingConfig:
         check_finite(fiber_km=fiber_km)
         if fiber_km < 0:
             raise ValueError("fiber_km must be >= 0")
-        total_ns = int(round(fiber_km * PROPAGATION_US_PER_KM * NS_PER_US))
+        total_ns = _ns_from_us(fiber_km * PROPAGATION_US_PER_KM)
         base, extra = divmod(total_ns, n_stations)
         seg_us = ((base + 1) / NS_PER_US,) * extra + (base / NS_PER_US,) * (n_stations - extra)
         return cls(seg_us, ttrt_ms, token_time_us, async_overflow, allow_any_ttrt)
@@ -443,11 +433,10 @@ class Arrivals:
     (station 0 on a ring without any), and per-stop lists are indexed by a
     stop's position k in it. A saturated ring's stops always have a frame of
     `sat` bytes. On a bursty ring (`sat` 0) burst b comes at times[b] to
-    stop burst_stop[b] with burst_frames[b] frames, in the order a heap of
-    each source's next burst hands them out: by time, then stop, a stop's
-    bursts at one instant as drawn, which needs each source's bursts in
-    time order. Stop k's frames arrive at frame_at[k], a burst's frames
-    sharing its time's int, and have frame_bytes[k] bytes."""
+    stop burst_stop[b] with burst_frames[b] frames, in time order; a burst
+    of no frames changes nothing and is not kept. Stop k's frames arrive at
+    frame_at[k], a burst's frames sharing its time's int, and have
+    frame_bytes[k] bytes."""
 
     __slots__ = ("key", "stops", "sat", "times", "burst_stop", "burst_frames", "frame_at",
                  "frame_bytes", "__weakref__")
@@ -473,13 +462,14 @@ class Arrivals:
             burst = feed.next_burst(0)
             while burst is not None and burst[0] <= duration_ns:
                 at, sizes = burst
-                bursts.append((at, k, len(sizes)))
-                at_k += [at] * len(sizes)
-                bytes_k += sizes
+                if sizes:
+                    bursts.append((at, k, len(sizes)))
+                    at_k += [at] * len(sizes)
+                    bytes_k += sizes
                 burst = feed.next_burst(at)
             self.frame_at.append(at_k)
             self.frame_bytes.append(bytes_k)
-        bursts.sort(key=itemgetter(0))  # stable: by stop, then as drawn, within an instant
+        bursts.sort(key=itemgetter(0))
         self.times, self.burst_stop, self.burst_frames = (
             map(list, zip(*bursts)) if bursts else ([], [], []))
 
@@ -543,15 +533,9 @@ def run(
         raise ValueError("warm-up must end before the run does")
     boundary = RunSnapshot(0, 0, 0, (0,) * n) if mark_ns == 0 else None
 
-    # Bursts from `arrivals` are taken in from times[b], and those in
-    # `held` wait behind the token event at their instant. drawn[k] is when
-    # stop k's next burst was scheduled: at its last burst taken in.
+    # Bursts from `arrivals` are taken in from times[b] on.
     b = 0
     n_bursts = len(times)
-    held: list[int] = []
-    drawn = [_FIRST_DRAW] * nst
-    # ahead[k]: stop k's last burst went ahead of a token event at its instant.
-    ahead = [False] * nst
 
     # Rotation clocks as lap-clock keys: key[k] is stop k's last arrival
     # less offset[k]; before lap 0 every stop last saw the token at t = 0.
@@ -589,52 +573,29 @@ def run(
     seg_start = 0  # where the ring's idle or overhead segment began
 
     # The token's next event is a visit to stop k at t or, while stop k
-    # holds, the completion of its frame(s) at t. A burst due at t is ordered
-    # against it by the token's previous event: the pass of stop k - 1 at
-    # t - leap[k - 1], or parent_t, which is the injection or the release
-    # before the visit at after_t, or the capture or previous completion.
+    # holds, the completion of its frame(s) at t; that frame started at
+    # frame_start.
     k = 0
     t = pre[stops[0]]
-    parent_t = _INJECTED
-    after_t = t
+    frame_start = 0
     end_ns = duration_ns + 1
     limit = 0  # first instant at which the slow path below must run
 
     while True:
         if t >= limit:
-            if holding < 0:
-                parent = parent_t if t == after_t else t - leap[k - 1]
-            else:
-                parent = parent_t
-            # the bursts held at an earlier instant come first
+            # the token event at t sees every burst at or before t
             due = range(b, bisect_right(times, t, b))  # no burst is past the end
             b = due.stop
-            if held:
-                due, held = held + list(due), []
             for x in due:
                 kb = burst_stop[x]
-                at = times[x]
-                if at == t:
-                    d = drawn[kb]
-                    ahead[kb] = d < parent or (d == parent and ahead[kb])
-                    if kb == k and not ahead[kb]:
-                        # the token event at t goes first; the stop's later
-                        # bursts at t compare on the same d and wait too
-                        held.append(x)
-                        continue
-                else:
-                    ahead[kb] = False
-                drawn[kb] = at
-                m = burst_frames[x]
-                if m:
-                    if not queued[kb]:
-                        if holding < 0 and not nonempty:  # the ring's idle segment ends
-                            idle_total += at - seg_start
-                            seg_start = at
-                        nonempty += 1
-                        if holding != kb:
-                            want_since[kb] = at
-                    queued[kb] += m
+                if not queued[kb]:
+                    at = times[x]
+                    if holding < 0 and not nonempty:  # the ring's idle segment ends
+                        idle_total += at - seg_start
+                        seg_start = at
+                    nonempty += 1
+                    want_since[kb] = at  # a holder's queue holds its frame in flight
+                queued[kb] += burst_frames[x]
             if boundary is None and t >= mark_ns:
                 snap_busy = busy_total
                 snap_station = list(bits)
@@ -643,12 +604,12 @@ def run(
                     if sat:
                         snap_station[k] += (mark_ns - hold_start - 1) // frame_ns * sat * 8
                     else:  # the frames sent before the one in flight
-                        snap_station[k] += (parent_t - hold_start) * 8 // NS_PER_BYTE
+                        snap_station[k] += (frame_start - hold_start) * 8 // NS_PER_BYTE
                 boundary = RunSnapshot(mark_ns, sum(snap_station), snap_busy,
                                        _by_station(snap_station, stops, n))
             if t > duration_ns:
                 break
-            limit = times[held[0]] if held else times[b] if b < n_bursts else end_ns
+            limit = times[b] if b < n_bursts else end_ns
             if boundary is None and mark_ns < limit:
                 limit = mark_ns
 
@@ -717,7 +678,7 @@ def run(
                         if sat:
                             t += (-(-tht // frame_ns) if overflow else tht // frame_ns) * frame_ns
                         else:
-                            parent_t = t
+                            frame_start = t
                             t += frame_bytes[k][head[k]] * NS_PER_BYTE
                         break
                 t += leap[k]
@@ -741,7 +702,7 @@ def run(
                     t < hold_end if overflow else t + q_bytes[h] * NS_PER_BYTE <= hold_end)
                 if not more:
                     break
-                parent_t = t
+                frame_start = t
                 t += q_bytes[h] * NS_PER_BYTE
                 if t >= limit:
                     break
@@ -759,9 +720,7 @@ def run(
         if queued[k]:
             want_since[k] = t
         seg_start = t
-        parent_t = t
         t += leap[k]
-        after_t = t
         k += 1
         if k == nst:
             k = 0
@@ -770,7 +729,7 @@ def run(
         if sat:
             bits[holding] += (duration_ns - hold_start) // frame_ns * sat * 8
         else:  # the frames sent before the one in flight
-            bits[holding] += (parent_t - hold_start) * 8 // NS_PER_BYTE
+            bits[holding] += (frame_start - hold_start) * 8 // NS_PER_BYTE
         busy_total += duration_ns - hold_start
     elif sat or nonempty:
         overhead_total += duration_ns - seg_start

@@ -27,9 +27,7 @@ import math
 import random
 from math import log as _log
 
-from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, check_finite, record
-
-_NS_PER_MS = 1_000_000
+from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, NS_PER_MS, check_finite, record
 
 # The measured WIC mix; the mean's evaluation order fixes every derived gap.
 DEFAULT_BURST_SIZE = 5
@@ -126,7 +124,7 @@ class WicGenerator:
         p = DEFAULT_SMALL_FRACTION
         # random.Random.expovariate(rate), spelt out: the same float from the same draw
         gap_ms = -_log(1.0 - draw()) / self._rate
-        return now_ns + int(round(gap_ms * _NS_PER_MS)), [  # DEFAULT_BURST_SIZE frames
+        return now_ns + int(round(gap_ms * NS_PER_MS)), [  # DEFAULT_BURST_SIZE frames
             small if draw() < p else large,
             small if draw() < p else large,
             small if draw() < p else large,
@@ -194,7 +192,7 @@ class ScriptedWorkload:
         for st, bursts in self.script.items():
             ordered = sorted(bursts, key=lambda b: b[0])
             packed = tuple(
-                (int(round(t_ms * _NS_PER_MS)), tuple(sizes)) for t_ms, sizes in ordered
+                (int(round(t_ms * NS_PER_MS)), tuple(sizes)) for t_ms, sizes in ordered
             )
             feeds[st] = _ScriptedGenerator(packed)
         return feeds

@@ -583,9 +583,11 @@ _LOAD_PCT_OUT_OF_RANGE = [
 
 @pytest.mark.parametrize("argv, got", zip(_LOAD_PCT_OUT_OF_RANGE, ["100.0", "150.0"]))
 def test_load_pct_out_of_range_names_the_flag(argv, got, capsys):
-    assert _run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: --load-pct must be in (0, 100), got {got}"]
+    # refused where it is read, before --dump-config prints anything
+    assert _run(argv + ["--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --load-pct must be in (0, 100), got {got}"]
 
 
 @pytest.mark.parametrize("argv", [

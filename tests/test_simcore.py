@@ -105,6 +105,20 @@ def test_single_station_saturated_cycle():
     assert not rep.access_bound_exceeded
 
 
+@pytest.mark.parametrize("script, pairs", [
+    ({0: [(0.0, [4500])]}, [(0, 360000)]),
+    # the burst at the first frame's completion goes out in the same holding
+    ({0: [(0.0, [100]), (0.008, [100])]}, [(0, 8000), (8000, 16000)]),
+])
+def test_a_token_event_sees_every_burst_at_its_instant(script, pairs):
+    # one station, no fiber: the token's first visit is at t = 0, the instant
+    # of the first burst, so the station captures it at once
+    cfg = RingConfig.uniform(1, 0.0, 4.0, token_time_us=0.0)
+    res = run(cfg, ScriptedWorkload(script), duration_ms=1.0, warmup_fraction=0.0)
+    assert res.access_samples == [(0, 0)]
+    assert list(res.response_samples) == pairs
+
+
 def test_unusable_token_sends_nothing():
     # station 1's queue fills while station 0 holds the token for ~T, so the
     # token reaching station 1 shows TRT >= T and must pass straight through

@@ -11,16 +11,18 @@ seeds, zero token time, scripted arrivals that land exactly on token
 visits, frame completions and the warm-up mark, and runs whose end, mark or
 rotation-bound violations fall inside lap 0. The lap-0 digests were
 recorded with the pass-by-pass walk of lap 0 that preceded its closed form.
-The tie digests, of bursts that land on a token event of their own stop
-(held behind it in zero-gap runs, or at its frame completions) and of empty
-bursts, were recorded with the per-run burst heap that preceded a run's
-pre-merged arrivals.
+The scripted digests (each case with "script" in its name), of bursts that
+land on a token event of their own stop (in zero-gap runs, or at its frame
+completions) and of empty bursts, are those of the event-by-event reference
+simulator in `test_simcore_properties.py`, in which the token event at t
+sees every burst at or before t; that module checks it gives each of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -30,16 +32,28 @@ from fddiperf.simcore import RingConfig, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 
 
-def run_digest(result) -> str:
+DIGEST_FIELDS = (
+    "duration_ns", "seed", "completed_bits", "completed_frames", "station_bits",
+    "response_samples", "access_samples", "rotation_count", "max_rotation_ns", "trt_violations",
+    "trt_bound_enforced", "busy_ns", "overhead_ns", "idle_ns", "boundary", "sourced_stations",
+)
+
+
+def digest_fields(result) -> dict:
+    """The fields of a run that its digest covers, in order, the boundary
+    snapshot as a tuple."""
+    fields = {name: getattr(result, name) for name in DIGEST_FIELDS}
     b = result.boundary
-    fields = (
-        result.duration_ns, result.seed, result.completed_bits, result.completed_frames,
-        result.station_bits, result.response_samples, result.access_samples,
-        result.rotation_count, result.max_rotation_ns, result.trt_violations,
-        result.trt_bound_enforced, result.busy_ns, result.overhead_ns, result.idle_ns,
-        (b.at_ns, b.completed_bits, b.busy_ns, b.station_bits), result.sourced_stations,
-    )
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
+    fields["boundary"] = (b.at_ns, b.completed_bits, b.busy_ns, b.station_bits)
+    return fields
+
+
+def digest(fields: dict) -> str:
+    return hashlib.sha256(repr(tuple(fields.values())).encode()).hexdigest()
+
+
+def run_digest(result) -> str:
+    return digest(digest_fields(result))
 
 
 def _preset_ring(name: str, ttrt_ms: float, **kwargs) -> RingConfig:
@@ -52,8 +66,9 @@ def _fig3_ring(ttrt_ms: float, **kwargs) -> RingConfig:
 
 
 def _scripted(n: int, script: dict, duration_ms: float, ttrt_ms: float = 4.0, **kwargs):
+    # a partial, so that a simulator other than run can be handed its arguments
     cfg = RingConfig.uniform(n, 0.0, ttrt_ms, token_time_us=0.0, **kwargs)
-    return lambda: run(cfg, ScriptedWorkload(script), duration_ms=duration_ms, seed=0)
+    return partial(run, cfg, ScriptedWorkload(script), duration_ms, 0)
 
 
 def _saturated_cases() -> dict:
@@ -161,13 +176,14 @@ def _scripted_cases() -> dict:
             async_overflow=False,
             allow_any_ttrt=True,
         ),
-        # a burst drawn at the instant of the token's previous event: the
-        # tie falls back on how that earlier burst was ordered
-        "script-chained-tie": lambda: run(
-            RingConfig.uniform(1, 0.0, 4.0, token_time_us=1.0),
+        # one station with a 1 us token time: bursts on its first visit and
+        # inside its holdings, an empty one, and the warm-up mark (0.25 ms)
+        # inside a frame
+        "script-chained-tie": partial(
+            run, RingConfig.uniform(1, 0.0, 4.0, token_time_us=1.0),
             ScriptedWorkload({0: [(0.0, [4500, 125]), (0.051199, [125, 100]), (0.15, []),
                                   (0.63, [4500]), (0.99, [25, 100])]}),
-            duration_ms=1.0, seed=0, warmup_fraction=0.25),
+            1.0, 0, 0.25),
     }
 
 
@@ -186,21 +202,20 @@ def _grid_script(seed: int, n: int, steps: int, step_ms: float) -> dict:
 
 
 def _tie_cases() -> dict:
-    """Bursts that tie with a token event of their own stop: recorded before
-    a run's bursts were drawn ahead of it and merged into one list."""
+    """Bursts that tie with a token event of their own stop, and empty
+    bursts."""
     return {
-        # stop 1 is visited at 4 us; its burst there was drawn at 3.5 us,
-        # after the pass of stop 0 at 3 us, so the visit goes first and the
-        # burst and its three zero-gap successors wait for the next event;
-        # stops 0 and 2 take theirs in at that instant
+        # stop 1 is visited at 4 us, the instant of four of its bursts, one
+        # of them empty, after one at 3.5 us: the visit sees them all; stops
+        # 0 and 2 take theirs in at that instant
         "script-zero-gap-held": _scripted(3, {
             0: [(0.004, [100])],
             1: [(0.0035, [100]), (0.004, [100]), (0.004, [512]), (0.004, []), (0.004, [100]),
                 (0.02, [100])],
             2: [(0.004, [100, 100]), (0.004, [])],
         }, 1.0),
-        # bursts at the holder's own frame completions: drawn before the
-        # frame started they go first, drawn after it they wait
+        # bursts at the holder's own frame completions go out in the same
+        # holding while its budget lasts
         "script-completion-ties": _scripted(2, {
             0: [(0.0005, [100]), (0.01, [100]), (0.018, [100]), (0.018, []), (0.018, [100]),
                 (0.05, [100]), (0.058, [100])],
@@ -211,8 +226,8 @@ def _tie_cases() -> dict:
             1: [(0.001, []), (0.004, []), (0.004, [100]), (0.1, []), (0.1, [])],
             2: [(0.0, []), (0.2, [])],
         }, 0.5),
-        # 1 us grids at a TTRT of 50 us: 8 bursts each wait behind a token
-        # event of their stop, most of them at a frame completion
+        # 1 us grids at a TTRT of 50 us: bursts land on token events of
+        # their stop, most of them at a frame completion
         "script-grid-random-ties": _scripted(
             1, _grid_script(22, 1, 300, 0.001), 0.36, ttrt_ms=0.05, allow_any_ttrt=True),
         "script-grid-random-ties-no-overflow": _scripted(
@@ -314,16 +329,16 @@ DIGESTS = {
     "sat-typical-8-no-overflow": "4baf736dec4b22245b0e5afb2aebaf1685a668b98b4a02ade9da5450d2700a32",
     "sat-typical-8-overflow": "cebdafe00cb46ca217ac95e8fa5b164cc9daca2cb8615edc055bf15c83442576",
     "sat-typical-illegal-0.3": "f8823a0005c9dd3e62d3fcdafcf56db1eaed3dc83656459c82ab917c580a0619",
-    "script-chained-tie": "148e6f32a663739e88a52329ece1aea24a4534cc412e0c385609cbfc3de7aacc",
+    "script-chained-tie": "d72badff3d3d06e8e1d9666ec39a861d8df26ef5bc343a9bb8bdefcef1a2417a",
     "script-completion-ties": "4dbda97d2c77454bde57fd76fdd980829441caa539dcd230d7055bc5e7bfddc8",
-    "script-empty-bursts": "2aae2110d8c38ab5a26c2dcd0d3b74734fe05441ddd7f148757383e2e8e24bb4",
+    "script-empty-bursts": "1f3266ced0926f7ee7c3284fd53e4b86990e266151234418bb9ebcc0de19b272",
     "script-grid-random-ties": "6b8953c469d66f36fb27699d924ecad1c0b209f8f565f457cc8775cfcb59f6eb",
     "script-grid-random-ties-no-overflow": "344341ad9da5c094c2ebeddaa5c8cf5f68aa6294752086b1325dd506d5805967",
-    "script-grid-ties": "2cf08c262b3ed3a718f807e28d3bdfd106cd992b5b92eb9685d0d9f4ddb3fcd2",
-    "script-grid-ties-no-overflow": "edaffbf8ed9928bf748e653f206612924224f8f5b21a6ed782cf0d3afb7a9a28",
+    "script-grid-ties": "abd7841018adbdeeec78a24bce01defa5779b86ac8b7a5ad2bfc551e4a30bd35",
+    "script-grid-ties-no-overflow": "d6640cf9a61a609875b5445c999016f68ed6ebda14aeff96097408f06b117f6e",
     "script-hand-trace": "1e201d4a0d41f4b9a999a12b74cfd95e67bd9e6d8371043868d0545b92e79166",
-    "script-mid-burst": "07063506427b3d301a2ddc2529a60f82a8142129d3a1a8e65326920e9c0da1b9",
-    "script-unusable-token": "fedc8f06611d677611c757e5d50975f3eaf99434aa080f474332ec2ec24a010a",
+    "script-mid-burst": "87c35d5e24554f6243354ebdc0889383307487d6f08529b091d54cebe4946b78",
+    "script-unusable-token": "b232f519559fdc1c3267cefa14c69d73f7fcda48d65552ae3e061b96772da02d",
     "script-zero-gap-held": "313bcc1f442796a843c4fd1b20cc3e69f8ad9b1a873df79395b896b371d95fbc",
     "skip-chain-dense": "5a00b25b4b9e6f981b6f9e0006f3c9c64b2d1c0116db5f3b2ae47359a842c823",
     "skip-chain-sparse": "2dbf143a09e7e69201c144e543f590edfe61b959fa9a32fed618eedfe2cd2c15",

@@ -28,14 +28,25 @@ completion order, one per completed frame, each stop's the prefix of its
 frames in the draw that its bits give; and the report's response
 statistics must be those of the pairs they give, with the warm-up mark on a
 burst's instant.
+
+A bursty run must also be the run of an event-by-event reference simulator,
+which shares no code with `simcore.run`, in every field its digest covers:
+on scripted rings on a 1 us grid with many zero gaps and empty bursts, and
+on small WIC rings, overflow on and off, with the warm-up mark on the
+instant of a token event or a burst. The reference also gives the frozen
+digest of every scripted case of `test_simcore_digests.py`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from collections import deque
+from heapq import heappop, heappush
+from itertools import accumulate, count
 from operator import add, lt
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -55,8 +66,10 @@ from fddiperf.analytical import (
 )
 from fddiperf.metrics import SampleStats, summarize
 from fddiperf.simcore import (
-    NS_PER_BYTE, NS_PER_MS, NS_PER_US, Arrivals, RingConfig, _LapClocks, certified, reuse_at, run)
+    NS_PER_BYTE, NS_PER_MS, NS_PER_US, WARMUP_FRACTION, Arrivals, RingConfig, _LapClocks, certified,
+    reuse_at, run)
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
+from test_simcore_digests import CORPUS, DIGEST_FIELDS, DIGESTS, digest, digest_fields
 
 RANDOM_RINGS = settings(derandomize=True, deadline=None, max_examples=75)
 SAMPLED_RUNS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -99,26 +112,33 @@ def _check_run(result, stations):
     return report
 
 
-def _walk(config, frame_bytes, stations, duration_ns):
-    """A saturated ring's run, one token pass per loop iteration, as
-    `simcore.run` walked it before it took a stretch of unusable passes in
-    closed form. Without stations the ring is idle and the token passes
-    station 0 only."""
-    # each delay in whole nanoseconds, as run charges it
+def _stops(config, stations):
+    """The stops the token visits (station 0 alone on an idle ring), the
+    first one's arrival from t = 0, the token's travel time from each stop
+    to the next, one idle rotation and the TTRT, in the whole nanoseconds
+    `simcore.run` charges."""
     fixed = round(STATION_DELAY_US * NS_PER_US) + round(config.token_time_us * NS_PER_US)
     hop = [fixed + round(d * NS_PER_US) for d in config.segment_delays_us]
     start = [0, *accumulate(hop)]
     stops = list(stations) or [0]
     at = [start[i] for i in stops]
     leap = [b - a for a, b in zip(at, at[1:] + [at[0] + start[-1]])]
-    ttrt = round(config.ttrt_ms * NS_PER_MS)
+    return stops, at[0], leap, start[-1], round(config.ttrt_ms * NS_PER_MS)
+
+
+def _walk(config, frame_bytes, stations, duration_ns):
+    """A saturated ring's run, one token pass per loop iteration, as
+    `simcore.run` walked it before it took a stretch of unusable passes in
+    closed form. Without stations the ring is idle and the token passes
+    station 0 only."""
+    stops, first, leap, _, ttrt = _stops(config, stations)
     frame_ns = frame_bytes * NS_PER_BYTE
     last = [0] * len(stops)
     want = [0] * len(stops)
     bits = [0] * config.n_stations
     out = dict(rotation_count=0, max_rotation_ns=0, trt_violations=0, access_samples=[],
                completed_frames=0, busy_ns=0)
-    t, k = at[0], 0
+    t, k = first, 0
     while t <= duration_ns:
         trt = t - last[k]
         last[k] = t
@@ -143,6 +163,109 @@ def _walk(config, frame_bytes, stations, duration_ns):
     rest = duration_ns - out["busy_ns"]
     out["overhead_ns"], out["idle_ns"] = (rest, 0) if stations else (0, rest)
     return out
+
+
+def _reference(config, workload, duration_ms, seed=0, warmup_fraction=WARMUP_FRACTION):
+    """A bursty ring's run, event by event: one heap of token arrivals, frame
+    completions and bursts, taken by time and, at one instant, bursts first,
+    so a token event sees every burst at or before it. The token is at one
+    stop per event, with no stretches and no lap clocks; each source's next
+    burst is drawn as its last one comes; the ring's busy, overhead and idle
+    time is added up segment by segment between events. The warm-up
+    snapshot is taken before the events at the mark. Returns the fields of
+    `run_digest`, by name."""
+    duration_ns = round(duration_ms * NS_PER_MS)
+    mark = int(duration_ns * warmup_fraction)
+    feeds = workload.bind(config.n_stations, seed)
+    stations = [i for i, feed in enumerate(feeds) if feed is not None]
+    stops, first, leap, period, ttrt = _stops(config, stations)
+    nst = len(stops)
+    overflow = config.async_overflow
+
+    events, order = [], count()
+
+    def schedule(t, kind, k, sizes=()):
+        if t <= duration_ns:  # by time, and at one instant bursts first
+            heappush(events, (t, kind != "burst", next(order), kind, k, sizes))
+
+    def burst_after(k, now):
+        burst = feeds[stops[k]].next_burst(now)
+        if burst is not None:
+            schedule(burst[0], "burst", k, burst[1])
+
+    for k in range(nst):
+        burst_after(k, 0)
+    schedule(first, "visit", 0)
+
+    queue = [deque() for _ in stops]  # (arrival, bytes), the frame in flight first
+    want = [None] * nst
+    last = [0] * nst  # every stop last saw the token at t = 0
+    bits = [0] * config.n_stations
+    time = dict(busy_ns=0, overhead_ns=0, idle_ns=0)
+    out = dict(response_samples=[], access_samples=[], rotation_count=0, max_rotation_ns=0,
+               trt_violations=0)
+    holding, hold_end, boundary, now = None, 0, None, 0
+
+    def ring_state():
+        return "busy_ns" if holding is not None else "overhead_ns" if any(queue) else "idle_ns"
+
+    def snapshot():
+        busy = time["busy_ns"] + (mark - now if holding is not None else 0)
+        return mark, sum(bits), busy, tuple(bits)
+
+    while events:
+        t, _, _, kind, k, sizes = heappop(events)
+        if boundary is None and t >= mark:
+            boundary = snapshot()
+        time[ring_state()] += t - now
+        now = t
+        q = queue[k]
+        if kind == "burst":
+            if sizes and not q:
+                want[k] = t
+            q.extend((t, size) for size in sizes)
+            burst_after(k, t)
+        elif kind == "visit":
+            trt = t - last[k]
+            last[k] = t
+            out["rotation_count"] += 1
+            out["max_rotation_ns"] = max(out["max_rotation_ns"], trt)
+            out["trt_violations"] += trt >= 2 * ttrt
+            tht = ttrt - trt
+            if q and tht > 0 and (overflow or q[0][1] * NS_PER_BYTE <= tht):
+                out["access_samples"].append((want[k], t))
+                holding, hold_end = k, t + tht
+                schedule(t + q[0][1] * NS_PER_BYTE, "done", k)
+            else:
+                schedule(t + leap[k], "visit", (k + 1) % nst)
+        else:  # the frame in flight completes
+            arrival, size = q.popleft()
+            out["response_samples"].append((arrival, t))
+            bits[stops[k]] += size * 8
+            if q and (t < hold_end if overflow else t + q[0][1] * NS_PER_BYTE <= hold_end):
+                schedule(t + q[0][1] * NS_PER_BYTE, "done", k)
+            else:
+                holding = None
+                want[k] = t if q else None
+                schedule(t + leap[k], "visit", (k + 1) % nst)
+    if boundary is None:
+        boundary = snapshot()
+    time[ring_state()] += duration_ns - now
+
+    token_ns = round(config.token_time_us * NS_PER_US)
+    enforced = ttrt >= period + token_ns + workload.max_frame_bytes * NS_PER_BYTE
+    fields = dict(
+        duration_ns=duration_ns, seed=seed, completed_bits=sum(bits),
+        completed_frames=len(out["response_samples"]), station_bits=tuple(bits), **out,
+        trt_bound_enforced=enforced, **time, boundary=boundary, sourced_stations=tuple(stations))
+    return {name: fields[name] for name in DIGEST_FIELDS}
+
+
+def _event_instants(fields, duration_ns):
+    """Instants of a run's token events and bursts before its end: its
+    captures, its frames' arrivals and completions."""
+    return sorted({t for pair in fields["access_samples"] + fields["response_samples"]
+                   for t in pair if 0 <= t < duration_ns}) or [0]
 
 
 @RANDOM_RINGS
@@ -345,12 +468,16 @@ def test_response_samples_on_random_wic_rings(ring, utilization, duration_ms, se
 
 @st.composite
 def grid_scripts(draw):
-    """1-4 stations with bursts on a 1 us grid over 400 us, many of them empty
-    or at one instant, on a ring whose hops take 1 us."""
+    """1-4 stations with bursts on a 1 us grid, a quarter of the gaps zero and
+    many bursts empty, on a ring whose hops take 1 us."""
     n = draw(st.integers(1, 4))
-    bursts = st.tuples(st.integers(0, 400), st.sampled_from(([], [25], [100], [100, 100], [512])))
-    script = {station: [(us / 1000, sizes) for us, sizes in draw(st.lists(bursts, max_size=40))]
-              for station in range(n)}
+    bursts = st.tuples(st.sampled_from((0, 0, 1, 2, 3, 8, 16, 50)),
+                       st.sampled_from(([], [25], [100], [100, 100], [512])))
+    script = {}
+    for station in range(n):
+        pairs = draw(st.lists(bursts, max_size=40))
+        instants = accumulate(gap for gap, _ in pairs)
+        script[station] = [(us / 1000, frames) for us, (_, frames) in zip(instants, pairs)]
     config = RingConfig.uniform(n, 0.0, draw(st.sampled_from([0.02, 0.05, 4.0])),
                                 token_time_us=0.0, async_overflow=draw(st.booleans()),
                                 allow_any_ttrt=True)
@@ -366,3 +493,39 @@ def test_response_samples_of_scripted_ties(scripted, pick):
     instants = arrivals.times or [0]
     warmup = _warmup_at(instants[pick % len(instants)], round(duration_ms * NS_PER_MS))
     _check_samples(run(config, load, duration_ms, 0, warmup, arrivals=arrivals), arrivals)
+
+
+def _check_reference(config, load, duration_ms, seed, pick):
+    """run against the reference, with the warm-up mark on the instant that
+    `pick` chooses among those of the run's token events and bursts."""
+    duration_ns = round(duration_ms * NS_PER_MS)
+    instants = _event_instants(_reference(config, load, duration_ms, seed, 0.0), duration_ns)
+    warmup = _warmup_at(instants[pick % len(instants)], duration_ns)
+    expected = _reference(config, load, duration_ms, seed, warmup)
+    assert digest_fields(run(config, load, duration_ms, seed, warmup)) == expected
+
+
+@RANDOM_RINGS
+@given(grid_scripts(), st.integers(0, 2**16))
+# one station: a burst on the token's first visit, and one at the instant
+# the frame before it completes
+@example((RingConfig.uniform(1, 0.0, 4.0, token_time_us=0.0),
+          ScriptedWorkload({0: [(0.0, [100]), (0.008, [100])]})), 1)
+def test_reference_simulator_is_run_on_scripted_ties(scripted, pick):
+    config, load = scripted
+    _check_reference(config, load, 0.5, 0, pick)
+
+
+@SAMPLED_RUNS
+@given(rings(min_sourced=1, max_stations=6, ttrt=ANY_TTRT_MS), st.floats(0.05, 0.95),
+       st.floats(1.0, 4.0), st.integers(0, 99), st.integers(0, 2**16))
+def test_reference_simulator_is_run_on_wic_rings(ring, utilization, duration_ms, seed, pick):
+    config, stations = ring
+    load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
+    _check_reference(config, load, duration_ms, seed, pick)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CORPUS if "script" in name))
+def test_reference_simulator_gives_the_scripted_digests(name):
+    case = CORPUS[name]
+    assert digest(_reference(*case.args, **case.keywords)) == DIGESTS[name]
