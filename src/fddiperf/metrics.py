@@ -5,12 +5,12 @@ measured interval over the 100 Mbps line rate), response time (frame
 arrival to end of its transmission), and access delay (wanting the token
 to capturing a usable one). The first 10% of simulated time is treated as
 warm-up: it absorbs the zeroed rotation clocks and empty queues at t=0.
-Frames count toward response statistics only if they arrive after the
-boundary; access episodes count only if they open after it; completed bits
-are attributed to their completion instant, so the throughput window is
-exact. A run carries its workload, so its offered load and the access-delay
-bound of its sourced stations (`access_delay_bound_ms(result)`) are worked
-out from the run alone.
+Frames count toward response statistics if they arrive at or after the
+warm-up mark, and access episodes if they open at or after it; a frame's
+bits are credited at its completion, and count toward throughput if it
+completes in (mark, end]. A run carries its workload, so its offered load
+and the access-delay bound of its sourced stations
+(`access_delay_bound_ms(result)`) are worked out from the run alone.
 """
 
 from __future__ import annotations

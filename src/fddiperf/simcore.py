@@ -61,8 +61,8 @@ draw:
   at or after them, so every station decision sees the queues the
   event-by-event order would show it: the token event at t sees every
   burst at or before t.
-- The warm-up snapshot is taken arithmetically when the first event at or
-  after the mark is reached; events exactly at the mark stay outside it.
+- The measured window is (mark, end]: the warm-up snapshot and the run's
+  end are the ring's counters at an instant after its events there.
 - Outside a holding the ring is in overhead while a frame waits (always,
   on a saturated ring) and idle otherwise, so a burst into an idle ring
   ends an idle segment and a capture always ends an overhead segment. The
@@ -189,7 +189,8 @@ class RingConfig:
 
 @record("at_ns completed_bits busy_ns station_bits")
 class RunSnapshot:
-    """Cumulative counters at the measurement boundary."""
+    """The ring's cumulative counters at instant at_ns, after its events
+    there: at the warm-up mark, the start of the measured window (at_ns, end]."""
 
 
 class RunResult(SimpleNamespace):
@@ -290,10 +291,19 @@ def _rotation_error(trt: int, station: int, ttrt_ns: int) -> InvariantViolation:
     )
 
 
-def _by_station(bits: list[int], stops: list[int], n: int) -> tuple[int, ...]:
-    if len(stops) == n:
-        return tuple(bits)
-    return tuple(map(dict(zip(stops, bits)).get, range(n), repeat(0)))
+def _snapshot(x: int, bits: list[int], busy_ns: int, holding: int, hold_start: int,
+              frame_start: int, frame_ns: int, stops: list[int], n: int) -> RunSnapshot:
+    """The ring's counters at instant x, after its events at x: `bits` per
+    stop and `busy_ns` of the released holdings, plus the frames that stop
+    `holding` (-1: none) completed by x since hold_start: one per frame_ns if
+    saturated, else (frame_ns 0) those before its frame since frame_start."""
+    bits = list(bits)
+    if holding >= 0:
+        sent = (x - hold_start) // frame_ns * frame_ns if frame_ns else frame_start - hold_start
+        bits[holding] += sent * 8 // NS_PER_BYTE
+        busy_ns += x - hold_start
+    by_station = bits if len(stops) == n else map(dict(zip(stops, bits)).get, range(n), repeat(0))
+    return RunSnapshot(x, sum(bits), busy_ns, tuple(by_station))
 
 
 class _LapClocks:
@@ -531,7 +541,7 @@ def run(
     mark_ns = int(duration_ns * warmup_fraction)
     if mark_ns >= duration_ns:
         raise ValueError("warm-up must end before the run does")
-    boundary = RunSnapshot(0, 0, 0, (0,) * n) if mark_ns == 0 else None
+    boundary = None
 
     # Bursts from `arrivals` are taken in from times[b] on.
     b = 0
@@ -596,22 +606,14 @@ def run(
                     nonempty += 1
                     want_since[kb] = at  # a holder's queue holds its frame in flight
                 queued[kb] += burst_frames[x]
-            if boundary is None and t >= mark_ns:
-                snap_busy = busy_total
-                snap_station = list(bits)
-                if holding >= 0:
-                    snap_busy += mark_ns - hold_start
-                    if sat:
-                        snap_station[k] += (mark_ns - hold_start - 1) // frame_ns * sat * 8
-                    else:  # the frames sent before the one in flight
-                        snap_station[k] += (frame_start - hold_start) * 8 // NS_PER_BYTE
-                boundary = RunSnapshot(mark_ns, sum(snap_station), snap_busy,
-                                       _by_station(snap_station, stops, n))
+            if boundary is None and t > mark_ns:  # the events at the mark are all in
+                boundary = _snapshot(mark_ns, bits, busy_total, holding, hold_start,
+                                     frame_start, frame_ns, stops, n)
             if t > duration_ns:
                 break
             limit = times[b] if b < n_bursts else end_ns
             if boundary is None and mark_ns < limit:
-                limit = mark_ns
+                limit = mark_ns + 1
 
         if holding < 0:
             c = t - offset[k]
@@ -725,23 +727,20 @@ def run(
         if k == nst:
             k = 0
 
-    if holding >= 0:
-        if sat:
-            bits[holding] += (duration_ns - hold_start) // frame_ns * sat * 8
-        else:  # the frames sent before the one in flight
-            bits[holding] += (frame_start - hold_start) * 8 // NS_PER_BYTE
-        busy_total += duration_ns - hold_start
-    elif sat or nonempty:
-        overhead_total += duration_ns - seg_start
-    else:
-        idle_total += duration_ns - seg_start
+    end = _snapshot(duration_ns, bits, busy_total, holding, hold_start, frame_start, frame_ns,
+                    stops, n)
+    if holding < 0:  # the run ends in an overhead or idle segment
+        if sat or nonempty:
+            overhead_total += duration_ns - seg_start
+        else:
+            idle_total += duration_ns - seg_start
 
     if sat:
         # every released holding leaves a saturated station backlogged
         budget_cuts = len(access_samples) - (holding >= 0)
-    if busy_total + idle_total + overhead_total != duration_ns:
+    if end.busy_ns + idle_total + overhead_total != duration_ns:
         raise InvariantViolation(
-            f"time accounting leaked: busy {busy_total} + idle {idle_total} + "
+            f"time accounting leaked: busy {end.busy_ns} + idle {idle_total} + "
             f"overhead {overhead_total} != duration {duration_ns}"
         )
 
@@ -750,16 +749,16 @@ def run(
         config=config,
         duration_ns=duration_ns,
         seed=seed,
-        completed_bits=sum(bits),
-        completed_frames=sum(bits) // (sat * 8) if sat else len(response_samples),
-        station_bits=_by_station(bits, stops, n),
+        completed_bits=end.completed_bits,
+        completed_frames=end.completed_bits // (sat * 8) if sat else len(response_samples),
+        station_bits=end.station_bits,
         response_samples=response_samples,
         access_samples=access_samples,
         rotation_count=rotation_count,
         max_rotation_ns=max_rotation,
         trt_violations=trt_violations,
         trt_bound_enforced=trt_enforced,
-        busy_ns=busy_total,
+        busy_ns=end.busy_ns,
         overhead_ns=overhead_total,
         idle_ns=idle_total,
         boundary=boundary,

@@ -150,6 +150,10 @@ def test_asymptotic_efficiency_values():
     assert asymptotic_efficiency(8.0, 2.017) == pytest.approx(0.747875, abs=1e-12)
     assert asymptotic_efficiency(8.0, 0.0) == 1.0
     assert asymptotic_efficiency(3.3, 3.3) == 0.0
+    with pytest.raises(ValueError, match="ttrt_ms must be > 0"):
+        asymptotic_efficiency(0.0, 1.0)
+    with pytest.raises(ValueError, match="ring_latency_ms must be >= 0"):
+        asymptotic_efficiency(8.0, -1.0)
 
 
 # --------------------------------------------------------- overflow model

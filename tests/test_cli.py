@@ -610,6 +610,8 @@ def test_load_pct_out_of_range_names_the_flag(argv, got, capsys):
     ["analyze", "--preset", "typical", "--ttrt", "8", "--config", "/nonexistent.ini"],
     *_ZERO_MAC_SIMULATIONS,
     *_LOAD_PCT_OUT_OF_RANGE,
+    ["validate", "--ttrt", "8", "--max-ring", "--sync-ms", "-1"],
+    ["validate", "--ttrt", "8", "--max-ring", "--service-interval-ms", "0"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []

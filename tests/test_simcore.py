@@ -38,6 +38,13 @@ def test_config_validation():
     RingConfig.uniform(4, 10.0, ttrt_ms=2.0, allow_any_ttrt=True)
     with pytest.raises(ValueError):
         RingConfig.uniform(4, 10.0, ttrt_ms=200.0)
+    with pytest.raises(ValueError, match="n_stations must be >= 1"):
+        RingConfig.uniform(0, 10.0, 8.0)
+    with pytest.raises(ValueError, match="fiber_km must be >= 0"):
+        RingConfig.uniform(4, -1.0, 8.0)
+    for ttrt_ms in (0.0, -2.0):  # refused even when any TTRT may be probed
+        with pytest.raises(ValueError, match="ttrt_ms must be > 0"):
+            RingConfig.uniform(4, 10.0, ttrt_ms, allow_any_ttrt=True)
 
 
 def test_uniform_split_is_exact():
@@ -117,6 +124,27 @@ def test_a_token_event_sees_every_burst_at_its_instant(script, pairs):
     res = run(cfg, ScriptedWorkload(script), duration_ms=1.0, warmup_fraction=0.0)
     assert res.access_samples == [(0, 0)]
     assert list(res.response_samples) == pairs
+
+
+@pytest.mark.parametrize("duration_ms, frames, efficiency", [
+    (0.8, 90, 1.0),
+    (1.0, 113, 113 / 112.5),
+])
+def test_the_measured_window_holds_the_frames_completed_after_the_mark(duration_ms, frames,
+                                                                        efficiency):
+    # station 0 captures the token at t = 0 and holds it for the whole run,
+    # a 100-byte frame completing every 8 us; the window is (mark, end]. At
+    # 0.8 ms the mark, 80 us, is the 10th frame's completion, which falls
+    # before the window, and the 720 us window holds 90 frames exactly. At
+    # 1.0 ms bits are credited as a frame completes, so the frame sent from
+    # 96 to 104 us counts whole, and 113 frames complete in the 900 us
+    # window, which holds 112.5
+    cfg = RingConfig.uniform(20, 4.0, 8.0)
+    load = SaturationWorkload(100, stations=tuple(range(20)))
+    res = run(cfg, load, duration_ms=duration_ms)
+    assert res.access_samples == [(0, 0)]
+    assert res.completed_bits - res.boundary.completed_bits == frames * 100 * 8
+    assert metrics.summarize(res).efficiency == pytest.approx(efficiency, rel=1e-12)
 
 
 def test_unusable_token_sends_nothing():

@@ -16,6 +16,12 @@ land on a token event of their own stop (in zero-gap runs, or at its frame
 completions) and of empty bursts, are those of the event-by-event reference
 simulator in `test_simcore_properties.py`, in which the token event at t
 sees every burst at or before t; that module checks it gives each of them.
+It checks too that its pass-by-pass walk gives the digest of every
+saturated and idle case. In both, the warm-up boundary holds the ring's
+counters after its events at the mark, so the measured window is
+(mark, end]; four saturated digests, in which station 0 holds through a
+mark that is a frame edge, were recorded again from the walk when the
+window was made so.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ def _fig3_ring(ttrt_ms: float, **kwargs) -> RingConfig:
 
 
 def _scripted(n: int, script: dict, duration_ms: float, ttrt_ms: float = 4.0, **kwargs):
-    # a partial, so that a simulator other than run can be handed its arguments
     cfg = RingConfig.uniform(n, 0.0, ttrt_ms, token_time_us=0.0, **kwargs)
     return partial(run, cfg, ScriptedWorkload(script), duration_ms, 0)
 
@@ -79,13 +84,13 @@ def _saturated_cases() -> dict:
                 cfg = _preset_ring(preset, ttrt, async_overflow=overflow)
                 w = SaturationWorkload(frame_bytes=frame_bytes)
                 name = f"sat-{preset}-{ttrt:g}-{'overflow' if overflow else 'no-overflow'}"
-                cases[name] = (lambda c=cfg, w=w, d=duration_ms: run(c, w, d, seed=1))
+                cases[name] = partial(run, cfg, w, duration_ms, 1)
     illegal = _preset_ring("typical", 0.3, allow_any_ttrt=True, token_time_us=0.0)
-    cases["sat-typical-illegal-0.3"] = lambda: run(
-        illegal, SaturationWorkload(frame_bytes=4500), 50.0, seed=1)
+    cases["sat-typical-illegal-0.3"] = partial(
+        run, illegal, SaturationWorkload(frame_bytes=4500), 50.0, 1)
     swamped = _preset_ring("largest", 2.0, allow_any_ttrt=True)
-    cases["sat-largest-below-latency-2"] = lambda: run(
-        swamped, SaturationWorkload(frame_bytes=512), 60.0, seed=1)
+    cases["sat-largest-below-latency-2"] = partial(
+        run, swamped, SaturationWorkload(frame_bytes=512), 60.0, 1)
     return cases
 
 
@@ -93,15 +98,15 @@ def _subset_cases() -> dict:
     typical = _preset_ring("typical", 8.0)
     largest = _preset_ring("largest", 20.0)
     return {
-        "active-typical-5": lambda: run(
-            typical, SaturationWorkload(frame_bytes=512, stations=tuple(range(5))), 300.0, seed=1),
-        "active-largest-50": lambda: run(
-            largest, SaturationWorkload(frame_bytes=100, stations=tuple(range(50))), 200.0, seed=2),
-        "active-typical-sparse": lambda: run(
-            typical, SaturationWorkload(frame_bytes=4500, stations=(3, 11, 19)), 300.0, seed=1),
-        "active-wic-sparse": lambda: run(
-            _fig3_ring(8.0), WicWorkload(mean_interburst_ms=0.9, stations=(2, 9, 10, 33)),
-            300.0, seed=4),
+        "active-typical-5": partial(
+            run, typical, SaturationWorkload(frame_bytes=512, stations=tuple(range(5))), 300.0, 1),
+        "active-largest-50": partial(
+            run, largest, SaturationWorkload(frame_bytes=100, stations=tuple(range(50))), 200.0, 2),
+        "active-typical-sparse": partial(
+            run, typical, SaturationWorkload(frame_bytes=4500, stations=(3, 11, 19)), 300.0, 1),
+        "active-wic-sparse": partial(
+            run, _fig3_ring(8.0), WicWorkload(mean_interburst_ms=0.9, stations=(2, 9, 10, 33)),
+            300.0, 4),
     }
 
 
@@ -112,24 +117,23 @@ def _wic_cases() -> dict:
         for ttrt in (0.5, 8.0):
             for seed in (1, 2):
                 cfg = _fig3_ring(ttrt)
-                cases[f"wic-{load}-{ttrt:g}-seed{seed}"] = (
-                    lambda c=cfg, w=w, s=seed: run(c, w, 250.0, seed=s))
+                cases[f"wic-{load}-{ttrt:g}-seed{seed}"] = partial(run, cfg, w, 250.0, seed)
     w90 = WicWorkload.for_utilization(0.90, FIG3_STATIONS)
-    cases["wic-90-illegal-0.2"] = lambda: run(_fig3_ring(0.2), w90, 150.0, seed=3)
-    cases["wic-90-0.5-no-overflow"] = lambda: run(
-        _fig3_ring(0.5, async_overflow=False), w90, 150.0, seed=3)
+    cases["wic-90-illegal-0.2"] = partial(run, _fig3_ring(0.2), w90, 150.0, 3)
+    cases["wic-90-0.5-no-overflow"] = partial(
+        run, _fig3_ring(0.5, async_overflow=False), w90, 150.0, 3)
     return cases
 
 
 def _variant_cases() -> dict:
     w = WicWorkload.for_utilization(0.58, FIG3_STATIONS)
     return {
-        "token0-sat-typical": lambda: run(
-            _preset_ring("typical", 8.0, token_time_us=0.0), SaturationWorkload(512), 200.0, seed=1),
-        "token0-wic-58": lambda: run(_fig3_ring(8.0, token_time_us=0.0), w, 200.0, seed=1),
-        "idle-typical": lambda: run(_preset_ring("typical", 8.0), None, 100.0, seed=0),
-        "no-warmup-wic-28": lambda: run(
-            _fig3_ring(8.0), WicWorkload.for_utilization(0.28, FIG3_STATIONS), 100.0, seed=5,
+        "token0-sat-typical": partial(run, _preset_ring("typical", 8.0, token_time_us=0.0),
+                                      SaturationWorkload(512), 200.0, 1),
+        "token0-wic-58": partial(run, _fig3_ring(8.0, token_time_us=0.0), w, 200.0, 1),
+        "idle-typical": partial(run, _preset_ring("typical", 8.0), None, 100.0, 0),
+        "no-warmup-wic-28": partial(
+            run, _fig3_ring(8.0), WicWorkload.for_utilization(0.28, FIG3_STATIONS), 100.0, 5,
             warmup_fraction=0.0),
     }
 
@@ -148,9 +152,9 @@ def _scripted_cases() -> dict:
         "script-unusable-token": _scripted(
             2, {0: [(0.0, [4500] * 20)], 1: [(0.1, [100])]}, 30.0),
         "script-hand-trace": _scripted(2, {1: [(0.5, [100])]}, 4.0),
-        "skip-chain-sparse": lambda: run(
-            sparse, SaturationWorkload(frame_bytes=512, stations=(0, 3)), 500.0, seed=5),
-        "skip-chain-dense": lambda: run(dense, SaturationWorkload(frame_bytes=512), 500.0, seed=5),
+        "skip-chain-sparse": partial(
+            run, sparse, SaturationWorkload(frame_bytes=512, stations=(0, 3)), 500.0, 5),
+        "skip-chain-dense": partial(run, dense, SaturationWorkload(frame_bytes=512), 500.0, 5),
         # arrivals on the token's 1 us grid: at visits, one hop apart, at
         # frame completions (100 B = 8 us), at the warm-up mark (0.4 ms)
         # and in same-instant bursts
@@ -244,22 +248,22 @@ def _stretch_cases() -> dict:
     return {
         # every sourced stop lies past the TTRT from station 0: no capture at
         # all, and rotations of one idle period over 2 x TTRT are only counted
-        "stretch-idle-rotation-over-ttrt": lambda: run(
-            RingConfig.uniform(200, 100.0, 0.4, allow_any_ttrt=True),
-            SaturationWorkload(512, stations=tuple(range(100, 200))), 50.0, seed=1),
+        "stretch-idle-rotation-over-ttrt": partial(
+            run, RingConfig.uniform(200, 100.0, 0.4, allow_any_ttrt=True),
+            SaturationWorkload(512, stations=tuple(range(100, 200))), 50.0, 1),
         # the next usable stop lies past the wrap
-        "stretch-uneven-subset-no-overflow": lambda: run(
-            uneven,
+        "stretch-uneven-subset-no-overflow": partial(
+            run, uneven,
             SaturationWorkload(2000, stations=(12, 13, 18, 57, 64, 80, 81, 99, 101, 109, 122, 148)),
-            60.0, seed=1),
+            60.0, 1),
         # an idle bursty ring at a TTRT below half its idle rotation: whole
         # idle laps count their rotations as violations
-        "stretch-wic-idle-laps-over-2-ttrt": lambda: run(
-            RingConfig.uniform(10, 100.0, 0.2, allow_any_ttrt=True),
-            WicWorkload.for_utilization(0.01, 10), 100.0, seed=3),
+        "stretch-wic-idle-laps-over-2-ttrt": partial(
+            run, RingConfig.uniform(10, 100.0, 0.2, allow_any_ttrt=True),
+            WicWorkload.for_utilization(0.01, 10), 100.0, 3),
         # the warm-up mark (25 ms) and the end both fall between two passes
-        "stretch-largest-mark-and-end": lambda: run(
-            _preset_ring("largest", 8.0), SaturationWorkload(100), 250.0, seed=1),
+        "stretch-largest-mark-and-end": partial(
+            run, _preset_ring("largest", 8.0), SaturationWorkload(100), 250.0, 1),
     }
 
 
@@ -276,21 +280,23 @@ def _lap0_cases() -> dict:
             150: [(0.02, [512])], 40: [(0.04, [100])], 92: [(0.1, [100])]}
     return {
         # station 0 holds 8 ms; the run ends in the unusable passes after it
-        "lap0-largest-ends-in-lap": lambda: run(largest, SaturationWorkload(100), 10.0, seed=1),
-        "lap0-largest-mark-in-lap": lambda: run(
-            largest._replace(async_overflow=False), SaturationWorkload(100), 95.0, seed=1),
+        "lap0-largest-ends-in-lap": partial(run, largest, SaturationWorkload(100), 10.0, 1),
+        "lap0-largest-mark-in-lap": partial(
+            run, largest._replace(async_overflow=False), SaturationWorkload(100), 95.0, 1),
         # a TTRT of 1/64 ms: lap 0 counts the rotations of 2 x TTRT or more
-        "lap0-largest-illegal-1/64": lambda: run(illegal, SaturationWorkload(100), 5.0, seed=1),
+        "lap0-largest-illegal-1/64": partial(run, illegal, SaturationWorkload(100), 5.0, 1),
         # the first stop is station 300, 0.87 ms from station 0: usable at
         # TTRT 8 ms; at 0.4 ms it is past 2 x TTRT and no stop of lap 0 is usable
-        "lap0-subset-late-first-stop": lambda: run(
-            largest._replace(async_overflow=False), SaturationWorkload(4500, late), 30.0, seed=1),
-        "lap0-subset-late-first-stop-illegal": lambda: run(
-            illegal._replace(ttrt_ms=0.4), SaturationWorkload(512, late), 12.0, seed=1),
+        "lap0-subset-late-first-stop": partial(
+            run, largest._replace(async_overflow=False), SaturationWorkload(4500, late), 30.0, 1),
+        "lap0-subset-late-first-stop-illegal": partial(
+            run, illegal._replace(ttrt_ms=0.4), SaturationWorkload(512, late), 12.0, 1),
         "lap0-script-idle-ties": _scripted(200, idle, 1.0),
     }
 
 
+# each case a partial of run, so that a simulator other than run can be
+# handed its arguments
 CORPUS = {
     **_saturated_cases(),
     **_subset_cases(),
@@ -303,20 +309,20 @@ CORPUS = {
 }
 
 DIGESTS = {
-    "active-largest-50": "79d74d7590e2590d37cd7bb17d96b26c9541455972406fedc17c74e3d284aefe",
+    "active-largest-50": "b13693d64a89057f58e7c23bc7891b04e7663417fd22fa60a2b0f1b775c9efa8",
     "active-typical-5": "55da2514b779021954fb603844993ee96f07f7c1822a22b79ffb9a45d3be12ac",
     "active-typical-sparse": "95ba59d2081014db4cc840d0634e457be422ae1a95ea14f3a18fd71b3449268c",
     "active-wic-sparse": "a47dd05b952e277f90021cc50ef76cff7434ebc125748457d0358decfc3b0d45",
     "idle-typical": "22ce268ff93e3d0bb27c2ea5880bd1abde3b2766794795b805d903057fddd6df",
-    "lap0-largest-ends-in-lap": "ea6410d32b49d5fd2ee936bb5ca75152cda3ae28db75d48cecbc5c43ca0ade92",
+    "lap0-largest-ends-in-lap": "c4111a9137e04d6da65456da6c821087e03b007437029cbb0654485876915f95",
     "lap0-largest-illegal-1/64": "6a50b0fbc93285eeefd150c63604b65ba3aaeacda13dea8843a1c4b6a127e594",
     "lap0-largest-mark-in-lap": "fac3fd19bd7dc04a37ba75e3aaa00ea2bb83148d68b307c5fbe72a99a9035db6",
     "lap0-script-idle-ties": "d0db616764a32f53ef0a4138eced5b026163f9e6c2b48ba56a5b6dff6f5282ac",
     "lap0-subset-late-first-stop": "c50f4a45935130ec268a4a9c7ba4e9d155c7937d7a34ce060a86406518b663e7",
     "lap0-subset-late-first-stop-illegal": "5fbbb0ef9246c940c73ea270ebcefa77d64a76f82386a4bc4f1c0a205253f0c9",
     "no-warmup-wic-28": "046813582cad2c5f6791ebc2ef532064bcf2b2567d16d58e93b998bb250fa71b",
-    "sat-largest-165-no-overflow": "c98ef6c7f76ce10e12a363d368583c45d24da5076c0a1dab9a02d46f18a3d5e9",
-    "sat-largest-165-overflow": "7747ebd548a47b45cdd8b54fb8b741901135fb6c4dad59a842944c3721e01114",
+    "sat-largest-165-no-overflow": "64072288badf077427f6ee17726d6d0583afad4c59a7933187ad575b65b867b1",
+    "sat-largest-165-overflow": "7583ff91afd954c80b01e6a0da0aebead3c85795e416a939e5ba66fdee47b4c7",
     "sat-largest-20-no-overflow": "0346580bf613e186022cc9f24d55f589212d661ed67f7fd897e3e8bd732dc922",
     "sat-largest-20-overflow": "b4c669dac1acb0f5e4ad3cf6ae0513f3aaf4b79047f8bc0114b688e7b9259d2f",
     "sat-largest-8-no-overflow": "6a072cb69eb5623053330d72fbf1eb07916dfbf8048dbeb3a411b16c666438df",

@@ -11,7 +11,10 @@ each edge of the measured window W and one frame F credited at each edge.
 A saturated run must also be the run of a pass-by-pass reference walk, on
 rings whose TTRT reaches below the ring latency, both over tens of
 rotations and over runs short enough that lap 0, in which every stop last
-saw the token at t = 0, meets the warm-up mark or the end. The run-length
+saw the token at t = 0, meets the warm-up mark or the end, in every field
+the walk keeps, its warm-up boundary among them: the frames completed at or
+before the mark. The walk also gives the frozen digest of every saturated
+and idle case of `test_simcore_digests.py`. The run-length
 lap-clock keys of a saturated ring must answer as a plain list of keys does
 under random fills and single sets, from lap 0 on.
 
@@ -33,7 +36,8 @@ A bursty run must also be the run of an event-by-event reference simulator,
 which shares no code with `simcore.run`, in every field its digest covers:
 on scripted rings on a 1 us grid with many zero gaps and empty bursts, and
 on small WIC rings, overflow on and off, with the warm-up mark on the
-instant of a token event or a burst. The reference also gives the frozen
+instant of a token event or a burst, whose events are all counted before
+the boundary. The reference also gives the frozen
 digest of every scripted case of `test_simcore_digests.py`.
 """
 
@@ -66,8 +70,8 @@ from fddiperf.analytical import (
 )
 from fddiperf.metrics import SampleStats, summarize
 from fddiperf.simcore import (
-    NS_PER_BYTE, NS_PER_MS, NS_PER_US, WARMUP_FRACTION, Arrivals, RingConfig, _LapClocks, certified,
-    reuse_at, run)
+    NS_PER_BYTE, NS_PER_MS, NS_PER_US, WARMUP_FRACTION, Arrivals, RingConfig, RunSnapshot,
+    _LapClocks, certified, reuse_at, run)
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
 from test_simcore_digests import CORPUS, DIGEST_FIELDS, DIGESTS, digest, digest_fields
 
@@ -126,16 +130,20 @@ def _stops(config, stations):
     return stops, at[0], leap, start[-1], round(config.ttrt_ms * NS_PER_MS)
 
 
-def _walk(config, frame_bytes, stations, duration_ns):
+def _walk(config, frame_bytes, stations, duration_ns, warmup_fraction=WARMUP_FRACTION):
     """A saturated ring's run, one token pass per loop iteration, as
     `simcore.run` walked it before it took a stretch of unusable passes in
     closed form. Without stations the ring is idle and the token passes
-    station 0 only."""
+    station 0 only. The boundary counts, of each holding, the frames that
+    complete at or before the warm-up mark and its busy time up to it."""
     stops, first, leap, _, ttrt = _stops(config, stations)
     frame_ns = frame_bytes * NS_PER_BYTE
+    mark = int(duration_ns * warmup_fraction)
     last = [0] * len(stops)
     want = [0] * len(stops)
     bits = [0] * config.n_stations
+    marked = [0] * config.n_stations  # bits completed by the mark
+    marked_busy = 0
     out = dict(rotation_count=0, max_rotation_ns=0, trt_violations=0, access_samples=[],
                completed_frames=0, busy_ns=0)
     t, k = first, 0
@@ -155,14 +163,36 @@ def _walk(config, frame_bytes, stations, duration_ns):
             bits[stops[k]] += frames * frame_bytes * 8
             out["completed_frames"] += frames
             out["busy_ns"] += end - t
+            if t <= mark:
+                marked[stops[k]] += min(frames, (mark - t) // frame_ns) * frame_bytes * 8
+                marked_busy += min(end, mark) - t
             want[k] = t = end
         t += leap[k]
         k = (k + 1) % len(stops)
     out["station_bits"] = tuple(bits)
+    out["boundary"] = RunSnapshot(mark, sum(marked), marked_busy, tuple(marked))
     out["open_rotation_ns"] = duration_ns - min(last)
     rest = duration_ns - out["busy_ns"]
     out["overhead_ns"], out["idle_ns"] = (rest, 0) if stations else (0, rest)
     return out
+
+
+def _walked(config, workload, duration_ms, seed=0, warmup_fraction=WARMUP_FRACTION):
+    """The fields of `run_digest`, by name, of a saturated or idle ring's run
+    (workload None), from `_walk`."""
+    duration_ns = round(duration_ms * NS_PER_MS)
+    bound = workload.bind(config.n_stations, seed) if workload is not None else []
+    stations = [i for i, frame_bytes in enumerate(bound) if frame_bytes]
+    frame_bytes = workload.frame_bytes if workload is not None else 0
+    stops, _, _, period, ttrt = _stops(config, stations)
+    walk = _walk(config, frame_bytes, stations, duration_ns, warmup_fraction)
+    token_ns = round(config.token_time_us * NS_PER_US)
+    enforced = ttrt >= period + token_ns + frame_bytes * NS_PER_BYTE
+    fields = dict(
+        walk, duration_ns=duration_ns, seed=seed, completed_bits=sum(walk["station_bits"]),
+        response_samples=[], trt_bound_enforced=enforced, boundary=tuple(walk["boundary"]),
+        sourced_stations=tuple(stops))
+    return {name: fields[name] for name in DIGEST_FIELDS}
 
 
 def _reference(config, workload, duration_ms, seed=0, warmup_fraction=WARMUP_FRACTION):
@@ -172,7 +202,7 @@ def _reference(config, workload, duration_ms, seed=0, warmup_fraction=WARMUP_FRA
     stop per event, with no stretches and no lap clocks; each source's next
     burst is drawn as its last one comes; the ring's busy, overhead and idle
     time is added up segment by segment between events. The warm-up
-    snapshot is taken before the events at the mark. Returns the fields of
+    snapshot is taken after the events at the mark. Returns the fields of
     `run_digest`, by name."""
     duration_ns = round(duration_ms * NS_PER_MS)
     mark = int(duration_ns * warmup_fraction)
@@ -215,7 +245,7 @@ def _reference(config, workload, duration_ms, seed=0, warmup_fraction=WARMUP_FRA
 
     while events:
         t, _, _, kind, k, sizes = heappop(events)
-        if boundary is None and t >= mark:
+        if boundary is None and t > mark:
             boundary = snapshot()
         time[ring_state()] += t - now
         now = t
@@ -529,3 +559,11 @@ def test_reference_simulator_is_run_on_wic_rings(ring, utilization, duration_ms,
 def test_reference_simulator_gives_the_scripted_digests(name):
     case = CORPUS[name]
     assert digest(_reference(*case.args, **case.keywords)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, case in CORPUS.items()
+    if not isinstance(case.args[1], (WicWorkload, ScriptedWorkload))))
+def test_walk_gives_the_saturated_and_idle_digests(name):
+    case = CORPUS[name]
+    assert digest(_walked(*case.args, **case.keywords)) == DIGESTS[name]

@@ -111,6 +111,10 @@ def test_bind_respects_station_subset():
 def test_wic_validation():
     with pytest.raises(ValueError):
         WicWorkload(mean_interburst_ms=0.0)
+    with pytest.raises(ValueError, match=r"utilization must be in \(0, 1\), got 1.0"):
+        WicWorkload.for_utilization(1.0, 4)
+    with pytest.raises(ValueError, match="n_stations must be >= 1, got 0"):
+        WicWorkload.for_utilization(0.5, 0)
 
 
 @pytest.mark.parametrize("make", [
