@@ -390,7 +390,7 @@ def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Ca
     token_time_us = res.get("token_time_us")
     analytical.check_finite(token_time_us=token_time_us)
     # the simulator charges whole nanoseconds, while the CSV echoes the value
-    if simcore._ns_from_us(token_time_us) / simcore.NS_PER_US != token_time_us:
+    if simcore._ns_from_us(token_time_us, "token_time_us") / simcore.NS_PER_US != token_time_us:
         raise CliError(f"--token-time-us {token_time_us!r} is not a whole number of "
                        "nanoseconds")
     ring = functools.partial(

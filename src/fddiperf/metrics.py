@@ -10,15 +10,14 @@ warm-up mark, and access episodes if they open at or after it; a frame's
 bits are credited at its completion, and count toward throughput if it
 completes in (mark, end]. A run carries its workload, so its offered load
 and the access-delay bound of its sourced stations
-(`access_delay_bound_ms(result)`) are worked out from the run alone.
+(`access_delay_bound_ms(result)`) are worked out from the run alone; the
+bound counts the access wait the run's end left open too. Per-station
+throughput is no report field: `station_throughput_mbps(result)` gives it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import compress, repeat
-from operator import mul, sub, truediv
 
 from . import analytical
 from .analytical import LINE_RATE_MBPS, RingParameters, record
@@ -58,12 +57,12 @@ def _stats(delays_ns: list[int], with_p95: bool) -> SampleStats | None:
 
 @record("throughput_mbps efficiency response_time access_delay offered_load_mbps "
         "measured_interval_ms warmup_ms warmup_frames_discarded warmup_access_discarded "
-        "station_throughput_mbps completed_frames max_rotation_ms trt_bound_ok",
+        "completed_frames max_rotation_ms trt_bound_ok",
         access_bound_ms=None, access_bound_exceeded=False, seed=0)
 class MetricsReport:
     """Per-run summary. The statistics, response_time and access_delay, are
     SampleStats, or None (absent) when no samples were retained, never a
-    misleading zero. station_throughput_mbps has one entry per station."""
+    misleading zero. access_bound_exceeded counts open waits too."""
 
 
 def access_delay_bound_ms(result: RunResult) -> float | None:
@@ -93,17 +92,24 @@ def access_delay_bound_ms(result: RunResult) -> float | None:
     return res.max_access_delay_ms
 
 
+def station_throughput_mbps(result: RunResult) -> tuple[float, ...]:
+    """Each station's throughput over the measured window, one entry per
+    station: 0.0 at a station that sent nothing in it."""
+    b = result.boundary
+    interval_ns = result.duration_ns - b.at_ns
+    return tuple((now - then) / interval_ns * 1000.0  # bits/ns -> Mbps
+                 for now, then in zip(result.station_bits, b.station_bits))
+
+
 def _ttrt_fields(result: RunResult, access: SampleStats | None) -> dict:
     """The report fields that depend on the run's TTRT: the access-delay
-    bound (none on an idle ring) checked against the largest access delay,
-    and the rotation bound checked against the longest rotation, the one
-    the run's end left open included."""
+    bound (none on an idle ring) checked against the longest access delay,
+    and the rotation bound checked against the longest rotation, in each
+    case the one the run's end left open included."""
     bound_ms = access_delay_bound_ms(result)
-    exceeded = False
-    if bound_ms is not None and access is not None:
-        # max_ms is whole nanoseconds over NS_PER_MS, so it reads back exactly
-        peak_ns = _ns_from_ms(access.max_ms)
-        exceeded = peak_ns > _ns_from_ms(bound_ms) + _BOUND_SLACK_NS
+    # max_ms is whole nanoseconds over NS_PER_MS, so it reads back exactly
+    peak_ns = max(0 if access is None else _ns_from_ms(access.max_ms), result.open_access_ns)
+    exceeded = bound_ms is not None and peak_ns > _ns_from_ms(bound_ms) + _BOUND_SLACK_NS
     ttrt_ns = _ns_from_ms(result.config.ttrt_ms)
     rotation_ns = max(result.max_rotation_ns, result.open_rotation_ns)
     return dict(access_bound_ms=bound_ms, access_bound_exceeded=exceeded,
@@ -115,21 +121,10 @@ def summarize(result: RunResult) -> MetricsReport:
     access-delay bound come from the run's workload; an idle run has neither."""
     b = result.boundary
     mark_ns = b.at_ns
-    interval_ns = result.duration_ns - mark_ns
-    if interval_ns <= 0:
-        raise ValueError("measured interval is empty")
+    interval_ns = result.duration_ns - mark_ns  # run refuses a mark at or past the end
 
     window_bits = result.completed_bits - b.completed_bits
     throughput = window_bits / interval_ns * 1000.0  # bits/ns -> Mbps
-    # (bits - mark) / interval_ns * 1000.0 per station, which is 0.0 at a
-    # station that sent nothing (bits never fall): only the stations that
-    # sent are worked out and scattered into place, in whole-list operations
-    now, then = result.station_bits, b.station_bits
-    sent = list(compress(range(len(now)), now))
-    station_tp = [0.0] * len(now)
-    deque(map(station_tp.__setitem__, sent, map(mul, map(truediv, map(
-        sub, map(now.__getitem__, sent), map(then.__getitem__, sent)),
-        repeat(interval_ns)), repeat(1000.0))), maxlen=0)
 
     responses = result.response_samples.delays_since(mark_ns)
     accesses = [cap - start for start, cap in result.access_samples if start >= mark_ns]
@@ -147,7 +142,6 @@ def summarize(result: RunResult) -> MetricsReport:
         warmup_ms=mark_ns / NS_PER_MS,
         warmup_frames_discarded=len(result.response_samples) - len(responses),
         warmup_access_discarded=len(result.access_samples) - len(accesses),
-        station_throughput_mbps=tuple(station_tp),
         completed_frames=result.completed_frames,
         max_rotation_ms=result.max_rotation_ms,
         seed=result.seed,

@@ -112,9 +112,8 @@ def table1_rows() -> list[Table1Row]:
         preset = PRESETS[name]
         d_ms = preset.ring_latency_ms()
         for ttrt in TABLE1_TTRT_MS:
-            p = RingParameters(preset.mac_count, ttrt, d_ms)
-            eff = analytical.efficiency(p)
-            delay_s = analytical.max_access_delay(p) / 1000.0
+            eff, delay_ms, _ = analytical.basic_model(RingParameters(preset.mac_count, ttrt, d_ms))
+            delay_s = delay_ms / 1000.0
             golden_access, golden_eff = TABLE1_GOLDEN[name][ttrt]
             rows.append(
                 Table1Row(

@@ -171,7 +171,7 @@ class RingConfig:
         check_finite(fiber_km=fiber_km)
         if fiber_km < 0:
             raise ValueError("fiber_km must be >= 0")
-        total_ns = _ns_from_us(fiber_km * PROPAGATION_US_PER_KM)
+        total_ns = _whole_ns(fiber_km * PROPAGATION_US_PER_KM * NS_PER_US, "fiber_km", fiber_km)
         base, extra = divmod(total_ns, n_stations)
         seg_us = ((base + 1) / NS_PER_US,) * extra + (base / NS_PER_US,) * (n_stations - extra)
         return cls(seg_us, ttrt_ms, token_time_us, async_overflow, allow_any_ttrt)
@@ -233,13 +233,17 @@ class RunResult(SimpleNamespace):
     # the longest rotation the run's end left open: the run's length past
     # the stop that has waited longest for the token
     open_rotation_ns: int
+    # the longest access wait the run's end left open: the run's length past
+    # the earliest episode start of a stop that waits and does not hold
+    open_access_ns: int
     # the traffic simulated, None on an idle ring
     workload: object
 
-    def __init__(self, sourced_stations=(), budget_cuts=0, open_rotation_ns=0, workload=None,
-                 **fields):
+    def __init__(self, sourced_stations=(), budget_cuts=0, open_rotation_ns=0, open_access_ns=0,
+                 workload=None, **fields):
         super().__init__(**fields, sourced_stations=sourced_stations, budget_cuts=budget_cuts,
-                         open_rotation_ns=open_rotation_ns, workload=workload)
+                         open_rotation_ns=open_rotation_ns, open_access_ns=open_access_ns,
+                         workload=workload)
 
     def _replace(self, **changes) -> "RunResult":
         return RunResult(**{**vars(self), **changes})
@@ -249,25 +253,32 @@ class RunResult(SimpleNamespace):
         return self.max_rotation_ns / NS_PER_MS
 
 
-def _ns_from_us(us: float) -> int:
-    return int(round(us * NS_PER_US))
+def _whole_ns(ns: float, name: str, value: float) -> int:
+    try:
+        return int(round(ns))
+    except OverflowError:  # the input `name`, given as value, makes ns infinite
+        raise ValueError(f"{name} {value!r} overflows whole nanoseconds") from None
 
 
-def _ns_from_ms(ms: float) -> int:
-    return int(round(ms * NS_PER_MS))
+def _ns_from_us(us: float, name: str = "us") -> int:
+    return _whole_ns(us * NS_PER_US, name, us)
+
+
+def _ns_from_ms(ms: float, name: str = "ms") -> int:
+    return _whole_ns(ms * NS_PER_MS, name, ms)
 
 
 @lru_cache(maxsize=8)  # a sweep simulates one ring at a time
 def _layout(segment_delays_us: tuple[float, ...], token_time_us: float) -> tuple:
     """A ring's hops (repeat delay and token time in) and stations' offsets in
     an idle rotation, in the whole nanoseconds `run` simulates and as tuples
-    no run can change; then that rotation, its shortest hop and latency (ms)."""
+    no run can change; then that rotation and its latency (ms)."""
     hop_ns = list(map(round, map(mul, segment_delays_us, repeat(NS_PER_US))))
-    repeat_ns = _ns_from_us(STATION_DELAY_US) + _ns_from_us(token_time_us)
+    repeat_ns = _ns_from_us(STATION_DELAY_US) + _ns_from_us(token_time_us, "token_time_us")
     hops = tuple(map(add, hop_ns, repeat(repeat_ns)))
     *offsets, period = accumulate(hops, initial=0)
     latency_us = sum(map(truediv, hop_ns, repeat(NS_PER_US))) + len(hops) * STATION_DELAY_US
-    return hops, tuple(offsets), period, min(hops), latency_us / 1000.0
+    return hops, tuple(offsets), period, latency_us / 1000.0
 
 
 _last_layout: list = [None, None, None]  # the ring last looked up: hops, token time, layout
@@ -385,7 +396,7 @@ def certified(result: RunResult) -> bool:
     workload = result.workload
     if workload is None or isinstance(workload, SaturationWorkload):
         return False
-    if result.budget_cuts or result.trt_violations:
+    if result.budget_cuts:
         return False
     t1 = _ns_from_ms(result.config.ttrt_ms)
     if result.config.async_overflow:
@@ -402,9 +413,9 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
 
     The run at T1 = result's TTRT is certified when its ring is bursty, no
     holding released the token with frames still queued (budget_cuts == 0),
-    no rotation reached 2 x T1, and every token arrival was usable: every
-    rotation stayed below T1 with overflow on, or left room for one
-    maximum-size frame with it off. Then the run at T2 >= T1 follows the
+    and every token arrival was usable: every rotation stayed below T1 with
+    overflow on, or left room for one maximum-size frame with it off (so
+    none reached 2 x T1). Then the run at T2 >= T1 follows the
     same events (the cycle arguments of Sevcik & Johnson, 1987), by
     induction over them:
 
@@ -429,7 +440,7 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
 
 def _duration_ns(duration_ms: float) -> int:
     check_finite(duration_ms=duration_ms)
-    duration_ns = _ns_from_ms(duration_ms)
+    duration_ns = _ns_from_ms(duration_ms, "duration_ms")
     if duration_ns <= 0:
         raise ValueError(f"duration_ms must be > 0, got {duration_ms}")
     return duration_ns
@@ -505,13 +516,13 @@ def run(
     are drawn for the run when not given.
     """
     n = config.n_stations
-    ttrt_ns = _ns_from_ms(config.ttrt_ms)
+    ttrt_ns = _ns_from_ms(config.ttrt_ms, "ttrt_ms")
     two_ttrt = 2 * ttrt_ns
     duration_ns = _duration_ns(duration_ms)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    hops, pre, period, shortest, _ = _ring_layout(config)
+    hops, pre, period, _ = _ring_layout(config)
 
     if arrivals is None:
         arrivals = Arrivals(workload, n, seed, duration_ms)
@@ -529,9 +540,6 @@ def run(
     else:
         offset = list(map(sub, map(pre.__getitem__, stops), repeat(pre[stops[0]])))
         leap = list(map(sub, [*offset[1:], period], offset))
-        shortest = min(leap)
-    if shortest <= 0:
-        raise ValueError("the token must take time to travel between sourced stations")
 
     trt_enforced = _trt_enforced(config, workload, period)
     frame_ns = sat * NS_PER_BYTE  # a saturated stop's frame time
@@ -563,7 +571,10 @@ def run(
     # them. A saturated stop always has one: the token reads its size from sat.
     head = [0] * nst
     queued = [1 if sat else 0] * nst
-    want_since = [0 if sat else -1] * nst  # saturated stops want the token from t=0
+    # stop k's open access episode began at want_since[k]; where none is open it
+    # holds duration_ns, so the run's end finds the oldest by a plain min.
+    # Saturated stops want the token from t=0.
+    want_since = [0 if sat else duration_ns] * nst
     nonempty = 0
 
     bits = [0] * nst
@@ -672,7 +683,7 @@ def run(
                     if tht > 0 and (
                             overflow or (sat or frame_bytes[k][head[k]]) * NS_PER_BYTE <= tht):
                         access_samples.append((want_since[k], t))
-                        want_since[k] = -1
+                        want_since[k] = duration_ns
                         overhead_total += t - seg_start
                         holding = k
                         hold_start = t
@@ -765,5 +776,6 @@ def run(
         sourced_stations=tuple(stops),
         budget_cuts=budget_cuts,
         open_rotation_ns=duration_ns - (key.earliest() if sat else min(map(add, key, offset))),
+        open_access_ns=duration_ns - min(want_since),
         workload=workload,
     )

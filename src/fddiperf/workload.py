@@ -72,8 +72,9 @@ class WicWorkload:
 
     def _check(self) -> None:
         check_finite(mean_interburst_ms=self.mean_interburst_ms)
-        if self.mean_interburst_ms <= 0:
-            raise ValueError(f"mean_interburst_ms must be > 0, got {self.mean_interburst_ms}")
+        if self.mean_interburst_ms < 1e-6:  # gaps under 1 ns round to 0: no draw ends
+            raise ValueError("mean_interburst_ms must be at least 1e-06 (one nanosecond), "
+                             f"got {self.mean_interburst_ms}")
         _check_stations(self.stations)
 
     @classmethod

@@ -260,8 +260,8 @@ def test_criterion_6_figure_shapes():
 def test_criterion_7_fairness():
     config = RingConfig.uniform(10, 2.0, 4.0)
     load = SaturationWorkload(frame_bytes=4500)
-    _, report = _run_sim("fairness:10sat", config, load, 6000.0, seed=11)
-    shares = report.station_throughput_mbps
+    result, _ = _run_sim("fairness:10sat", config, load, 6000.0, seed=11)
+    shares = metrics.station_throughput_mbps(result)
     mean = sum(shares) / len(shares)
     dev = max(abs(s - mean) / mean for s in shares)
     ok = dev <= 0.01

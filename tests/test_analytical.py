@@ -210,6 +210,7 @@ def test_overflow_requires_frame_time():
         overflow_model(RingParameters(10, 1.0, 1.0, 0.36))
 
 
+@settings(derandomize=True, deadline=None)
 @given(
     n=st.integers(1, 1000),
     ttrt=st.floats(0.5, 200.0),
@@ -283,6 +284,7 @@ def test_closed_form_row_is_the_records_bit_for_bit(inputs):
 
 # ------------------------------------------------------------- properties
 
+@settings(derandomize=True, deadline=None)
 @given(
     n=st.integers(1, 999),
     ttrt=st.floats(0.5, 200.0),
@@ -362,6 +364,7 @@ def test_validator_accepts_physical_ring():
     assert v.ring_latency_ms == pytest.approx(0.1177)
 
 
+@settings(derandomize=True, deadline=None)
 @given(
     ttrt=st.floats(4.0, 165.0),
     sync=st.floats(0.0, 10.0),

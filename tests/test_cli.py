@@ -457,6 +457,19 @@ _TTRT_OVERFLOWS = "error: ttrt_ms 1e+305 overflows the closed form with 10 activ
                   "--fiber-km", "1"], _TTRT_OVERFLOWS, id="argv1"),
     pytest.param(["analyze", "--macs", "10", "--fiber-km", "1", "--ttrt", "1e305",
                   "--frame-bytes", "512"], _TTRT_OVERFLOWS, id="analyze-ttrt"),
+    # each simulator input is refused where it becomes whole nanoseconds
+    pytest.param(["simulate", "--preset", "typical", "--ttrt", "1e308", "--allow-any-ttrt"],
+                 "error: ttrt_ms 1e+308 overflows whole nanoseconds", id="simulate-ttrt"),
+    pytest.param(["simulate", "--preset", "typical", "--ttrt", "8", "--token-time-us", "1e308"],
+                 "error: token_time_us 1e+308 overflows whole nanoseconds",
+                 id="simulate-token-time"),
+    pytest.param(["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "1e308"],
+                 "error: duration_ms 1e+308 overflows whole nanoseconds",
+                 id="simulate-duration"),
+    pytest.param(["sweep", "--figure", "fig3", "--duration-ms", "1e308"],
+                 "error: duration_ms 1e+308 overflows whole nanoseconds", id="fig3-duration"),
+    pytest.param(["simulate", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8"],
+                 "error: fiber_km 1e+308 overflows whole nanoseconds", id="simulate-fiber"),
 ])
 def test_input_that_overflows_is_one_error_line(argv, line, tmp_path, capsys):
     out = tmp_path / "out.csv"

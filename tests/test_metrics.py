@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from fddiperf import analytical, simcore
 from fddiperf.analytical import TOKEN_TIME_US, RingParameters
-from fddiperf.metrics import SampleStats, _stats, access_delay_bound_ms, reuse_at, summarize
+from fddiperf.metrics import (
+    SampleStats, _stats, access_delay_bound_ms, reuse_at, station_throughput_mbps, summarize)
 from fddiperf.samples import ResponseSamples
 from fddiperf.simcore import NS_PER_MS, WARMUP_FRACTION, RingConfig, RunResult, RunSnapshot, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
@@ -172,19 +173,21 @@ def test_access_bound_reported_and_checked():
 
 def test_access_bound_is_exceeded_one_nanosecond_past_its_slack():
     # the check reads the largest delay back from its report in whole
-    # nanoseconds, in summarize and in reuse_at alike
-    plain = _result_with_samples()
+    # nanoseconds, in summarize and in reuse_at alike, whether a capture
+    # closed that wait or the run's end left it open
+    plain = _result_with_samples()._replace(
+        workload=SaturationWorkload(frame_bytes=512), sourced_stations=(0, 1))
     mark = plain.boundary.at_ns
-    bound_ms = access_delay_bound_ms(plain._replace(
-        workload=SaturationWorkload(frame_bytes=512), sourced_stations=(0, 1)))
+    bound_ms = access_delay_bound_ms(plain)
     limit_ns = int(round(bound_ms * NS_PER_MS)) + 1
     for over in (0, 1):
-        res = _result_with_samples(accesses=[(mark, mark + limit_ns + over)])._replace(
-            workload=SaturationWorkload(frame_bytes=512), sourced_stations=(0, 1))
-        rep = summarize(res)
-        assert rep.access_bound_ms == bound_ms
-        assert rep.access_bound_exceeded is bool(over)
-        assert reuse_at(rep, res) == rep
+        closed = plain._replace(access_samples=[(mark, mark + limit_ns + over)])
+        opened = plain._replace(open_access_ns=limit_ns + over)  # no closed episode
+        for res in (closed, opened):
+            rep = summarize(res)
+            assert rep.access_bound_ms == bound_ms
+            assert rep.access_bound_exceeded is bool(over)
+            assert reuse_at(rep, res) == rep
 
 
 _SUBSET_LOADS = {
@@ -217,11 +220,11 @@ def test_station_throughput_shares():
     cfg = RingConfig.uniform(4, 2.0, 8.0, token_time_us=0.0)
     w = SaturationWorkload(frame_bytes=512, stations=(0, 1))
     res = run(cfg, w, duration_ms=500.0, seed=4)
-    rep = summarize(res)
-    assert rep.station_throughput_mbps[2] == 0.0
-    assert rep.station_throughput_mbps[3] == 0.0
-    active = rep.station_throughput_mbps[:2]
-    assert sum(active) == pytest.approx(rep.throughput_mbps, rel=1e-9)
+    shares = station_throughput_mbps(res)
+    assert shares[2] == 0.0
+    assert shares[3] == 0.0
+    active = shares[:2]
+    assert sum(active) == pytest.approx(summarize(res).throughput_mbps, rel=1e-9)
     assert active[0] == pytest.approx(active[1], rel=0.02)
 
 
@@ -234,8 +237,6 @@ _STATION_BITS = st.tuples(st.integers(0, 9).flatmap(
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.lists(_STATION_BITS, min_size=1, max_size=200), st.integers(1, 10**4))
 def test_station_throughput_is_the_per_station_quotient(bits, duration_ms):
-    # summarize works out only the stations that sent, yet every entry is
-    # the per-station formula's float, 0.0 included
     result = _result_with_samples(float(duration_ms))
     b = result.boundary
     marks = tuple(m for _, m in bits)
@@ -244,7 +245,7 @@ def test_station_throughput_is_the_per_station_quotient(bits, duration_ms):
     interval_ns = result.duration_ns - b.at_ns
     expected = tuple((total - mark) / interval_ns * 1000.0
                      for total, mark in zip(result.station_bits, marks))
-    got = summarize(result).station_throughput_mbps
+    got = station_throughput_mbps(result)
     assert type(got) is tuple
     assert got == expected
     assert repr(got) == repr(expected)

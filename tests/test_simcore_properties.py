@@ -135,7 +135,9 @@ def _walk(config, frame_bytes, stations, duration_ns, warmup_fraction=WARMUP_FRA
     `simcore.run` walked it before it took a stretch of unusable passes in
     closed form. Without stations the ring is idle and the token passes
     station 0 only. The boundary counts, of each holding, the frames that
-    complete at or before the warm-up mark and its busy time up to it."""
+    complete at or before the warm-up mark and its busy time up to it. A
+    stop waits for the token from its last release (from t = 0 before its
+    first), and not while it holds."""
     stops, first, leap, _, ttrt = _stops(config, stations)
     frame_ns = frame_bytes * NS_PER_BYTE
     mark = int(duration_ns * warmup_fraction)
@@ -172,6 +174,7 @@ def _walk(config, frame_bytes, stations, duration_ns, warmup_fraction=WARMUP_FRA
     out["station_bits"] = tuple(bits)
     out["boundary"] = RunSnapshot(mark, sum(marked), marked_busy, tuple(marked))
     out["open_rotation_ns"] = duration_ns - min(last)
+    out["open_access_ns"] = duration_ns - min(want) if stations else 0
     rest = duration_ns - out["busy_ns"]
     out["overhead_ns"], out["idle_ns"] = (rest, 0) if stations else (0, rest)
     return out

@@ -111,6 +111,11 @@ def test_bind_respects_station_subset():
 def test_wic_validation():
     with pytest.raises(ValueError):
         WicWorkload(mean_interburst_ms=0.0)
+    # a gap under one nanosecond rounds to none, and no draw would pass the run's end
+    with pytest.raises(ValueError, match=r"^mean_interburst_ms must be at least 1e-06 \(one "
+                       r"nanosecond\), got 1e-300$"):
+        WicWorkload(mean_interburst_ms=1e-300)
+    assert WicWorkload(mean_interburst_ms=1e-6).mean_interburst_ms == 1e-6
     with pytest.raises(ValueError, match=r"utilization must be in \(0, 1\), got 1.0"):
         WicWorkload.for_utilization(1.0, 4)
     with pytest.raises(ValueError, match="n_stations must be >= 1, got 0"):
