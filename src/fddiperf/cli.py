@@ -9,7 +9,9 @@ Subcommands:
   validate  check a requested TTRT against the standard's rules
 
 Each option's flag, INI section, type, help and default are declared once,
-in OPTIONS, and COMMANDS lists the options each subcommand takes. Values may
+in OPTIONS, and COMMANDS lists the options each subcommand takes. Each field
+of a simulated report is declared once too, in _report_fields: simulate's
+stdout line and the CSV cells of a simulated row. Values may
 come from an INI config file (--config), whose keys must name an option in
 its own section; explicit flags override file values. A command reads every
 option it uses before it computes anything, and rejects a flag it was given
@@ -300,7 +302,7 @@ def _analytical_row(row: dict, d_ms: float) -> dict:
     swallows the TTRT."""
     row["mode"] = "analytical"
     frame_bytes = row["frame_bytes"]
-    frame_ms = analytical.frame_time_ms(frame_bytes) if frame_bytes else None
+    frame_ms = None if frame_bytes is None else analytical.frame_time_ms(frame_bytes)
     try:
         eff, delay_ms, k = _heavy_load(row["n_active"], row["ttrt_ms"], d_ms, frame_ms)
     except RingSaturatedError:
@@ -314,10 +316,46 @@ def _analytical_row(row: dict, d_ms: float) -> dict:
     return row
 
 
-def _simulated_row(row: dict, config, load, report) -> dict:
+def _report_fields(report) -> list[tuple[str, str | None, dict]]:
+    """Every output field of a MetricsReport, in the order simulate prints
+    them: its label, the text simulate prints after it (None: no line), and
+    the CSV cells it fills. A statistic with no samples reads "no samples"
+    and an infinite offered load "saturated", each as empty cells."""
+    eff, load, bound = report.efficiency, report.offered_load_mbps, report.access_bound_ms
+    r, a = report.response_time, report.access_delay
+    response = (r.mean_ms, r.p95_ms, r.max_ms) if r else (None, None, None)
+    access = (a.mean_ms, a.max_ms) if a else (None, None)
+    return [
+        ("throughput_mbps", repr(report.throughput_mbps),
+         {"throughput_mbps": report.throughput_mbps}),
+        ("efficiency", repr(eff),
+         {"efficiency": eff, "efficiency_pct_rounded": paper_round(eff * 100.0)}),
+        ("offered_load_mbps",
+         None if load is None else "saturated" if load == math.inf else repr(load),
+         {"offered_load_mbps": None if load == math.inf else load}),
+        ("response_ms",
+         f"mean={r.mean_ms!r} p95={r.p95_ms!r} max={r.max_ms!r} n={r.count}" if r
+         else "no samples",
+         dict(zip(("mean_response_ms", "p95_response_ms", "max_response_ms"), response))),
+        ("access_ms", f"mean={a.mean_ms!r} max={a.max_ms!r} n={a.count}" if a else "no samples",
+         dict(zip(("mean_access_ms", "max_access_ms"), access))),
+        ("access_bound_ms", None if bound is None else
+         f"{bound!r} ({'EXCEEDED' if report.access_bound_exceeded else 'ok'})", {}),
+        ("max_rotation_ms", repr(report.max_rotation_ms),
+         {"max_rotation_ms": report.max_rotation_ms}),
+        ("trt_bound_ok", str(report.trt_bound_ok), {}),
+        ("warmup_ms", f"{report.warmup_ms!r} (discarded {report.warmup_frames_discarded} "
+         f"frames, {report.warmup_access_discarded} access episodes)", {}),
+        ("measured_interval_ms", repr(report.measured_interval_ms), {}),
+        ("completed_frames", str(report.completed_frames), {}),
+        ("seed", str(report.seed), {}),
+    ]
+
+
+def _simulated_row(row: dict, config, load, fields) -> dict:
     """Fill the run-input columns of a row from the RingConfig and workload of
-    a run, and its metric columns from the run's MetricsReport; with none, mark
-    the row as saturated by latency."""
+    a run, and its metric columns from the _report_fields of the run's
+    MetricsReport; with none, mark the row as saturated by latency."""
     row.update(
         mode="simulated",
         frame_bytes=getattr(load, "frame_bytes", None),
@@ -325,22 +363,11 @@ def _simulated_row(row: dict, config, load, report) -> dict:
         token_time_us=config.token_time_us,
         async_overflow=_fmt(config.async_overflow),
     )
-    if report is None:
+    if fields is None:
         row["error"] = SATURATED_MARKER
         return row
-    row["efficiency"] = report.efficiency
-    row["efficiency_pct_rounded"] = paper_round(report.efficiency * 100.0)
-    row["throughput_mbps"] = report.throughput_mbps
-    if report.response_time:
-        row["mean_response_ms"] = report.response_time.mean_ms
-        row["p95_response_ms"] = report.response_time.p95_ms
-        row["max_response_ms"] = report.response_time.max_ms
-    if report.access_delay:
-        row["mean_access_ms"] = report.access_delay.mean_ms
-        row["max_access_ms"] = report.access_delay.max_ms
-    row["max_rotation_ms"] = report.max_rotation_ms
-    if report.offered_load_mbps is not None and report.offered_load_mbps != float("inf"):
-        row["offered_load_mbps"] = report.offered_load_mbps
+    for _, _, cells in fields:
+        row.update(cells)
     return row
 
 
@@ -351,6 +378,8 @@ def cmd_analyze(res: Resolver) -> int:
     ttrt = res.get("ttrt")
     n_active = _active(res.get("active"), macs)
     frame_bytes = res.get("frame_bytes")
+    if frame_bytes is not None:
+        analytical.frame_time_ms(frame_bytes)  # refused before --dump-config prints
     say = res.finish()
 
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
@@ -371,7 +400,7 @@ def cmd_analyze(res: Resolver) -> int:
         f"({paper_round(delay_ms / 1000.0):.2f} s)"
     )
     row = _analytical_row(row, d_ms)
-    if frame_bytes:
+    if frame_bytes is not None:
         say(f"overflow_frames_per_opportunity: {row['frames_per_opportunity']}")
         say(f"overflow_efficiency: {row['efficiency']!r}")
         say(f"overflow_max_access_delay_ms: {row['max_access_delay_ms']!r}")
@@ -426,41 +455,6 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     )
 
 
-def _print_report(report, say: Callable[[str], None]) -> None:
-    say(f"throughput_mbps: {report.throughput_mbps!r}")
-    say(f"efficiency: {report.efficiency!r}")
-    if report.offered_load_mbps == float("inf"):
-        say("offered_load_mbps: saturated")
-    elif report.offered_load_mbps is not None:
-        say(f"offered_load_mbps: {report.offered_load_mbps!r}")
-    if report.response_time:
-        r = report.response_time
-        say(
-            f"response_ms: mean={r.mean_ms!r} p95={r.p95_ms!r} "
-            f"max={r.max_ms!r} n={r.count}"
-        )
-    else:
-        say("response_ms: no samples")
-    if report.access_delay:
-        a = report.access_delay
-        say(f"access_ms: mean={a.mean_ms!r} max={a.max_ms!r} n={a.count}")
-    else:
-        say("access_ms: no samples")
-    if report.access_bound_ms is not None:
-        status = "EXCEEDED" if report.access_bound_exceeded else "ok"
-        say(f"access_bound_ms: {report.access_bound_ms!r} ({status})")
-    say(f"max_rotation_ms: {report.max_rotation_ms!r}")
-    say(f"trt_bound_ok: {report.trt_bound_ok}")
-    say(
-        f"warmup_ms: {report.warmup_ms!r} "
-        f"(discarded {report.warmup_frames_discarded} frames, "
-        f"{report.warmup_access_discarded} access episodes)"
-    )
-    say(f"measured_interval_ms: {report.measured_interval_ms!r}")
-    say(f"completed_frames: {report.completed_frames}")
-    say(f"seed: {report.seed}")
-
-
 def cmd_simulate(res: Resolver) -> int:
     from . import metrics, simcore, workload
     preset_name, macs, fiber = _resolve_ring(res)
@@ -485,9 +479,12 @@ def cmd_simulate(res: Resolver) -> int:
     say = res.finish()
 
     report = metrics.summarize(simcore.run(config, load, duration_ms=duration, seed=seed))
-    _print_report(report, say)
+    fields = _report_fields(report)
+    for label, text, _ in fields:
+        if text is not None:
+            say(f"{label}: {text}")
     if res.args.out:
-        _write_rows([_simulated_row(row, config, load, report)], res.args.out)
+        _write_rows([_simulated_row(row, config, load, fields)], res.args.out)
     return 1 if report.access_bound_exceeded or not report.trt_bound_ok else 0
 
 
@@ -599,12 +596,13 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
                 for rep in range(replications):
                     row = dict(point, load_pct=load_pct, duration_ms=duration,
                                replication=rep, seed=seed + rep)
-                    report = None
+                    fields = None
                     if not saturated:
                         # popped, so that a real run finds no result held for it
                         report, held[rep] = _reuse_or_run(held.pop(rep, None), config, load,
                                                           duration, seed + rep)
-                    rows.append(_simulated_row(row, config, load, report))
+                        fields = _report_fields(report)
+                    rows.append(_simulated_row(row, config, load, fields))
     return rows
 
 

@@ -102,9 +102,14 @@ from .analytical import (
     record,
 )
 from .samples import ResponseSamples
-from .workload import SaturationWorkload
+from .workload import WIC_MEAN_FRAME_BYTES, SaturationWorkload
 
 NS_PER_BYTE = 80  # 8 bits at 100 Mbps
+
+# The most frames a run's bursts may hold, drawn ahead of it: at a peak of
+# about 55 bytes each, some 0.55 GB. fig3's 90 % load draws about 46,000
+# over 1000 ms.
+MAX_DRAWN_FRAMES = 10_000_000
 
 # The share of each run discarded as warm-up.
 WARMUP_FRACTION = 0.10
@@ -441,8 +446,8 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
 def _duration_ns(duration_ms: float) -> int:
     check_finite(duration_ms=duration_ms)
     duration_ns = _ns_from_ms(duration_ms, "duration_ms")
-    if duration_ns <= 0:
-        raise ValueError(f"duration_ms must be > 0, got {duration_ms}")
+    if duration_ms < 1e-6:  # one nanosecond, the floor of a WIC gap too
+        raise ValueError(f"duration_ms must be at least 1e-06 (one nanosecond), got {duration_ms}")
     return duration_ns
 
 
@@ -476,6 +481,14 @@ class Arrivals:
         self.sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
         feeds = [] if self.sat else list(map(sources.__getitem__, stops))
         self.stops = stops or [0]
+        # WIC traffic is drawn up to the run's end; a script offers no load
+        offered = workload.total_offered_load_mbps(n) if feeds else None
+        if offered is not None:
+            frames = offered * 1000.0 * duration_ms / (8 * WIC_MEAN_FRAME_BYTES)
+            if frames > MAX_DRAWN_FRAMES:
+                raise ValueError(f"a draw of about {frames:.3g} frames ({offered:.3g} Mbps "
+                                 f"offered for {duration_ms} ms) exceeds the "
+                                 f"{MAX_DRAWN_FRAMES} frames a run may draw")
         bursts = []  # (time, stop, frames), stop by stop
         self.frame_at, self.frame_bytes = [], []
         for k, feed in enumerate(feeds):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fddiperf import analytical, cli, metrics, presets, simcore
+from fddiperf import analytical, cli, metrics, presets, simcore, workload
 
 
 def _run(argv):
@@ -299,6 +299,47 @@ def test_simulate_out_runs_the_simulation_once(tmp_path, monkeypatch, capsys):
     assert f"efficiency: {float(row['efficiency'])!r}" in printed
 
 
+def _stats_cells(text: str, keys: list[str]) -> list[str]:
+    """The values of a printed statistic, "mean=.. max=.. n=..", named by
+    keys in its order; "no samples" as the empty cells the CSV holds."""
+    if text == "no samples":
+        return [""] * len(keys)
+    values = dict(part.split("=") for part in text.split())
+    return [values[key] for key in keys]
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["--preset", "typical", "--ttrt", "8", "--workload", "wic", "--load-pct", "58"], []),
+    (["--preset", "largest", "--frame-bytes", "100", "--ttrt", "8"],
+     ["offered_load_mbps: saturated", "response_ms: no samples", "access_ms: no samples"]),
+])
+def test_simulate_stdout_and_csv_agree_field_by_field(argv, absent, tmp_path, monkeypatch,
+                                                      capsys):
+    built = []
+    real_fields = cli._report_fields
+
+    def counting_fields(report):
+        built.append(report)
+        return real_fields(report)
+
+    monkeypatch.setattr(cli, "_report_fields", counting_fields)
+    out = tmp_path / "sim.csv"
+    assert _run(["simulate", *argv, "--duration-ms", "50", "--out", str(out)]) == 0
+    assert len(built) == 1  # one report's text and cells, built once
+    row = _read_csv(out)[0]
+    lines = capsys.readouterr().out.splitlines()
+    assert set(absent) <= set(lines)
+    printed = dict(line.split(": ", 1) for line in lines)
+    for key in ("throughput_mbps", "efficiency", "max_rotation_ms"):
+        assert printed[key] == row[key]
+    load = printed["offered_load_mbps"]
+    assert ("" if load == "saturated" else load) == row["offered_load_mbps"]
+    assert _stats_cells(printed["response_ms"], ["mean", "p95", "max"]) == [
+        row["mean_response_ms"], row["p95_response_ms"], row["max_response_ms"]]
+    assert _stats_cells(printed["access_ms"], ["mean", "max"]) == [
+        row["mean_access_ms"], row["max_access_ms"]]
+
+
 @pytest.mark.parametrize("argv,rows,max_runs", [
     (["sweep", "--figure", "fig3", "--duration-ms", "50"], 15, 14),
     # a certified run at one extent stands in for no other extent
@@ -478,6 +519,32 @@ def test_input_that_overflows_is_one_error_line(argv, line, tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_draw(self, now_ns):
+    raise AssertionError("a burst was drawn")
+
+
+@pytest.mark.parametrize("argv,line", [
+    pytest.param(["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "1e-7"],
+                 "error: duration_ms must be at least 1e-06 (one nanosecond), got 1e-07",
+                 id="simulate-duration"),
+    pytest.param(["sweep", "--figure", "fig3", "--duration-ms", "0"],
+                 "error: duration_ms must be at least 1e-06 (one nanosecond), got 0.0",
+                 id="fig3-duration"),
+    # about 5 GB per simulated ms, were it drawn
+    pytest.param(["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic",
+                  "--interburst-ms", "1e-6"],
+                 "error: a draw of about 1e+11 frames (1.95e+08 Mbps offered for 1000.0 ms) "
+                 "exceeds the 10000000 frames a run may draw", id="simulate-wic-draw"),
+])
+def test_a_run_the_simulator_cannot_hold_is_one_error_line(argv, line, tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(workload.WicGenerator, "next_burst", _no_draw)
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
 
 
@@ -509,6 +576,13 @@ _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
     (["sweep", "--var", "total_stations", "--grid", "0,5", "--fiber-km", "1"],
      "a ring of 0 MACs needs --active"),
     (["analyze", "--ttrt", "-1", *_TEN_MACS], "ttrt_ms must be > 0, got -1.0"),
+    # a frame size of 0 is a frame size, not "none given"
+    (["analyze", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "0"],
+     "frame_bytes must be > 0, got 0"),
+    (["sweep", "--var", "frame_size", "--grid", "0,100", "--preset", "typical"],
+     "frame_bytes must be > 0, got 0"),
+    (["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "typical", "--frame-bytes", "0"],
+     "frame_bytes must be > 0, got 0"),
 ])
 def test_closed_form_refusal_is_one_error_line(argv, line, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -601,6 +675,17 @@ def test_load_pct_out_of_range_names_the_flag(argv, got, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: --load-pct must be in (0, 100), got {got}"]
+
+
+@pytest.mark.parametrize("frame_bytes", ["-5", "0"])
+def test_analyze_refuses_a_bad_frame_size_before_printing(frame_bytes, capsys):
+    # refused where it is read, before the report or --dump-config prints
+    for extra in ([], ["--dump-config"]):
+        assert _run(["analyze", "--preset", "typical", "--ttrt", "8",
+                     "--frame-bytes", frame_bytes, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: frame_bytes must be > 0, got {frame_bytes}"]
 
 
 @pytest.mark.parametrize("argv", [

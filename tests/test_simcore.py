@@ -320,6 +320,11 @@ def test_zero_duration_rejected():
     cfg = _single_station_config()
     with pytest.raises(ValueError):
         run(cfg, None, duration_ms=0.0, seed=0)
+    # a run shorter than one nanosecond is refused as such, not as "> 0"
+    with pytest.raises(ValueError, match=r"^duration_ms must be at least 1e-06 \(one "
+                       r"nanosecond\), got 9\.9e-07$"):
+        run(cfg, None, duration_ms=9.9e-7, seed=0)
+    assert run(cfg, None, duration_ms=1e-6, seed=0).duration_ns == 1
     with pytest.raises(ValueError):
         run(cfg, None, duration_ms=10.0, seed=0, warmup_fraction=1.0)
 
@@ -347,6 +352,25 @@ def test_arrivals_drawn_for_another_run_are_refused(change):
     arrivals = simcore.Arrivals(**{**drawn, **change})
     with pytest.raises(ValueError, match="arrivals drawn for another"):
         run(cfg, WicWorkload(1.0), duration_ms=10.0, seed=1, arrivals=arrivals)
+
+
+def _no_draw(self, now_ns):
+    raise AssertionError("a burst was drawn")
+
+
+def test_a_draw_over_the_frame_bound_is_refused_before_drawing(monkeypatch):
+    # two stations at a 1 ms mean gap offer 100 WIC frames over 10 ms
+    load = WicWorkload(1.0)
+    monkeypatch.setattr(simcore, "MAX_DRAWN_FRAMES", 100)
+    assert sum(map(len, simcore.Arrivals(load, 2, 1, 10.0).frame_at)) > 0
+    monkeypatch.setattr(simcore, "MAX_DRAWN_FRAMES", 99)
+    monkeypatch.setattr(workload.WicGenerator, "next_burst", _no_draw)
+    with pytest.raises(ValueError, match=r"^a draw of about 100 frames \(19\.5 Mbps offered "
+                       r"for 10\.0 ms\) exceeds the 99 frames a run may draw$"):
+        simcore.Arrivals(load, 2, 1, 10.0)
+    # a script's frames are its own, and a saturated ring draws none
+    simcore.Arrivals(ScriptedWorkload({0: [(1.0, [100] * 200)]}), 2, 1, 10.0)
+    simcore.Arrivals(SaturationWorkload(), 2, 1, 10.0)
 
 
 def test_workload_binding_must_cover_ring():
