@@ -8,9 +8,8 @@ generation, metric aggregation, and a CSV sweep harness.
 # PEP 562: an export, or a submodule named in _HOMES, is imported on first access.
 _HOMES = {
     "analytical": "AnalyticalResult PhysicalRing RingParameters RingSaturatedError "
-                  "TtrtValidation asymptotic_efficiency basic_model efficiency frame_time_ms "
-                  "frames_per_opportunity max_access_delay overflow_model ring_latency "
-                  "single_station_efficiency validate_ttrt",
+                  "TtrtValidation basic_model efficiency frame_time_ms max_access_delay "
+                  "overflow_model ring_latency validate_ttrt",
     "metrics": "MetricsReport SampleStats summarize",
     "presets": "PRESETS Preset paper_round table1_rows",
     "simcore": "InvariantViolation RingConfig RunResult run",

@@ -181,36 +181,12 @@ def basic_model(p: RingParameters) -> AnalyticalResult:
     return AnalyticalResult(*heavy_load(p.n_active, p.ttrt_ms, p.ring_latency_ms))
 
 
-def single_station_efficiency(ttrt_ms: float, ring_latency_ms: float) -> float:
-    """Efficiency with one active station: (T - D)/(T + D)."""
-    return efficiency(RingParameters(1, ttrt_ms, ring_latency_ms))
-
-
-def asymptotic_efficiency(ttrt_ms: float, ring_latency_ms: float) -> float:
-    """Efficiency limit for many active stations: 1 - D/T.
-
-    Handy for back-of-the-envelope checks; every finite station count falls
-    below this value when the ring latency is nonzero.
-    """
-    if ttrt_ms <= 0:
-        raise ValueError(f"ttrt_ms must be > 0, got {ttrt_ms}")
-    if ring_latency_ms < 0:
-        raise ValueError(f"ring_latency_ms must be >= 0, got {ring_latency_ms}")
-    return 1.0 - ring_latency_ms / ttrt_ms
-
-
 def overflow_model(p: RingParameters) -> AnalyticalResult:
     """Heavy-load prediction with asynchronous overflow, frame_time_ms
     given. When k*F lands exactly on the budget this reduces to basic_model."""
     if p.frame_time_ms is None:
         raise ValueError("frame_time_ms is required")
     return AnalyticalResult(*heavy_load(*p))
-
-
-def frames_per_opportunity(p: RingParameters) -> int:
-    """Whole frames a saturated station sends per usable token: the holding
-    budget rounded up to the next frame boundary."""
-    return overflow_model(p).frames_per_opportunity
 
 
 @record("requested_ttrt_ms ring_latency_ms sync_allocation_ms max_frame_time_ms t_max_ms "

@@ -131,7 +131,8 @@ OPTIONS: dict[str, Option] = {
     "active": Option("ring", int, "number of active MACs"),
     "token_time_us": Option("ring", float, "per-hop token time", analytical.TOKEN_TIME_US),
     "no_overflow": Option("ring", bool, "start no frame the holding budget cannot fit", False),
-    "allow_any_ttrt": Option("ring", bool, "permit TTRT outside 4..167.77 ms", False),
+    "allow_any_ttrt": Option("ring", bool, f"permit TTRT outside {analytical.T_MIN_MS:g}.."
+                             f"{analytical.T_MAX_COUNTER_MS:.2f} ms", False),
     "ring_latency_ms": Option("ring", float, "use this latency directly"),
     "max_ring": Option(None, bool, "validate against the maximum-size ring", False),
     "sync_ms": Option(None, float, "synchronous allocation (summed)", repeat=True),
@@ -266,11 +267,11 @@ def _active(n_active: int | None, macs: int) -> int:
 
 
 def _simulable(macs: int) -> int:
-    """The MAC count of a ring to simulate: the closed form's zero-latency
-    ring of 0 MACs has no station to simulate."""
+    """The MAC count of a ring to simulate, within PhysicalRing's limit: the
+    closed form's zero-latency ring of 0 MACs has no station to simulate."""
     if macs == 0:
         raise CliError("the simulator needs at least one MAC")
-    return macs
+    return PhysicalRing(0.0, macs).mac_count
 
 
 def _base_row(**kwargs) -> dict:
@@ -295,6 +296,14 @@ def _heavy_load(n_active: int, ttrt_ms: float, d_ms: float, frame_time_ms: float
     return out
 
 
+def _frame_time_ms(frame_bytes: int) -> float:
+    """analytical.frame_time_ms of a frame size read from the command line,
+    refused above the standard's largest frame, as the simulator refuses it."""
+    if frame_bytes > analytical.MAX_FRAME_BYTES:
+        raise CliError(f"frame_bytes must be <= {analytical.MAX_FRAME_BYTES}, got {frame_bytes}")
+    return analytical.frame_time_ms(frame_bytes)
+
+
 def _analytical_row(row: dict, d_ms: float) -> dict:
     """Fill the metric columns of a row from the closed-form model for its
     ring latency d_ms, active count, TTRT and frame size (the overflow model
@@ -302,7 +311,7 @@ def _analytical_row(row: dict, d_ms: float) -> dict:
     swallows the TTRT."""
     row["mode"] = "analytical"
     frame_bytes = row["frame_bytes"]
-    frame_ms = None if frame_bytes is None else analytical.frame_time_ms(frame_bytes)
+    frame_ms = None if frame_bytes is None else _frame_time_ms(frame_bytes)
     try:
         eff, delay_ms, k = _heavy_load(row["n_active"], row["ttrt_ms"], d_ms, frame_ms)
     except RingSaturatedError:
@@ -316,39 +325,41 @@ def _analytical_row(row: dict, d_ms: float) -> dict:
     return row
 
 
-def _report_fields(report) -> list[tuple[str, str | None, dict]]:
+def _report_fields(report) -> list[tuple[str, Callable[[], str | None], dict]]:
     """Every output field of a MetricsReport, in the order simulate prints
-    them: its label, the text simulate prints after it (None: no line), and
-    the CSV cells it fills. A statistic with no samples reads "no samples"
-    and an infinite offered load "saturated", each as empty cells."""
+    them: its label, what builds the text simulate prints after it (None: no
+    line), called only when printed, and the CSV cells it fills. A statistic
+    with no samples reads "no samples" and an infinite offered load
+    "saturated", each as empty cells."""
     eff, load, bound = report.efficiency, report.offered_load_mbps, report.access_bound_ms
     r, a = report.response_time, report.access_delay
     response = (r.mean_ms, r.p95_ms, r.max_ms) if r else (None, None, None)
     access = (a.mean_ms, a.max_ms) if a else (None, None)
     return [
-        ("throughput_mbps", repr(report.throughput_mbps),
+        ("throughput_mbps", lambda: repr(report.throughput_mbps),
          {"throughput_mbps": report.throughput_mbps}),
-        ("efficiency", repr(eff),
+        ("efficiency", lambda: repr(eff),
          {"efficiency": eff, "efficiency_pct_rounded": paper_round(eff * 100.0)}),
         ("offered_load_mbps",
-         None if load is None else "saturated" if load == math.inf else repr(load),
+         lambda: None if load is None else "saturated" if load == math.inf else repr(load),
          {"offered_load_mbps": None if load == math.inf else load}),
         ("response_ms",
-         f"mean={r.mean_ms!r} p95={r.p95_ms!r} max={r.max_ms!r} n={r.count}" if r
+         lambda: f"mean={r.mean_ms!r} p95={r.p95_ms!r} max={r.max_ms!r} n={r.count}" if r
          else "no samples",
          dict(zip(("mean_response_ms", "p95_response_ms", "max_response_ms"), response))),
-        ("access_ms", f"mean={a.mean_ms!r} max={a.max_ms!r} n={a.count}" if a else "no samples",
+        ("access_ms",
+         lambda: f"mean={a.mean_ms!r} max={a.max_ms!r} n={a.count}" if a else "no samples",
          dict(zip(("mean_access_ms", "max_access_ms"), access))),
-        ("access_bound_ms", None if bound is None else
+        ("access_bound_ms", lambda: None if bound is None else
          f"{bound!r} ({'EXCEEDED' if report.access_bound_exceeded else 'ok'})", {}),
-        ("max_rotation_ms", repr(report.max_rotation_ms),
+        ("max_rotation_ms", lambda: repr(report.max_rotation_ms),
          {"max_rotation_ms": report.max_rotation_ms}),
-        ("trt_bound_ok", str(report.trt_bound_ok), {}),
-        ("warmup_ms", f"{report.warmup_ms!r} (discarded {report.warmup_frames_discarded} "
-         f"frames, {report.warmup_access_discarded} access episodes)", {}),
-        ("measured_interval_ms", repr(report.measured_interval_ms), {}),
-        ("completed_frames", str(report.completed_frames), {}),
-        ("seed", str(report.seed), {}),
+        ("trt_bound_ok", lambda: str(report.trt_bound_ok), {}),
+        ("warmup_ms", lambda: f"{report.warmup_ms!r} (discarded {report.warmup_frames_discarded}"
+         f" frames, {report.warmup_access_discarded} access episodes)", {}),
+        ("measured_interval_ms", lambda: repr(report.measured_interval_ms), {}),
+        ("completed_frames", lambda: str(report.completed_frames), {}),
+        ("seed", lambda: str(report.seed), {}),
     ]
 
 
@@ -379,7 +390,7 @@ def cmd_analyze(res: Resolver) -> int:
     n_active = _active(res.get("active"), macs)
     frame_bytes = res.get("frame_bytes")
     if frame_bytes is not None:
-        analytical.frame_time_ms(frame_bytes)  # refused before --dump-config prints
+        _frame_time_ms(frame_bytes)  # refused before --dump-config prints
     say = res.finish()
 
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
@@ -414,7 +425,8 @@ def cmd_analyze(res: Resolver) -> int:
 def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Callable]:
     """The run length, the base seed, and how to build the RingConfig of a
     ring (MACs, fiber km, TTRT) with the settings shared by every run of a
-    command; any_ttrt is the default of allow_any_ttrt."""
+    command. The builder refuses a TTRT outside the standard's window, after
+    every check of the record, unless allow_any_ttrt (default any_ttrt)."""
     from . import simcore
     token_time_us = res.get("token_time_us")
     analytical.check_finite(token_time_us=token_time_us)
@@ -422,11 +434,18 @@ def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Ca
     if simcore._ns_from_us(token_time_us, "token_time_us") / simcore.NS_PER_US != token_time_us:
         raise CliError(f"--token-time-us {token_time_us!r} is not a whole number of "
                        "nanoseconds")
-    ring = functools.partial(
-        simcore.RingConfig.uniform, token_time_us=token_time_us,
-        async_overflow=not res.get("no_overflow"),
-        allow_any_ttrt=res.get("allow_any_ttrt", default=any_ttrt),
-    )
+    uniform = functools.partial(simcore.RingConfig.uniform, token_time_us=token_time_us,
+                                async_overflow=not res.get("no_overflow"))
+    any_ttrt = res.get("allow_any_ttrt", default=any_ttrt)
+    t_min, t_max = analytical.T_MIN_MS, analytical.T_MAX_COUNTER_MS
+
+    def ring(macs: int, fiber_km: float, ttrt_ms: float):
+        config = uniform(macs, fiber_km, ttrt_ms)
+        if not (any_ttrt or t_min <= ttrt_ms <= t_max):
+            raise CliError(f"ttrt_ms {ttrt_ms} outside [{t_min}, {t_max}]; "
+                           "give --allow-any-ttrt to probe illegal values")
+        return config
+
     return res.get("duration_ms"), res.get("seed"), ring
 
 
@@ -480,7 +499,8 @@ def cmd_simulate(res: Resolver) -> int:
 
     report = metrics.summarize(simcore.run(config, load, duration_ms=duration, seed=seed))
     fields = _report_fields(report)
-    for label, text, _ in fields:
+    for label, show, _ in fields:
+        text = show()
         if text is not None:
             say(f"{label}: {text}")
     if res.args.out:
@@ -667,7 +687,7 @@ def cmd_validate(res: Resolver) -> int:
         _, macs, fiber = _resolve_ring(res)
         ring = PhysicalRing(fiber_km=fiber, mac_count=macs)
     sync_ms = sum(res.get("sync_ms") or [0.0])
-    frame_bytes = res.get("frame_bytes", default=analytical.MAX_FRAME_BYTES)
+    max_frame_ms = _frame_time_ms(res.get("frame_bytes", default=analytical.MAX_FRAME_BYTES))
     t_max = res.get("t_max_ms")
     service = res.get("service_interval_ms")
     say = res.finish()
@@ -676,7 +696,7 @@ def cmd_validate(res: Resolver) -> int:
         ttrt,
         ring,
         sync_allocation_ms=sync_ms,
-        max_frame_time_ms=analytical.frame_time_ms(frame_bytes),
+        max_frame_time_ms=max_frame_ms,
         service_interval_ms=min(service) if service else None,
         t_max_ms=t_max,
     )

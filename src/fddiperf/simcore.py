@@ -95,8 +95,6 @@ from .analytical import (
     NS_PER_US,
     PROPAGATION_US_PER_KM,
     STATION_DELAY_US,
-    T_MAX_COUNTER_MS,
-    T_MIN_MS,
     TOKEN_TIME_US,
     check_finite,
     record,
@@ -120,8 +118,7 @@ class InvariantViolation(RuntimeError):
     accounting) failed during a run."""
 
 
-@record("segment_delays_us ttrt_ms", token_time_us=TOKEN_TIME_US, async_overflow=True,
-        allow_any_ttrt=False)
+@record("segment_delays_us ttrt_ms", token_time_us=TOKEN_TIME_US, async_overflow=True)
 class RingConfig:
     """Ring layout and MAC parameters.
 
@@ -130,8 +127,8 @@ class RingConfig:
     the ring has one station per entry. Every station adds the standard
     repeat delay STATION_DELAY_US. token_time_us is charged at every hop;
     set it to 0 to compare against the closed-form model, which ignores
-    token transmission time. allow_any_ttrt bypasses the T_min/T_max
-    legality check for sweeps that probe the region near the ring latency.
+    token transmission time. Any finite TTRT above 0 is simulated, in the
+    standard's T_min..T_max window or not: the window is the CLI's to check.
     """
 
     def _check(self) -> None:
@@ -149,11 +146,6 @@ class RingConfig:
             raise ValueError("token_time_us must be >= 0")
         if self.ttrt_ms <= 0:
             raise ValueError(f"ttrt_ms must be > 0, got {self.ttrt_ms}")
-        if not self.allow_any_ttrt and not T_MIN_MS <= self.ttrt_ms <= T_MAX_COUNTER_MS:
-            raise ValueError(
-                f"ttrt_ms {self.ttrt_ms} outside [{T_MIN_MS}, {T_MAX_COUNTER_MS}]; "
-                "set allow_any_ttrt=True to probe illegal values"
-            )
 
     @classmethod
     def uniform(
@@ -164,7 +156,6 @@ class RingConfig:
         *,
         token_time_us: float = TOKEN_TIME_US,
         async_overflow: bool = True,
-        allow_any_ttrt: bool = False,
     ) -> "RingConfig":
         """Evenly spaced stations on the given fiber length.
 
@@ -179,7 +170,7 @@ class RingConfig:
         total_ns = _whole_ns(fiber_km * PROPAGATION_US_PER_KM * NS_PER_US, "fiber_km", fiber_km)
         base, extra = divmod(total_ns, n_stations)
         seg_us = ((base + 1) / NS_PER_US,) * extra + (base / NS_PER_US,) * (n_stations - extra)
-        return cls(seg_us, ttrt_ms, token_time_us, async_overflow, allow_any_ttrt)
+        return cls(seg_us, ttrt_ms, token_time_us, async_overflow)
 
     @property
     def n_stations(self) -> int:

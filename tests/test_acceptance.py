@@ -30,6 +30,8 @@ audits, so this file is meant to run as a whole (plain pytest ordering).
 
 from __future__ import annotations
 
+import math
+
 from fddiperf import analytical, cli, metrics, presets, simcore
 from fddiperf.analytical import (
     MAX_RING_LATENCY_MS,
@@ -106,9 +108,10 @@ def test_criterion_3_analytical_identities():
                     )
     collapse_ok = worst <= 1e-12
 
+    # one station: (T - D) / (T + D)
     single_ok = all(
-        analytical.single_station_efficiency(t, d)
-        == analytical.efficiency(RingParameters(1, t, d))
+        math.isclose(analytical.efficiency(RingParameters(1, t, d)), (t - d) / (t + d),
+                     rel_tol=1e-12)
         for t in (4.0, 8.0, 20.0, 165.0)
         for d in (0.0, 0.0403, 1.117, 2.017)
         if t > d
@@ -121,7 +124,7 @@ def test_criterion_3_analytical_identities():
         for j in range(10):
             d = t * (j / 10.0) * 0.9
             e = analytical.efficiency(RingParameters(10**6, t, d))
-            limit_worst = max(limit_worst, abs(e - analytical.asymptotic_efficiency(t, d)))
+            limit_worst = max(limit_worst, abs(e - (1.0 - d / t)))  # the limit 1 - D/T
             grid_points += 1
     limit_ok = grid_points == 100 and limit_worst < 1e-4
 
@@ -213,10 +216,7 @@ def test_criterion_6_figure_shapes():
         wic = WicWorkload.for_utilization(load_pct / 100.0, presets.FIG3_STATIONS)
         means = []
         for ttrt in FIG3_GRID_MS:
-            config = RingConfig.uniform(
-                presets.FIG3_STATIONS, presets.FIG3_FIBER_KM, ttrt,
-                allow_any_ttrt=True,
-            )
+            config = RingConfig.uniform(presets.FIG3_STATIONS, presets.FIG3_FIBER_KM, ttrt)
             _, report = _run_sim(
                 f"fig3:{load_pct}%/{ttrt:g}ms", config, wic,
                 simcore.DEFAULT_DURATION_MS, seed=5,

@@ -27,15 +27,12 @@ from fddiperf.analytical import (
     RingSaturatedError,
     T_MAX_COUNTER_MS,
     T_MAX_MS,
-    asymptotic_efficiency,
     basic_model,
     efficiency,
     frame_time_ms,
-    frames_per_opportunity,
     max_access_delay,
     overflow_model,
     ring_latency,
-    single_station_efficiency,
     validate_ttrt,
 )
 
@@ -129,31 +126,29 @@ def test_single_station_waits_two_latencies():
 
 def test_single_station_efficiency_values():
     # oracle: (5 - 0.12) / (5 + 0.12) = 0.953125
-    assert single_station_efficiency(5.0, 0.12) == pytest.approx(0.953125, abs=1e-12)
-    assert single_station_efficiency(8.0, 0.0) == 1.0
+    assert efficiency(RingParameters(1, 5.0, 0.12)) == pytest.approx(0.953125, abs=1e-12)
+    assert efficiency(RingParameters(1, 8.0, 0.0)) == 1.0
     # T = 2D gives exactly 1/3
-    assert single_station_efficiency(2.4, 1.2) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert efficiency(RingParameters(1, 2.4, 1.2)) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_single_station_matches_n1():
+    # the paper's one-station efficiency: (T - D) / (T + D)
     for t, d in ((4.0, 0.0403), (8.0, 1.117), (165.0, 2.017)):
-        assert single_station_efficiency(t, d) == efficiency(RingParameters(1, t, d))
+        assert efficiency(RingParameters(1, t, d)) == pytest.approx((t - d) / (t + d), rel=1e-12)
 
 
 def test_single_station_saturated_raises():
     with pytest.raises(RingSaturatedError):
-        single_station_efficiency(1.0, 1.5)
+        efficiency(RingParameters(1, 1.0, 1.5))
 
 
 def test_asymptotic_efficiency_values():
-    # oracle: 1 - 2.017/8 = 0.747875
-    assert asymptotic_efficiency(8.0, 2.017) == pytest.approx(0.747875, abs=1e-12)
-    assert asymptotic_efficiency(8.0, 0.0) == 1.0
-    assert asymptotic_efficiency(3.3, 3.3) == 0.0
-    with pytest.raises(ValueError, match="ttrt_ms must be > 0"):
-        asymptotic_efficiency(0.0, 1.0)
-    with pytest.raises(ValueError, match="ring_latency_ms must be >= 0"):
-        asymptotic_efficiency(8.0, -1.0)
+    # many active stations approach 1 - D/T; oracle: 1 - 2.017/8 = 0.747875
+    assert efficiency(RingParameters(10**9, 8.0, 2.017)) == pytest.approx(0.747875, abs=1e-9)
+    assert efficiency(RingParameters(10**9, 8.0, 0.0)) == 1.0
+    with pytest.raises(RingSaturatedError):
+        efficiency(RingParameters(10**9, 3.3, 3.3))
 
 
 # --------------------------------------------------------- overflow model
@@ -198,9 +193,10 @@ def test_overflow_collapses_at_exact_multiples():
 def test_frames_per_opportunity_is_the_brute_force_count():
     # the whole frames a saturated station sends per usable token
     for n, t, d, f in ((100, 8.0, 1.117, 0.36), (10, 2.0, 1.9, 0.36), (1000, 165.0, 1.773, 0.008)):
-        assert frames_per_opportunity(RingParameters(n, t, d, f)) == brute_force_frames(t, d, f)
+        k = overflow_model(RingParameters(n, t, d, f)).frames_per_opportunity
+        assert k == brute_force_frames(t, d, f)
     with pytest.raises(RingSaturatedError):
-        frames_per_opportunity(RingParameters(10, 1.0, 1.0, 0.36))
+        overflow_model(RingParameters(10, 1.0, 1.0, 0.36))
 
 
 def test_overflow_requires_frame_time():
@@ -309,7 +305,7 @@ def test_efficiency_increases_with_ttrt_grid_scan():
 def test_finite_n_below_asymptote():
     for n in (1, 10, 100, 1000, 10**6):
         for t, d in ((4.0, 0.0403), (8.0, 1.117), (165.0, 2.017)):
-            assert efficiency(RingParameters(n, t, d)) < asymptotic_efficiency(t, d)
+            assert efficiency(RingParameters(n, t, d)) < 1.0 - d / t
 
 
 def test_access_delay_increasing_in_n_and_ttrt():

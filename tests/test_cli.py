@@ -535,14 +535,49 @@ def _no_draw(self, now_ns):
                   "--interburst-ms", "1e-6"],
                  "error: a draw of about 1e+11 frames (1.95e+08 Mbps offered for 1000.0 ms) "
                  "exceeds the 10000000 frames a run may draw", id="simulate-wic-draw"),
+    # over the standard's MAC limit, refused before the dump prints
+    pytest.param(["simulate", "--macs", "2000", "--fiber-km", "1", "--ttrt", "8",
+                  "--duration-ms", "5", "--dump-config"],
+                 "error: mac_count must be in [0, 1000], got 2000", id="simulate-mac-limit"),
 ])
 def test_a_run_the_simulator_cannot_hold_is_one_error_line(argv, line, tmp_path, monkeypatch,
                                                             capsys):
     monkeypatch.setattr(workload.WicGenerator, "next_burst", _no_draw)
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [line]
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""
     assert not out.exists()
+
+
+_OUTSIDE_WINDOW = "outside [4.0, 167.77216]; give --allow-any-ttrt to probe illegal values"
+
+
+# A RingConfig simulates any TTRT above 0; the CLI keeps the standard's window
+# unless --allow-any-ttrt, or its config key, lets a TTRT outside it through.
+@pytest.mark.parametrize("argv,ttrt", [
+    (["simulate", "--preset", "typical", "--ttrt", "2"], "2.0"),
+    (["simulate", "--preset", "typical", "--ttrt", "200"], "200.0"),
+    (["sweep", "--var", "ttrt", "--grid", "2,8", "--preset", "typical", "--mode", "simulate"],
+     "2.0"),
+    (["sweep", "--var", "ttrt", "--grid", "2,8", "--preset", "typical", "--mode", "both"], "2.0"),
+])
+def test_a_ttrt_outside_the_window_needs_the_flag(argv, ttrt, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    extras = [[]] + ([["--dump-config"]] if argv[0] == "simulate" else [])
+    for extra in extras:  # simulate refuses it before the dump prints
+        assert _run(argv + extra + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: ttrt_ms {ttrt} {_OUTSIDE_WINDOW}"]
+        assert captured.out == ""
+        assert not out.exists()
+    cfg = tmp_path / "any.ini"
+    cfg.write_text("[ring]\nallow_any_ttrt = true\n")
+    for allow in (["--allow-any-ttrt"], ["--config", str(cfg)]):
+        assert _run(argv + allow + ["--duration-ms", "5", "--out", str(out)]) == 0
+        assert {float(r["ttrt_ms"]) for r in _read_csv(out)} >= {float(ttrt)}
+        out.unlink()
 
 
 _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
@@ -583,6 +618,15 @@ _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
      "frame_bytes must be > 0, got 0"),
     (["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "typical", "--frame-bytes", "0"],
      "frame_bytes must be > 0, got 0"),
+    # no frame is longer than the standard's 4500 bytes, closed form or simulated
+    (["analyze", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "5000"],
+     "frame_bytes must be <= 4500, got 5000"),
+    (["sweep", "--var", "frame_size", "--grid", "4500,9000,100000", "--preset", "typical"],
+     "frame_bytes must be <= 4500, got 9000"),
+    (["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "typical", "--frame-bytes", "5000"],
+     "frame_bytes must be <= 4500, got 5000"),
+    (["validate", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "5000"],
+     "frame_bytes must be <= 4500, got 5000"),
 ])
 def test_closed_form_refusal_is_one_error_line(argv, line, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -677,15 +721,19 @@ def test_load_pct_out_of_range_names_the_flag(argv, got, capsys):
     assert captured.err.splitlines() == [f"error: --load-pct must be in (0, 100), got {got}"]
 
 
-@pytest.mark.parametrize("frame_bytes", ["-5", "0"])
+@pytest.mark.parametrize("frame_bytes", ["-5", "0", "5000"])
 def test_analyze_refuses_a_bad_frame_size_before_printing(frame_bytes, capsys):
-    # refused where it is read, before the report or --dump-config prints
-    for extra in ([], ["--dump-config"]):
-        assert _run(["analyze", "--preset", "typical", "--ttrt", "8",
-                     "--frame-bytes", frame_bytes, *extra]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: frame_bytes must be > 0, got {frame_bytes}"]
+    # refused where it is read, before the report or --dump-config prints;
+    # validate reads it the same way
+    rule = "<= 4500" if frame_bytes == "5000" else "> 0"
+    for command in ("analyze", "validate"):
+        for extra in ([], ["--dump-config"]):
+            assert _run([command, "--preset", "typical", "--ttrt", "8",
+                         "--frame-bytes", frame_bytes, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: frame_bytes must be {rule}, got {frame_bytes}"]
 
 
 @pytest.mark.parametrize("argv", [

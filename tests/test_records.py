@@ -82,7 +82,7 @@ def test_records_holding_a_dict_or_lists_are_not_hashable():
 
 @pytest.mark.parametrize("changes", [
     dict(ttrt_ms=float("nan")),
-    dict(ttrt_ms=2.0),  # below T_min
+    dict(ttrt_ms=float("inf")),
     dict(segment_delays_us=(1.0, -0.5)),
     dict(segment_delays_us=(1.0, float("inf"))),
     dict(segment_delays_us=()),

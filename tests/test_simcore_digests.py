@@ -68,7 +68,7 @@ def _preset_ring(name: str, ttrt_ms: float, **kwargs) -> RingConfig:
 
 
 def _fig3_ring(ttrt_ms: float, **kwargs) -> RingConfig:
-    return RingConfig.uniform(FIG3_STATIONS, FIG3_FIBER_KM, ttrt_ms, allow_any_ttrt=True, **kwargs)
+    return RingConfig.uniform(FIG3_STATIONS, FIG3_FIBER_KM, ttrt_ms, **kwargs)
 
 
 def _scripted(n: int, script: dict, duration_ms: float, ttrt_ms: float = 4.0, **kwargs):
@@ -85,10 +85,10 @@ def _saturated_cases() -> dict:
                 w = SaturationWorkload(frame_bytes=frame_bytes)
                 name = f"sat-{preset}-{ttrt:g}-{'overflow' if overflow else 'no-overflow'}"
                 cases[name] = partial(run, cfg, w, duration_ms, 1)
-    illegal = _preset_ring("typical", 0.3, allow_any_ttrt=True, token_time_us=0.0)
+    illegal = _preset_ring("typical", 0.3, token_time_us=0.0)
     cases["sat-typical-illegal-0.3"] = partial(
         run, illegal, SaturationWorkload(frame_bytes=4500), 50.0, 1)
-    swamped = _preset_ring("largest", 2.0, allow_any_ttrt=True)
+    swamped = _preset_ring("largest", 2.0)
     cases["sat-largest-below-latency-2"] = partial(
         run, swamped, SaturationWorkload(frame_bytes=512), 60.0, 1)
     return cases
@@ -178,7 +178,6 @@ def _scripted_cases() -> dict:
             5.0,
             ttrt_ms=0.5,
             async_overflow=False,
-            allow_any_ttrt=True,
         ),
         # one station with a 1 us token time: bursts on its first visit and
         # inside its holdings, an empty one, and the warm-up mark (0.25 ms)
@@ -233,9 +232,9 @@ def _tie_cases() -> dict:
         # 1 us grids at a TTRT of 50 us: bursts land on token events of
         # their stop, most of them at a frame completion
         "script-grid-random-ties": _scripted(
-            1, _grid_script(22, 1, 300, 0.001), 0.36, ttrt_ms=0.05, allow_any_ttrt=True),
+            1, _grid_script(22, 1, 300, 0.001), 0.36, ttrt_ms=0.05),
         "script-grid-random-ties-no-overflow": _scripted(
-            2, _grid_script(22, 2, 300, 0.001), 0.36, ttrt_ms=0.05, allow_any_ttrt=True,
+            2, _grid_script(22, 2, 300, 0.001), 0.36, ttrt_ms=0.05,
             async_overflow=False),
     }
 
@@ -249,7 +248,7 @@ def _stretch_cases() -> dict:
         # every sourced stop lies past the TTRT from station 0: no capture at
         # all, and rotations of one idle period over 2 x TTRT are only counted
         "stretch-idle-rotation-over-ttrt": partial(
-            run, RingConfig.uniform(200, 100.0, 0.4, allow_any_ttrt=True),
+            run, RingConfig.uniform(200, 100.0, 0.4),
             SaturationWorkload(512, stations=tuple(range(100, 200))), 50.0, 1),
         # the next usable stop lies past the wrap
         "stretch-uneven-subset-no-overflow": partial(
@@ -259,7 +258,7 @@ def _stretch_cases() -> dict:
         # an idle bursty ring at a TTRT below half its idle rotation: whole
         # idle laps count their rotations as violations
         "stretch-wic-idle-laps-over-2-ttrt": partial(
-            run, RingConfig.uniform(10, 100.0, 0.2, allow_any_ttrt=True),
+            run, RingConfig.uniform(10, 100.0, 0.2),
             WicWorkload.for_utilization(0.01, 10), 100.0, 3),
         # the warm-up mark (25 ms) and the end both fall between two passes
         "stretch-largest-mark-and-end": partial(
@@ -271,7 +270,7 @@ def _lap0_cases() -> dict:
     """Lap 0, where every stop last saw the token at t = 0: its end, the
     warm-up mark and the rotation bound inside it."""
     largest = _preset_ring("largest", 8.0)
-    illegal = _preset_ring("largest", 1 / 64, allow_any_ttrt=True)
+    illegal = _preset_ring("largest", 1 / 64)
     late = tuple(range(300, 1000, 7))
     # 200 idle stops 1 us apart: a burst at station 150 as station 20 is
     # passed, one at station 40 on its own pass, and one at station 92 on

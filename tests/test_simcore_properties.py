@@ -93,7 +93,7 @@ def rings(draw, min_sourced: int, max_stations: int, ttrt=LEGAL_TTRT_MS):
     fiber_km = draw(st.floats(0.0, 200.0))
     ttrt_ms = draw(ttrt)
     mac = dict(token_time_us=draw(st.sampled_from([0.0, TOKEN_TIME_US])),
-               async_overflow=draw(st.booleans()), allow_any_ttrt=ttrt_ms < T_MIN_MS)
+               async_overflow=draw(st.booleans()))
     weights = draw(st.none() | st.lists(st.integers(0, 100), min_size=1, max_size=8))
     if weights is None:
         config = RingConfig.uniform(n, fiber_km, ttrt_ms, **mac)
@@ -342,7 +342,7 @@ def test_saturated_random_rings(ring, frame_bytes, rotations):
 @example((RingConfig.uniform(1000, 200.0, 8.0), tuple(range(1000))), 100, 0.5, True)
 # Stops 1 us apart at TTRT 2 us: station 0 holds 2 us, and in lap 0 the
 # token reaches station 2 exactly at 2 x TTRT, a counted violation.
-@example((RingConfig.uniform(10, 0.0, 0.002, token_time_us=0.0, allow_any_ttrt=True),
+@example((RingConfig.uniform(10, 0.0, 0.002, token_time_us=0.0),
           tuple(range(10))), 1, 1.0, True)
 def test_saturated_short_runs(ring, frame_bytes, rotations, after_holding):
     # from a fiftieth of an idle rotation to four, counted from t = 0 or
@@ -413,7 +413,7 @@ def test_runs_on_shared_arrivals_are_the_runs_that_draw_their_own(ring, utilizat
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
     shared = Arrivals(load, config.n_stations, seed, duration_ms)
     for ttrt_ms in ttrts_ms:
-        at = config._replace(ttrt_ms=ttrt_ms, allow_any_ttrt=True)
+        at = config._replace(ttrt_ms=ttrt_ms)
         own = run(at, load, duration_ms=duration_ms, seed=seed)
         assert run(at, load, duration_ms=duration_ms, seed=seed, arrivals=shared) == own
 
@@ -438,7 +438,7 @@ def test_certified_run_is_the_run_at_every_higher_ttrt(ring, utilization, durati
     # are certified and the rest are bound by cut holdings or late tokens
     config, stations = ring
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
-    low = config._replace(ttrt_ms=t1_ms, allow_any_ttrt=True)
+    low = config._replace(ttrt_ms=t1_ms)
     high = low._replace(ttrt_ms=t1_ms * factor)
     result = run(low, load, duration_ms=duration_ms, seed=seed)
     reused = reuse_at(result, high, load)
@@ -512,8 +512,7 @@ def grid_scripts(draw):
         instants = accumulate(gap for gap, _ in pairs)
         script[station] = [(us / 1000, frames) for us, (_, frames) in zip(instants, pairs)]
     config = RingConfig.uniform(n, 0.0, draw(st.sampled_from([0.02, 0.05, 4.0])),
-                                token_time_us=0.0, async_overflow=draw(st.booleans()),
-                                allow_any_ttrt=True)
+                                token_time_us=0.0, async_overflow=draw(st.booleans()))
     return config, ScriptedWorkload(script)
 
 
