@@ -256,8 +256,11 @@ def _resolve_ring(res: Resolver, swept: str = "") -> tuple[str, int | None, floa
 
 
 def _active(n_active: int | None, macs: int) -> int:
-    """The active count (every MAC by default) checked against the ring; zero
-    MACs, the closed form's idealised zero-latency ring, bounds none."""
+    """The active count (every MAC by default) checked against the ring, whose
+    MAC count is checked first; zero MACs, the closed form's idealised
+    zero-latency ring, bounds none."""
+    if not 0 <= macs <= analytical.MAX_MAC_COUNT:
+        PhysicalRing(0.0, macs)  # raises the record's own error
     if n_active is None and macs == 0:
         raise CliError("a ring of 0 MACs needs --active")
     n_active = macs if n_active is None else n_active
@@ -390,27 +393,32 @@ def cmd_analyze(res: Resolver) -> int:
     n_active = _active(res.get("active"), macs)
     frame_bytes = res.get("frame_bytes")
     if frame_bytes is not None:
-        _frame_time_ms(frame_bytes)  # refused before --dump-config prints
-    say = res.finish()
-
+        _frame_time_ms(frame_bytes)
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=ttrt, frame_bytes=frame_bytes)
+    # every refusal comes before --dump-config prints
     d_ms = _ring_latency_ms(fiber, macs)
+    saturated = None
+    try:
+        eff, delay_ms, _ = _heavy_load(n_active, ttrt, d_ms)
+    except RingSaturatedError as exc:
+        saturated = exc
+    else:
+        row = _analytical_row(row, d_ms)
+    say = res.finish()
+
     say(f"ring: {preset_name or 'custom'} ({macs} MACs, {fiber:g} km fiber)")
     say(f"ring_latency_ms: {d_ms!r} (rounds to {paper_round(d_ms):g})")
     say(f"n_active: {n_active}")
     say(f"ttrt_ms: {ttrt:g}")
-    try:
-        eff, delay_ms, _ = _heavy_load(n_active, ttrt, d_ms)
-    except RingSaturatedError as exc:
-        print(f"error: {SATURATED_MARKER}: {exc}", file=sys.stderr)
+    if saturated is not None:
+        print(f"error: {SATURATED_MARKER}: {saturated}", file=sys.stderr)
         return 1
     say(f"efficiency: {eff!r} ({paper_round(eff * 100.0):.2f}%)")
     say(
         f"max_access_delay_ms: {delay_ms!r} "
         f"({paper_round(delay_ms / 1000.0):.2f} s)"
     )
-    row = _analytical_row(row, d_ms)
     if frame_bytes is not None:
         say(f"overflow_frames_per_opportunity: {row['frames_per_opportunity']}")
         say(f"overflow_efficiency: {row['efficiency']!r}")
@@ -426,7 +434,9 @@ def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Ca
     """The run length, the base seed, and how to build the RingConfig of a
     ring (MACs, fiber km, TTRT) with the settings shared by every run of a
     command. The builder refuses a TTRT outside the standard's window, after
-    every check of the record, unless allow_any_ttrt (default any_ttrt)."""
+    every check of the record, unless allow_any_ttrt (default any_ttrt), and
+    one the simulator cannot hold in whole nanoseconds; the run length is
+    refused where it is read, as the simulator would refuse it."""
     from . import simcore
     token_time_us = res.get("token_time_us")
     analytical.check_finite(token_time_us=token_time_us)
@@ -444,9 +454,12 @@ def _sim_settings(res: Resolver, any_ttrt: bool = False) -> tuple[float, int, Ca
         if not (any_ttrt or t_min <= ttrt_ms <= t_max):
             raise CliError(f"ttrt_ms {ttrt_ms} outside [{t_min}, {t_max}]; "
                            "give --allow-any-ttrt to probe illegal values")
+        simcore._ns_from_ms(ttrt_ms, "ttrt_ms")
         return config
 
-    return res.get("duration_ms"), res.get("seed"), ring
+    duration = res.get("duration_ms")
+    simcore._duration_ns(duration)
+    return duration, res.get("seed"), ring
 
 
 def _load_pct(res: Resolver) -> float | None:
@@ -495,6 +508,7 @@ def cmd_simulate(res: Resolver) -> int:
         raise CliError(f"unknown workload {kind!r}; choices: saturation, wic")
     config = ring(macs, fiber, row["ttrt_ms"])
     load = _build_workload(row, row["load_pct"], interburst)
+    simcore.check_draw(load, macs, duration)
     say = res.finish()
 
     report = metrics.summarize(simcore.run(config, load, duration_ms=duration, seed=seed))
@@ -584,19 +598,20 @@ def _reuse_or_run(held, config, load, duration_ms: float, seed: int) -> tuple:
     return report, ((result, report) if simcore.certified(result) else None, arrivals)
 
 
-def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> list[dict]:
-    """Every row of a sweep: ring, then load, then grid point, each point
-    giving its closed-form row and/or, when spec simulates, one simulated
-    row per replication, run with sim, the command's _sim_settings. On a
-    TTRT sweep a replication reuses its last run that TTRT never bound for
-    every higher TTRT, instead of simulating it again, and every run of the
-    same traffic reads its bursts from one draw."""
+def _sweep_points(spec: presets.Figure, figure: str, sim) -> list[tuple]:
+    """Every point of a sweep, ring, then load, then grid value, with every
+    input checked and nothing simulated, so that a bad point is refused
+    before --dump-config prints or any point runs. A point is its columns,
+    its closed-form row when spec has one, else None, and when spec
+    simulates with sim, the command's _sim_settings, (load_pct, RingConfig,
+    workload, whether the ring's latency swallows the TTRT), else None."""
+    if sim:
+        from . import simcore  # a closed-form sweep loads no simulator
     column = SWEEP_VARS[spec.var][0]
-    rows: list[dict] = []
+    points: list[tuple] = []
     latency = functools.cache(_ring_latency_ms)  # once per ring of this sweep
     for preset_name, macs, fiber in spec.rings:
         for load_pct in spec.loads:
-            held: dict[int, tuple] = {}  # replication -> what _reuse_or_run holds for it
             template = _base_row(figure=figure, preset=preset_name, sweep_var=spec.sweep_var,
                                  mac_count=macs, fiber_km=fiber, n_active=spec.n_active,
                                  ttrt_ms=spec.ttrt_ms, frame_bytes=spec.frame_bytes)
@@ -604,25 +619,50 @@ def _sweep_rows(spec: presets.Figure, figure: str, replications: int, sim) -> li
                 point = template.copy()
                 point["sweep_value"] = point[column] = value
                 point["n_active"] = _active(point["n_active"], point["mac_count"])
+                closed = simulated = None
                 if spec.mode != "simulate":
                     d_ms = latency(point["fiber_km"], point["mac_count"])
-                    rows.append(_analytical_row(dict(point) if sim else point, d_ms))
-                if not sim:
-                    continue
-                duration, seed, ring = sim
-                config = ring(_simulable(point["mac_count"]), point["fiber_km"], point["ttrt_ms"])
-                load = _build_workload(point, load_pct)
-                saturated = point["ttrt_ms"] <= latency(point["fiber_km"], point["mac_count"])
-                for rep in range(replications):
-                    row = dict(point, load_pct=load_pct, duration_ms=duration,
-                               replication=rep, seed=seed + rep)
-                    fields = None
-                    if not saturated:
-                        # popped, so that a real run finds no result held for it
-                        report, held[rep] = _reuse_or_run(held.pop(rep, None), config, load,
-                                                          duration, seed + rep)
-                        fields = _report_fields(report)
-                    rows.append(_simulated_row(row, config, load, fields))
+                    closed = _analytical_row(dict(point) if sim else point, d_ms)
+                if sim:
+                    duration, _, ring = sim
+                    config = ring(_simulable(point["mac_count"]), point["fiber_km"],
+                                  point["ttrt_ms"])
+                    if point["frame_bytes"] is not None:
+                        _frame_time_ms(point["frame_bytes"])  # in the closed form's words
+                    load = _build_workload(point, load_pct)
+                    simcore.check_draw(load, config.n_stations, duration)
+                    saturated = point["ttrt_ms"] <= latency(point["fiber_km"], point["mac_count"])
+                    simulated = (load_pct, config, load, saturated)
+                points.append((point, closed, simulated))
+    return points
+
+
+def _sweep_rows(points: list[tuple], replications: int, sim) -> list[dict]:
+    """Every row of a sweep's _sweep_points: each point's closed-form row
+    and/or, when it simulates, one simulated row per replication, run with
+    sim, the command's _sim_settings. On a TTRT sweep a replication reuses
+    its last run that TTRT never bound for every higher TTRT, instead of
+    simulating it again, and every run of the same traffic reads its bursts
+    from one draw."""
+    rows: list[dict] = []
+    held: dict[int, tuple] = {}  # replication -> what _reuse_or_run holds for it
+    for point, closed, simulated in points:
+        if closed is not None:
+            rows.append(closed)
+        if simulated is None:
+            continue
+        duration, seed, _ = sim
+        load_pct, config, load, saturated = simulated
+        for rep in range(replications):
+            row = dict(point, load_pct=load_pct, duration_ms=duration,
+                       replication=rep, seed=seed + rep)
+            fields = None
+            if not saturated:
+                # popped, so that a real run finds no result held for it
+                report, held[rep] = _reuse_or_run(held.pop(rep, None), config, load,
+                                                  duration, seed + rep)
+                fields = _report_fields(report)
+            rows.append(_simulated_row(row, config, load, fields))
     return rows
 
 
@@ -641,8 +681,9 @@ def cmd_sweep(res: Resolver) -> int:
             raise CliError("--replications must be >= 1")
         # figure grids probe TTRTs outside the legal window on purpose
         sim = _sim_settings(res, any_ttrt=bool(figure))
+    points = _sweep_points(spec, figure, sim)
     res.finish()
-    _write_rows(_sweep_rows(spec, figure, replications, sim), res.args.out)
+    _write_rows(_sweep_rows(points, replications, sim), res.args.out)
     return 0
 
 
@@ -690,9 +731,7 @@ def cmd_validate(res: Resolver) -> int:
     max_frame_ms = _frame_time_ms(res.get("frame_bytes", default=analytical.MAX_FRAME_BYTES))
     t_max = res.get("t_max_ms")
     service = res.get("service_interval_ms")
-    say = res.finish()
-
-    verdict = analytical.validate_ttrt(
+    verdict = analytical.validate_ttrt(  # refuses its inputs before --dump-config prints
         ttrt,
         ring,
         sync_allocation_ms=sync_ms,
@@ -700,6 +739,8 @@ def cmd_validate(res: Resolver) -> int:
         service_interval_ms=min(service) if service else None,
         t_max_ms=t_max,
     )
+    say = res.finish()
+
     say(f"requested_ttrt_ms: {verdict.requested_ttrt_ms:g}")
     say(f"ring_latency_ms: {verdict.ring_latency_ms!r}")
     say(f"sync_allocation_ms: {verdict.sync_allocation_ms:g}")

@@ -18,9 +18,12 @@ throughput is no report field: `station_throughput_mbps(result)` gives it.
 from __future__ import annotations
 
 import math
+from itertools import chain, compress, islice
+from operator import sub
 
 from . import analytical
 from .analytical import LINE_RATE_MBPS, RingParameters, record
+from .samples import AccessEpisodes
 from .simcore import NS_PER_MS, NS_PER_US, RunResult, _ns_from_ms, _ns_from_us
 
 _BOUND_SLACK_NS = 1  # integer-nanosecond comparisons need no real slack
@@ -31,28 +34,55 @@ class SampleStats:
     """Exact statistics over retained samples; percentile by nearest rank."""
 
 
-def _p95(delays_ns: list[int]) -> int:
-    """The nearest-rank 95th percentile, the rank-th largest sample. Only the
-    samples at or above a threshold a little below it, read from a strided
-    sample, are sorted; when they are fewer than rank, all are."""
-    count = len(delays_ns)
-    rank = count - max(0, math.ceil(0.95 * count) - 1)
-    sample = sorted(delays_ns[::max(1, count // 256)])
-    threshold = sample[len(sample) * 7 // 8]
-    tail = sorted([d for d in delays_ns if d >= threshold])
-    if len(tail) < rank:
-        tail = sorted(delays_ns)
-    return tail[-rank]
-
-
-def _stats(delays_ns: list[int], with_p95: bool) -> SampleStats | None:
-    if not delays_ns:
+def _response_stats(stops: list[tuple]) -> SampleStats | None:
+    """Statistics of the delays ends[i] - starts[i], i from first on, of each
+    (ends, starts, first) in stops, worked out stop by stop with no list of
+    every delay: the count, and the sum at C level. The p95 is by nearest
+    rank, the rank-th largest delay: only the delays at or above a threshold
+    a little below it, read from a strided sample, are sorted, one
+    comprehension per stop; when they are fewer than rank, all are. The
+    threshold is a delay, so the sorted tail ends with the largest."""
+    count = sum(len(ends) - first for ends, _, first in stops)
+    if not count:
         return None
-    count = len(delays_ns)
-    mean = sum(delays_ns) / count / NS_PER_MS
-    peak = max(delays_ns) / NS_PER_MS
-    p95 = _p95(delays_ns) / NS_PER_MS if with_p95 else None
-    return SampleStats(mean_ms=mean, max_ms=peak, count=count, p95_ms=p95)
+
+    def delays(step: int = 1) -> list:
+        """Each stop's delays, every step-th of them all counted across the
+        stops in order, as if they were one sequence."""
+        out, skip = [], 0
+        for ends, starts, first in stops:
+            lo = first + skip
+            out.append(map(sub, islice(ends, lo, None, step), islice(starts, lo, len(ends), step)))
+            skip = (lo - len(ends)) % step
+        return out
+
+    total = sum(sum(islice(ends, first, None)) - sum(islice(starts, first, len(ends)))
+                for ends, starts, first in stops)
+    rank = count - max(0, math.ceil(0.95 * count) - 1)
+    sample = sorted(chain.from_iterable(delays(max(1, count // 256))))
+    threshold = sample[len(sample) * 7 // 8]
+    tail = []
+    for stop in delays():
+        tail += [d for d in stop if d >= threshold]
+    if len(tail) < rank:
+        tail = list(chain.from_iterable(delays()))
+    tail.sort()
+    return SampleStats(mean_ms=total / count / NS_PER_MS, max_ms=tail[-1] / NS_PER_MS,
+                       count=count, p95_ms=tail[-rank] / NS_PER_MS)
+
+
+def _access_stats(episodes: AccessEpisodes, mark_ns: int) -> SampleStats | None:
+    """Statistics of the waits of the episodes that opened at or after
+    mark_ns, from the episodes' two columns at C level, with no list of
+    waits; no p95."""
+    starts, captures = episodes.starts, episodes.captures
+    kept = list(map(mark_ns.__le__, starts))
+    count = sum(kept)
+    if not count:
+        return None
+    total = sum(compress(captures, kept)) - sum(compress(starts, kept))
+    peak = max(compress(map(sub, captures, starts), kept))
+    return SampleStats(mean_ms=total / count / NS_PER_MS, max_ms=peak / NS_PER_MS, count=count)
 
 
 @record("throughput_mbps efficiency response_time access_delay offered_load_mbps "
@@ -126,22 +156,21 @@ def summarize(result: RunResult) -> MetricsReport:
     window_bits = result.completed_bits - b.completed_bits
     throughput = window_bits / interval_ns * 1000.0  # bits/ns -> Mbps
 
-    responses = result.response_samples.delays_since(mark_ns)
-    accesses = [cap - start for start, cap in result.access_samples if start >= mark_ns]
-    access = _stats(accesses, with_p95=False)
+    response = _response_stats(result.response_samples.stops_since(mark_ns))
+    access = _access_stats(result.access_samples, mark_ns)
     load = result.workload
 
     return MetricsReport(
         throughput_mbps=throughput,
         efficiency=throughput / LINE_RATE_MBPS,
-        response_time=_stats(responses, with_p95=True),
+        response_time=response,
         access_delay=access,
         offered_load_mbps=None if load is None else load.total_offered_load_mbps(
             result.config.n_stations),
         measured_interval_ms=interval_ns / NS_PER_MS,
         warmup_ms=mark_ns / NS_PER_MS,
-        warmup_frames_discarded=len(result.response_samples) - len(responses),
-        warmup_access_discarded=len(result.access_samples) - len(accesses),
+        warmup_frames_discarded=len(result.response_samples) - (response.count if response else 0),
+        warmup_access_discarded=len(result.access_samples) - (access.count if access else 0),
         completed_frames=result.completed_frames,
         max_rotation_ms=result.max_rotation_ms,
         seed=result.seed,

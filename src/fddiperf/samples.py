@@ -1,7 +1,8 @@
-"""A run's response samples, kept as 8 bytes per sent frame.
+"""A run's samples as fixed-width integers: 8 bytes per sent frame for its
+response samples, 16 per access episode.
 
-The view lives apart from `simcore`, which builds it, because compiling it
-inside simcore.py raised the peak resident memory of a saturated
+The views live apart from `simcore`, which builds them, because compiling
+them inside simcore.py raised the peak resident memory of a saturated
 simulation, which compiling simcore.py sets, by about 0.14 MB.
 """
 
@@ -10,17 +11,39 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import chain
-from operator import itemgetter, sub
+from operator import itemgetter
 
 
-class ResponseSamples:
+class _Pairs:
+    """A read-only sequence of (int, int) pairs that indexes, compares and
+    prints as the list of them, which `_pairs` builds when read."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._pairs())
+
+    def __getitem__(self, i):
+        return self._pairs()[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Pairs):
+            other = other._pairs()
+        return self._pairs() == other
+
+    def __repr__(self) -> str:
+        return repr(self._pairs())
+
+
+class ResponseSamples(_Pairs):
     """A run's (arrival, completion) pair of each frame sent, read-only. The
     run keeps each stop's completions; a stop sends its frames in the order
     they arrived, so done[k][i] completes frame_at[k][i] of the run's
     `simcore.Arrivals`.
-    len builds no pairs; the rest build them sorted by completion, which
-    never ties across stops (every hop takes time), by a stable sort that
-    keeps each stop's order: the order in which the run completed them."""
+    len and `stops_since` build no pairs; the rest build them sorted by
+    completion, which never ties across stops (every hop takes time), by a
+    stable sort that keeps each stop's order: the order in which the run
+    completed them."""
 
     __slots__ = ("_arrivals", "_done", "_len")
 
@@ -35,26 +58,40 @@ class ResponseSamples:
     def __len__(self) -> int:
         return self._len
 
+    def stops_since(self, mark_ns: int) -> list[tuple[array, list[int], int]]:
+        """Per stop, its completions, its arrivals and the index of its first
+        frame that arrived at or after mark_ns: that frame's delay and each
+        later one's is completions[i] - arrivals[i]. A stop's arrivals
+        ascend, so one bisection finds it; nothing is copied."""
+        return [(done, at, bisect_left(at, mark_ns, 0, len(done)))
+                for at, done in zip(self._arrivals.frame_at, self._done)]
+
+
+class AccessEpisodes(_Pairs):
+    """A run's access episodes as (start, capture) pairs in the order of
+    their captures, read-only, kept as two ints each in one flat
+    array('q'): 16 bytes an episode. len builds no pairs, iteration one at
+    a time; `starts` and `captures` are the two columns as arrays."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: array):
+        self._flat = flat
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        return list(self)
+
+    def __len__(self) -> int:
+        return len(self._flat) // 2
+
     def __iter__(self):
-        return iter(self._pairs())
+        flat = iter(self._flat)
+        return zip(flat, flat)
 
-    def __getitem__(self, i):
-        return self._pairs()[i]
+    @property
+    def starts(self) -> array:
+        return self._flat[::2]
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ResponseSamples):
-            other = other._pairs()
-        return self._pairs() == other
-
-    def __repr__(self) -> str:
-        return repr(self._pairs())
-
-    def delays_since(self, mark_ns: int) -> array:
-        """Completion less arrival of each frame that arrived at or after
-        mark_ns, stop by stop, as 8 bytes each: a stop's arrivals ascend,
-        so one bisection finds its first."""
-        delays = array("q")
-        for at, done in zip(self._arrivals.frame_at, self._done):
-            i = bisect_left(at, mark_ns, 0, len(done))
-            delays.extend(map(sub, done[i:], at[i:len(done)]))
-        return delays
+    @property
+    def captures(self) -> array:
+        return self._flat[1::2]

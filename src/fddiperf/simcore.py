@@ -70,9 +70,9 @@ draw:
   out from them, or from the response samples, at the end.
 - Per sent frame a bursty run keeps one fact, its completion time, 8 bytes
   in its stop's array: a stop sends its frames in the order they arrived,
-  so the frame's arrival is read from the draw. `RunResult.response_samples`
-  is a view that pairs them in completion order; a saturated run keeps no
-  frame times.
+  so the frame's arrival is read from the draw; an access episode is two
+  ints in one array. `RunResult.response_samples` and `access_samples` are
+  views that pair them; a saturated run keeps no frame times.
 
 A RunResult carries the workload it simulated. A bursty run that the TTRT
 never bound (no holding cut short, every token usable) is also the run of
@@ -99,7 +99,7 @@ from .analytical import (
     check_finite,
     record,
 )
-from .samples import ResponseSamples
+from .samples import AccessEpisodes, ResponseSamples
 from .workload import WIC_MEAN_FRAME_BYTES, SaturationWorkload
 
 NS_PER_BYTE = 80  # 8 bits at 100 Mbps
@@ -197,10 +197,11 @@ class RunResult(SimpleNamespace):
     snapshot; busy/overhead/idle nanoseconds partition the simulated time
     exactly. response_samples is a read-only view of the (arrival,
     completion) pairs of the frames sent, in completion order, that keeps
-    8 bytes per frame (`ResponseSamples`). Access-delay samples are (episode
-    start, token capture) pairs; one episode opens per empty-to-nonempty
-    queue transition or token release with work left, and closes at the
-    next usable capture.
+    8 bytes per frame (`ResponseSamples`). access_samples is a read-only view
+    of the (episode start, token capture) pairs, in capture order, that keeps
+    16 bytes per episode (`AccessEpisodes`); one episode opens per
+    empty-to-nonempty queue transition or token release with work left, and
+    closes at the next usable capture.
 
     Unlike the package's other records it is a mutable namespace, built
     from keywords, that can be held by weak reference: the tests hold runs
@@ -214,7 +215,7 @@ class RunResult(SimpleNamespace):
     completed_frames: int
     station_bits: tuple[int, ...]
     response_samples: ResponseSamples
-    access_samples: list[tuple[int, int]]
+    access_samples: AccessEpisodes
     rotation_count: int
     max_rotation_ns: int
     trt_violations: int
@@ -442,6 +443,19 @@ def _duration_ns(duration_ms: float) -> int:
     return duration_ns
 
 
+def check_draw(workload, n_stations: int, duration_ms: float) -> None:
+    """Refuse bursty traffic whose draw up to the run's end would hold more
+    than MAX_DRAWN_FRAMES frames; a saturated ring draws none, and a script
+    offers no load to judge it by."""
+    offered = workload.total_offered_load_mbps(n_stations)
+    if offered is not None and not isinstance(workload, SaturationWorkload):
+        frames = offered * 1000.0 * duration_ms / (8 * WIC_MEAN_FRAME_BYTES)
+        if frames > MAX_DRAWN_FRAMES:
+            raise ValueError(f"a draw of about {frames:.3g} frames ({offered:.3g} Mbps "
+                             f"offered for {duration_ms} ms) exceeds the "
+                             f"{MAX_DRAWN_FRAMES} frames a run may draw")
+
+
 class Arrivals:
     """The traffic of every run of `key` = (workload, n_stations, seed,
     duration_ms), at any TTRT, drawn up to the run's end; no run changes it.
@@ -472,14 +486,8 @@ class Arrivals:
         self.sat = workload.frame_bytes if stops and isinstance(workload, SaturationWorkload) else 0
         feeds = [] if self.sat else list(map(sources.__getitem__, stops))
         self.stops = stops or [0]
-        # WIC traffic is drawn up to the run's end; a script offers no load
-        offered = workload.total_offered_load_mbps(n) if feeds else None
-        if offered is not None:
-            frames = offered * 1000.0 * duration_ms / (8 * WIC_MEAN_FRAME_BYTES)
-            if frames > MAX_DRAWN_FRAMES:
-                raise ValueError(f"a draw of about {frames:.3g} frames ({offered:.3g} Mbps "
-                                 f"offered for {duration_ms} ms) exceeds the "
-                                 f"{MAX_DRAWN_FRAMES} frames a run may draw")
+        if feeds:
+            check_draw(workload, n, duration_ms)
         bursts = []  # (time, stop, frames), stop by stop
         self.frame_at, self.frame_bytes = [], []
         for k, feed in enumerate(feeds):
@@ -495,8 +503,8 @@ class Arrivals:
             self.frame_at.append(at_k)
             self.frame_bytes.append(bytes_k)
         bursts.sort(key=itemgetter(0))
-        self.times, self.burst_stop, self.burst_frames = (
-            map(list, zip(*bursts)) if bursts else ([], [], []))
+        self.times, self.burst_stop, self.burst_frames = (list(map(itemgetter(i), bursts))
+                                                          for i in range(3))
 
 
 def run(
@@ -583,7 +591,7 @@ def run(
 
     bits = [0] * nst
     done = [] if sat else [array("q") for _ in range(nst)]  # see ResponseSamples
-    access_samples: list[tuple[int, int]] = []
+    episodes = array("q")  # see AccessEpisodes
     rotation_count = 0
     max_rotation = 0
     trt_violations = 0
@@ -686,7 +694,8 @@ def run(
                     tht = ttrt_ns - trt
                     if tht > 0 and (
                             overflow or (sat or frame_bytes[k][head[k]]) * NS_PER_BYTE <= tht):
-                        access_samples.append((want_since[k], t))
+                        episodes.append(want_since[k])
+                        episodes.append(t)
                         want_since[k] = duration_ns
                         overhead_total += t - seg_start
                         holding = k
@@ -752,7 +761,7 @@ def run(
 
     if sat:
         # every released holding leaves a saturated station backlogged
-        budget_cuts = len(access_samples) - (holding >= 0)
+        budget_cuts = len(episodes) // 2 - (holding >= 0)
     if end.busy_ns + idle_total + overhead_total != duration_ns:
         raise InvariantViolation(
             f"time accounting leaked: busy {end.busy_ns} + idle {idle_total} + "
@@ -768,7 +777,7 @@ def run(
         completed_frames=end.completed_bits // (sat * 8) if sat else len(response_samples),
         station_bits=end.station_bits,
         response_samples=response_samples,
-        access_samples=access_samples,
+        access_samples=AccessEpisodes(episodes),
         rotation_count=rotation_count,
         max_rotation_ns=max_rotation,
         trt_violations=trt_violations,

@@ -627,6 +627,14 @@ _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
      "frame_bytes must be <= 4500, got 5000"),
     (["validate", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "5000"],
      "frame_bytes must be <= 4500, got 5000"),
+    # a simulated point's frame size is refused in the closed form's words
+    (["sweep", "--var", "frame_size", "--grid", "100,9000", "--preset", "typical",
+      "--mode", "simulate"], "frame_bytes must be <= 4500, got 9000"),
+    # the MAC count is checked before the active count it bounds
+    (["analyze", "--macs", "-1", "--fiber-km", "1", "--ttrt", "8"],
+     "mac_count must be in [0, 1000], got -1"),
+    (["sweep", "--var", "ttrt", "--grid", "4,8", "--macs", "-1", "--fiber-km", "1"],
+     "mac_count must be in [0, 1000], got -1"),
 ])
 def test_closed_form_refusal_is_one_error_line(argv, line, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -758,15 +766,28 @@ def test_analyze_refuses_a_bad_frame_size_before_printing(frame_bytes, capsys):
     *_LOAD_PCT_OUT_OF_RANGE,
     ["validate", "--ttrt", "8", "--max-ring", "--sync-ms", "-1"],
     ["validate", "--ttrt", "8", "--max-ring", "--service-interval-ms", "0"],
+    # every input is checked before --dump-config prints and before any run
+    ["analyze", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8", "--dump-config"],
+    ["analyze", "--preset", "typical", "--ttrt", "1e305", "--dump-config"],
+    ["validate", "--ttrt", "8", "--preset", "typical", "--t-max-ms", "170", "--dump-config"],
+    ["validate", "--ttrt", "8", "--ring-latency-ms", "-1", "--dump-config"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--workload", "wic", "--load-pct", "50",
+     "--duration-ms", "1e300", "--dump-config"],
+    ["sweep", "--var", "ttrt", "--grid", "2,8", "--preset", "typical", "--mode", "simulate",
+     "--dump-config"],
+    ["sweep", "--var", "frame_size", "--grid", "100,9000", "--preset", "typical", "--mode",
+     "simulate"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(simcore, "run", lambda *a, **k: calls.append(a))
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:")
+    assert captured.out == ""
     assert not out.exists()
     assert calls == []
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -14,10 +16,16 @@ from hypothesis import given, settings, strategies as st
 from fddiperf import analytical, simcore
 from fddiperf.analytical import TOKEN_TIME_US, RingParameters
 from fddiperf.metrics import (
-    SampleStats, _stats, access_delay_bound_ms, reuse_at, station_throughput_mbps, summarize)
-from fddiperf.samples import ResponseSamples
+    SampleStats, _response_stats, access_delay_bound_ms, reuse_at, station_throughput_mbps,
+    summarize)
+from fddiperf.samples import AccessEpisodes, ResponseSamples
 from fddiperf.simcore import NS_PER_MS, WARMUP_FRACTION, RingConfig, RunResult, RunSnapshot, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
+
+
+def _episodes(pairs) -> AccessEpisodes:
+    """The view a run gives of these (start, capture) pairs."""
+    return AccessEpisodes(array("q", chain.from_iterable(pairs)))
 
 
 def _result_with_samples(duration_ms=100.0, responses=(), accesses=()):
@@ -34,7 +42,7 @@ def _result_with_samples(duration_ms=100.0, responses=(), accesses=()):
         # one stop per (arrival, completion) pair
         response_samples=ResponseSamples(SimpleNamespace(frame_at=[[a] for a, _ in responses]),
                                          [[c] for _, c in responses]),
-        access_samples=list(accesses),
+        access_samples=_episodes(accesses),
         rotation_count=1,
         max_rotation_ns=100,
         trt_violations=0,
@@ -46,14 +54,30 @@ def _result_with_samples(duration_ms=100.0, responses=(), accesses=()):
     )
 
 
+def _stats(delays: list[int], n_stops: int = 1, seed: int = 0) -> SampleStats | None:
+    """_response_stats of the delays, split over n_stops stops in order. Each
+    stop opens with up to two frames that arrived before the mark, with
+    delays far above the rest, and ends with up to two frames never sent."""
+    rng = random.Random(seed)
+    cuts = sorted(rng.randrange(len(delays) + 1) for _ in range(n_stops - 1))
+    stops = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(delays)]):
+        first = 0 if n_stops == 1 else rng.randrange(3)
+        at = sorted(rng.randrange(10**6) for _ in range(first + hi - lo + rng.randrange(3)))
+        ends = array("q", [a + 10**12 for a in at[:first]])
+        ends.extend(map(int.__add__, at[first:], delays[lo:hi]))
+        stops.append((ends, at, first))
+    return _response_stats(stops)
+
+
 def test_stats_nearest_rank_percentile():
     delays = list(range(1, 101))  # 1..100 ns
-    s = _stats(delays, with_p95=True)
+    s = _stats(delays)
     assert s.count == 100
     assert s.p95_ms == 95 / NS_PER_MS
     assert s.max_ms == 100 / NS_PER_MS
     assert s.mean_ms == pytest.approx(50.5 / NS_PER_MS)
-    one = _stats([7], with_p95=True)
+    one = _stats([7])
     assert one.p95_ms == 7 / NS_PER_MS
 
 
@@ -63,13 +87,17 @@ def _sorted_p95(delays: list[int]) -> int:
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.integers(1, 3000), st.sampled_from([1, 2, 3, 10, 1000, 10**9]),
-       st.sampled_from(["drawn", "ascending", "descending"]), st.integers(0, 2**32))
-def test_p95_is_the_nearest_rank_of_the_sorted_samples(count, distinct, order, seed):
+       st.sampled_from(["drawn", "ascending", "descending"]), st.integers(0, 2**32),
+       st.integers(1, 40))
+def test_p95_is_the_nearest_rank_of_the_sorted_samples(count, distinct, order, seed, n_stops):
     rng = random.Random(seed)
     delays = [rng.randrange(distinct) for _ in range(count)]  # few values: heavy ties
     if order != "drawn":
         delays.sort(reverse=order == "descending")
-    assert _stats(delays, with_p95=True).p95_ms == _sorted_p95(delays) / NS_PER_MS
+    s = _stats(delays, n_stops, seed)
+    assert (s.count, s.max_ms) == (count, max(delays) / NS_PER_MS)
+    assert s.mean_ms == sum(delays) / count / NS_PER_MS
+    assert s.p95_ms == _sorted_p95(delays) / NS_PER_MS
 
 
 @pytest.mark.parametrize("count", [1000, 3000, 45_000])
@@ -79,11 +107,12 @@ def test_p95_survives_a_sample_that_misses_the_tail(count):
     stride = max(1, count // 256)
     delays = [0] * count
     delays[::stride] = range(10**6, 10**6 + len(delays[::stride]))
-    assert _stats(delays, with_p95=True).p95_ms == _sorted_p95(delays) / NS_PER_MS
+    assert _stats(delays).p95_ms == _sorted_p95(delays) / NS_PER_MS
 
 
 def test_empty_stats_are_absent_not_zero():
-    assert _stats([], with_p95=True) is None
+    assert _stats([]) is None
+    assert _stats([], n_stops=3) is None
     rep = summarize(_result_with_samples())
     assert rep.response_time is None
     assert rep.access_delay is None
@@ -181,7 +210,7 @@ def test_access_bound_is_exceeded_one_nanosecond_past_its_slack():
     bound_ms = access_delay_bound_ms(plain)
     limit_ns = int(round(bound_ms * NS_PER_MS)) + 1
     for over in (0, 1):
-        closed = plain._replace(access_samples=[(mark, mark + limit_ns + over)])
+        closed = plain._replace(access_samples=_episodes([(mark, mark + limit_ns + over)]))
         opened = plain._replace(open_access_ns=limit_ns + over)  # no closed episode
         for res in (closed, opened):
             rep = summarize(res)

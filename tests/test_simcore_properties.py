@@ -30,7 +30,10 @@ on a 1 us grid (many empty or tied), must come in strictly increasing
 completion order, one per completed frame, each stop's the prefix of its
 frames in the draw that its bits give; and the report's response
 statistics must be those of the pairs they give, with the warm-up mark on a
-burst's instant.
+burst's instant. A run's access episodes, on random WIC and saturated rings
+with the warm-up mark on a capture, must read as the list of (start,
+capture) pairs they stand for, and the report's access statistics must be
+those of that list.
 
 A bursty run must also be the run of an event-by-event reference simulator,
 which shares no code with `simcore.run`, in every field its digest covers:
@@ -44,11 +47,12 @@ digest of every scripted case of `test_simcore_digests.py`.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
-from itertools import accumulate, count
-from operator import add, lt
+from itertools import accumulate, chain, count
+from operator import add, le, lt
 
 import pytest
 
@@ -69,6 +73,7 @@ from fddiperf.analytical import (
     overflow_model,
 )
 from fddiperf.metrics import SampleStats, summarize
+from fddiperf.samples import AccessEpisodes
 from fddiperf.simcore import (
     NS_PER_BYTE, NS_PER_MS, NS_PER_US, WARMUP_FRACTION, Arrivals, RingConfig, RunSnapshot,
     _LapClocks, certified, reuse_at, run)
@@ -497,6 +502,53 @@ def test_response_samples_on_random_wic_rings(ring, utilization, duration_ms, se
     warmup = _warmup_at(instants[pick % len(instants)], duration_ns)
     result = run(config, load, duration_ms, seed, warmup, arrivals=arrivals)
     _check_samples(result, arrivals)
+
+
+def _check_episodes(result) -> None:
+    """A run's access episodes against the list of (start, capture) pairs
+    they stand for, and the access statistics of its report against that
+    list's waits from the warm-up mark on."""
+    view = result.access_samples
+    pairs = list(view)
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
+    assert len(view) == len(pairs)
+    assert view == pairs and pairs == view
+    assert view == AccessEpisodes(array("q", chain.from_iterable(pairs)))
+    assert view != pairs + [(0, 0)]
+    assert repr(view) == repr(pairs)
+    assert [view[i] for i in range(-len(pairs), len(pairs))] == pairs + pairs
+    assert view[1::2] == pairs[1::2]
+    captures = [c for _, c in pairs]
+    assert all(map(le, captures, captures[1:]))  # in the order of their captures
+    assert all(start <= capture for start, capture in pairs)
+
+    mark = result.boundary.at_ns
+    waits = [capture - start for start, capture in pairs if start >= mark]
+    expected = SampleStats(
+        mean_ms=sum(waits) / len(waits) / NS_PER_MS, max_ms=max(waits) / NS_PER_MS,
+        count=len(waits)) if waits else None
+    report = summarize(result)
+    assert report.access_delay == expected
+    assert report.warmup_access_discarded == len(pairs) - len(waits)
+
+
+@SAMPLED_RUNS
+@given(rings(min_sourced=1, max_stations=30), st.booleans(), st.floats(0.05, 0.99),
+       st.integers(1, MAX_FRAME_BYTES), st.integers(0, 99), st.integers(0, 2**16))
+def test_access_episodes_on_random_rings(ring, bursty, utilization, frame_bytes, seed, pick):
+    # the warm-up mark on the instant of a capture, so an episode opens there
+    config, stations = ring
+    if bursty:
+        load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
+        duration_ms = 10.0
+    else:
+        load = SaturationWorkload(frame_bytes, stations)
+        duration_ms = 20 * config.ttrt_ms  # about one capture per TTRT
+    duration_ns = round(duration_ms * NS_PER_MS)
+    first = run(config, load, duration_ms, seed, 0.0)
+    captures = [c for _, c in first.access_samples if c < duration_ns] or [0]
+    warmup = _warmup_at(captures[pick % len(captures)], duration_ns)
+    _check_episodes(run(config, load, duration_ms, seed, warmup))
 
 
 @st.composite
