@@ -11,13 +11,16 @@ Subcommands:
 Each option's flag, INI section, type, help and default are declared once,
 in OPTIONS, and COMMANDS lists the options each subcommand takes. Each field
 of a simulated report is declared once too, in _report_fields: simulate's
-stdout line and the CSV cells of a simulated row. Values may
-come from an INI config file (--config), whose keys must name an option in
-its own section; explicit flags override file values. A command reads every
-option it uses before it computes anything, and rejects a flag it was given
-but did not use. --dump-config prints each key the command read, resolved,
-for provenance. Every sweep runs through one engine, and its output echoes
-every input including the seed, so any CSV row can be reproduced on its own.
+stdout line and the CSV cells of a simulated row. simulate and every sweep
+fill a simulated row's run inputs with one function, _simulated_point,
+before --dump-config prints, and its metric cells from _report_fields after
+the run. Values may come from an INI config file (--config), whose keys
+must name an option in its own section; explicit flags override file
+values. A command reads every option it uses before it computes anything,
+and rejects a flag it was given but did not use. --dump-config prints each
+key the command read, resolved, for provenance. Every sweep runs through
+one engine, and its output echoes every input including the seed, so any
+CSV row can be reproduced on its own.
 
 Only the commands that simulate import simcore, workload and metrics, and
 only those that write rows import csv.
@@ -100,7 +103,11 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         writer.writerows(map(itemgetter(*CSV_COLUMNS), rows))
 
     if out_path:
-        with open(out_path, "w", newline="") as fh:
+        try:
+            fh = open(out_path, "w", newline="")
+        except OSError as exc:  # a closed stdout's BrokenPipeError still exits 141
+            raise CliError(f"cannot write {out_path!r}: {exc.strerror}") from None
+        with fh:
             emit(fh)
     else:
         emit(sys.stdout)
@@ -366,25 +373,6 @@ def _report_fields(report) -> list[tuple[str, Callable[[], str | None], dict]]:
     ]
 
 
-def _simulated_row(row: dict, config, load, fields) -> dict:
-    """Fill the run-input columns of a row from the RingConfig and workload of
-    a run, and its metric columns from the _report_fields of the run's
-    MetricsReport; with none, mark the row as saturated by latency."""
-    row.update(
-        mode="simulated",
-        frame_bytes=getattr(load, "frame_bytes", None),
-        interburst_ms=getattr(load, "mean_interburst_ms", None),
-        token_time_us=config.token_time_us,
-        async_overflow=_fmt(config.async_overflow),
-    )
-    if fields is None:
-        row["error"] = SATURATED_MARKER
-        return row
-    for _, _, cells in fields:
-        row.update(cells)
-    return row
-
-
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(res: Resolver) -> int:
@@ -487,6 +475,22 @@ def _build_workload(row: dict, load_pct: float | None = None, interburst_ms: flo
     )
 
 
+def _simulated_point(row: dict, sim, load_pct: float | None = None,
+                     interburst_ms: float | None = None) -> tuple:
+    """The RingConfig and workload that run a simulated row, built and checked
+    with sim, the command's _sim_settings, and the row's run-input columns
+    filled from them; returns (config, workload)."""
+    from . import simcore
+    duration, _, ring = sim
+    config = ring(_simulable(row["mac_count"]), row["fiber_km"], row["ttrt_ms"])
+    load = _build_workload(row, load_pct, interburst_ms)
+    simcore.check_draw(load, config.n_stations, duration)
+    row.update(mode="simulated", frame_bytes=getattr(load, "frame_bytes", None),
+               interburst_ms=getattr(load, "mean_interburst_ms", None),
+               token_time_us=config.token_time_us, async_overflow=_fmt(config.async_overflow))
+    return config, load
+
+
 def cmd_simulate(res: Resolver) -> int:
     from . import metrics, simcore, workload
     preset_name, macs, fiber = _resolve_ring(res)
@@ -494,7 +498,8 @@ def cmd_simulate(res: Resolver) -> int:
     kind, interburst = res.get("workload"), None
     # bursty traffic loads every station, so only saturation reads --active
     n_active = _active(res.get("active") if kind == "saturation" else None, macs)
-    duration, seed, ring = _sim_settings(res)
+    sim = _sim_settings(res)
+    duration, seed, _ = sim
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=res.get("ttrt"), duration_ms=duration, replication=0, seed=seed)
     if kind == "saturation":
@@ -506,19 +511,17 @@ def cmd_simulate(res: Resolver) -> int:
             raise CliError("wic workload needs --load-pct or --interburst-ms")
     else:
         raise CliError(f"unknown workload {kind!r}; choices: saturation, wic")
-    config = ring(macs, fiber, row["ttrt_ms"])
-    load = _build_workload(row, row["load_pct"], interburst)
-    simcore.check_draw(load, macs, duration)
+    config, load = _simulated_point(row, sim, row["load_pct"], interburst)
     say = res.finish()
 
     report = metrics.summarize(simcore.run(config, load, duration_ms=duration, seed=seed))
-    fields = _report_fields(report)
-    for label, show, _ in fields:
+    for label, show, cells in _report_fields(report):
         text = show()
         if text is not None:
             say(f"{label}: {text}")
+        row.update(cells)
     if res.args.out:
-        _write_rows([_simulated_row(row, config, load, fields)], res.args.out)
+        _write_rows([row], res.args.out)
     return 1 if report.access_bound_exceeded or not report.trt_bound_ok else 0
 
 
@@ -598,15 +601,14 @@ def _reuse_or_run(held, config, load, duration_ms: float, seed: int) -> tuple:
     return report, ((result, report) if simcore.certified(result) else None, arrivals)
 
 
-def _sweep_points(spec: presets.Figure, figure: str, sim) -> list[tuple]:
-    """Every point of a sweep, ring, then load, then grid value, with every
-    input checked and nothing simulated, so that a bad point is refused
-    before --dump-config prints or any point runs. A point is its columns,
-    its closed-form row when spec has one, else None, and when spec
-    simulates with sim, the command's _sim_settings, (load_pct, RingConfig,
-    workload, whether the ring's latency swallows the TTRT), else None."""
-    if sim:
-        from . import simcore  # a closed-form sweep loads no simulator
+def _sweep_points(spec: presets.Figure, figure: str, sim, replications: int) -> list[tuple]:
+    """Every row of a sweep in CSV order (ring, then load, then grid value; a
+    point's closed-form row, then its simulated rows, one per replication,
+    their run inputs filled by _simulated_point with sim, the command's
+    _sim_settings), each with what runs it: (RingConfig, workload,
+    replication), or None for a closed-form row or one marked
+    saturated_by_latency. Every input is checked and nothing simulated, so a
+    bad point is refused before --dump-config prints or any point runs."""
     column = SWEEP_VARS[spec.var][0]
     points: list[tuple] = []
     latency = functools.cache(_ring_latency_ms)  # once per ring of this sweep
@@ -619,51 +621,39 @@ def _sweep_points(spec: presets.Figure, figure: str, sim) -> list[tuple]:
                 point = template.copy()
                 point["sweep_value"] = point[column] = value
                 point["n_active"] = _active(point["n_active"], point["mac_count"])
-                closed = simulated = None
                 if spec.mode != "simulate":
                     d_ms = latency(point["fiber_km"], point["mac_count"])
-                    closed = _analytical_row(dict(point) if sim else point, d_ms)
-                if sim:
-                    duration, _, ring = sim
-                    config = ring(_simulable(point["mac_count"]), point["fiber_km"],
-                                  point["ttrt_ms"])
-                    if point["frame_bytes"] is not None:
-                        _frame_time_ms(point["frame_bytes"])  # in the closed form's words
-                    load = _build_workload(point, load_pct)
-                    simcore.check_draw(load, config.n_stations, duration)
-                    saturated = point["ttrt_ms"] <= latency(point["fiber_km"], point["mac_count"])
-                    simulated = (load_pct, config, load, saturated)
-                points.append((point, closed, simulated))
+                    points.append((_analytical_row(dict(point) if sim else point, d_ms), None))
+                if not sim:
+                    continue
+                if point["frame_bytes"] is not None:
+                    _frame_time_ms(point["frame_bytes"])  # in the closed form's words
+                config, load = _simulated_point(point, sim, load_pct)
+                if point["ttrt_ms"] <= latency(point["fiber_km"], point["mac_count"]):
+                    point["error"] = SATURATED_MARKER
+                duration, seed, _ = sim
+                points += [(dict(point, load_pct=load_pct, duration_ms=duration, replication=rep,
+                                 seed=seed + rep), None if point["error"] else (config, load, rep))
+                           for rep in range(replications)]
     return points
 
 
-def _sweep_rows(points: list[tuple], replications: int, sim) -> list[dict]:
-    """Every row of a sweep's _sweep_points: each point's closed-form row
-    and/or, when it simulates, one simulated row per replication, run with
-    sim, the command's _sim_settings. On a TTRT sweep a replication reuses
-    its last run that TTRT never bound for every higher TTRT, instead of
-    simulating it again, and every run of the same traffic reads its bursts
-    from one draw."""
-    rows: list[dict] = []
+def _sweep_rows(points: list[tuple]) -> list[dict]:
+    """The rows of a sweep's _sweep_points, each one that runs filled with
+    the _report_fields cells of its run. On a TTRT sweep a replication
+    reuses its last run that TTRT never bound for every higher TTRT, instead
+    of simulating it again, and every run of the same traffic reads its
+    bursts from one draw."""
     held: dict[int, tuple] = {}  # replication -> what _reuse_or_run holds for it
-    for point, closed, simulated in points:
-        if closed is not None:
-            rows.append(closed)
-        if simulated is None:
-            continue
-        duration, seed, _ = sim
-        load_pct, config, load, saturated = simulated
-        for rep in range(replications):
-            row = dict(point, load_pct=load_pct, duration_ms=duration,
-                       replication=rep, seed=seed + rep)
-            fields = None
-            if not saturated:
-                # popped, so that a real run finds no result held for it
-                report, held[rep] = _reuse_or_run(held.pop(rep, None), config, load,
-                                                  duration, seed + rep)
-                fields = _report_fields(report)
-            rows.append(_simulated_row(row, config, load, fields))
-    return rows
+    for row, run in points:
+        if run is not None:
+            config, load, rep = run
+            # popped, so that a real run finds no result held for it
+            report, held[rep] = _reuse_or_run(held.pop(rep, None), config, load,
+                                              row["duration_ms"], row["seed"])
+            for _, _, cells in _report_fields(report):
+                row.update(cells)
+    return [row for row, _ in points]
 
 
 def cmd_sweep(res: Resolver) -> int:
@@ -681,9 +671,9 @@ def cmd_sweep(res: Resolver) -> int:
             raise CliError("--replications must be >= 1")
         # figure grids probe TTRTs outside the legal window on purpose
         sim = _sim_settings(res, any_ttrt=bool(figure))
-    points = _sweep_points(spec, figure, sim)
+    points = _sweep_points(spec, figure, sim, replications)
     res.finish()
-    _write_rows(_sweep_rows(points, replications, sim), res.args.out)
+    _write_rows(_sweep_rows(points), res.args.out)
     return 0
 
 

@@ -236,12 +236,6 @@ class RunResult(SimpleNamespace):
     # the traffic simulated, None on an idle ring
     workload: object
 
-    def __init__(self, sourced_stations=(), budget_cuts=0, open_rotation_ns=0, open_access_ns=0,
-                 workload=None, **fields):
-        super().__init__(**fields, sourced_stations=sourced_stations, budget_cuts=budget_cuts,
-                         open_rotation_ns=open_rotation_ns, open_access_ns=open_access_ns,
-                         workload=workload)
-
     def _replace(self, **changes) -> "RunResult":
         return RunResult(**{**vars(self), **changes})
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
 import subprocess
 import sys
@@ -338,6 +339,26 @@ def test_simulate_stdout_and_csv_agree_field_by_field(argv, absent, tmp_path, mo
         row["mean_response_ms"], row["p95_response_ms"], row["max_response_ms"]]
     assert _stats_cells(printed["access_ms"], ["mean", "max"]) == [
         row["mean_access_ms"], row["max_access_ms"]]
+
+
+@pytest.mark.parametrize("ring,ttrt,simulate_only", [
+    (["--preset", "typical", "--load-pct", "58", "--seed", "4"], "8", ["--workload", "wic"]),
+    (["--preset", "largest", "--frame-bytes", "100", "--no-overflow"], "8", []),
+    (["--macs", "30", "--fiber-km", "6", "--active", "7", "--frame-bytes", "4500",
+      "--token-time-us", "0"], "12", []),
+])
+def test_simulate_writes_the_row_of_a_one_point_sweep(ring, ttrt, simulate_only, tmp_path):
+    # simulate and a simulated sweep build a run's row on one path
+    one, swept = tmp_path / "one.csv", tmp_path / "swept.csv"
+    common = ring + ["--duration-ms", "50"]
+    assert _run(["simulate", "--ttrt", ttrt, *simulate_only, *common, "--out", str(one)]) == 0
+    assert _run(["sweep", "--var", "ttrt", "--grid", ttrt, "--mode", "simulate", *common,
+                 "--out", str(swept)]) == 0
+    (row,), (point,) = _read_csv(one), _read_csv(swept)
+    assert (point.pop("sweep_var"), point.pop("sweep_value")) == ("ttrt", str(float(ttrt)))
+    assert (row.pop("sweep_var"), row.pop("sweep_value")) == ("", "")
+    assert row == point
+    assert row["mode"] == "simulated" and row["efficiency"]
 
 
 @pytest.mark.parametrize("argv,rows,max_runs", [
@@ -964,6 +985,23 @@ def test_config_booleans_take_the_configparser_words(word, dumped, tmp_path, cap
     else:
         assert rc == 0
         assert f"no_overflow = {dumped}\n" in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "typical", "--ttrt", "8"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "5"],
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "typical"],
+    ["table1"],
+])
+@pytest.mark.parametrize("target,errno_", [("missing/x.csv", errno.ENOENT), (".", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_opened_is_one_error_line(argv, target, errno_, tmp_path,
+                                                             capsys):
+    path = str(tmp_path / target)
+    assert _run(argv + ["--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: cannot write {path!r}: {os.strerror(errno_)}"]
+    assert "Traceback" not in err
 
 
 def test_closed_pipe_exits_141_without_a_traceback():

@@ -51,6 +51,11 @@ def _result_with_samples(duration_ms=100.0, responses=(), accesses=()):
         overhead_ns=duration_ns,
         idle_ns=0,
         boundary=RunSnapshot(mark, 0, 0, (0, 0)),
+        sourced_stations=(),
+        budget_cuts=0,
+        open_rotation_ns=0,
+        open_access_ns=0,
+        workload=None,
     )
 
 

@@ -135,18 +135,6 @@ def test_run_result_is_weakly_referenced_and_compared_field_by_field():
     assert ref() is None
 
 
-def test_run_result_defaults():
-    result = _bursty_run()
-    fields = {k: v for k, v in vars(result).items()
-              if k not in ("sourced_stations", "budget_cuts", "open_rotation_ns",
-                           "open_access_ns", "workload")}
-    bare = RunResult(**fields)
-    assert (bare.sourced_stations, bare.budget_cuts, bare.open_rotation_ns,
-            bare.open_access_ns, bare.workload) == ((), 0, 0, 0, None)
-    assert bare == RunResult(**fields, sourced_stations=(), budget_cuts=0, open_rotation_ns=0,
-                             open_access_ns=0, workload=None)
-
-
 def test_importing_the_cli_loads_no_slow_module():
     # measured against the interpreter's own start-up: a site hook may load
     # some of these first (typing, on some hosts), which no change here moves
