@@ -8,8 +8,9 @@ Subcommands:
   table1    recompute the golden reference table and verify every cell
   validate  check a requested TTRT against the standard's rules
 
-Each option's flag, INI section, type, help and default are declared once,
-in OPTIONS, and COMMANDS lists the options each subcommand takes. Each field
+Each option's flag, INI section, type, help, default and choices are
+declared once, in OPTIONS, and COMMANDS lists the options each subcommand
+takes. Each field
 of a simulated report is declared once too, in _report_fields: simulate's
 stdout line and the CSV cells of a simulated row. simulate and every sweep
 fill a simulated row's run inputs with one function, _simulated_point,
@@ -17,7 +18,8 @@ before --dump-config prints, and its metric cells from _report_fields after
 the run. Values may come from an INI config file (--config), whose keys
 must name an option in its own section; explicit flags override file
 values. A command reads every option it uses before it computes anything,
-and rejects a flag it was given but did not use. --dump-config prints each
+and rejects a flag it was given but did not use, or an --out path it
+cannot write. --dump-config prints each
 key the command read, resolved, for provenance. Every sweep runs through
 one engine, and its output echoes every input including the seed, so any
 CSV row can be reproduced on its own.
@@ -33,6 +35,7 @@ closes it early.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -92,6 +95,18 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path before any work, as _write_rows words it, and
+    create or change no file: a directory, or a path in a directory that is
+    missing or may not be written. Anything else open refuses later."""
+    parent = os.path.dirname(path) or "."
+    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
+            else 0 if os.access(path if os.path.exists(path) else parent, os.W_OK)
+            else errno.EACCES)
+    if code:
+        raise CliError(f"cannot write {path!r}: {os.strerror(code)}")
+
+
 def _write_rows(rows: list[dict], out_path: str | None) -> None:
     """The header and the rows as CSV: None as an empty cell, a float by its
     repr, and any other value by str, as csv writes them."""
@@ -113,12 +128,13 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         emit(sys.stdout)
 
 
-@record("section type help", default=None, repeat=False)
+@record("section type help", default=None, repeat=False, choices=None)
 class Option:
     """The flag --key-with-dashes, and the INI key of the same name. A
     section of None marks a flag of the command line only, type bool an
-    on/off flag, and repeat a flag that may be given again, its values
-    making a list."""
+    on/off flag, repeat a flag that may be given again, its values making a
+    list, and choices the only values the option takes, from a flag or a
+    config file."""
 
 
 # sweep variable -> (the row column its grid values set, the option it replaces)
@@ -131,7 +147,7 @@ SWEEP_VARS: dict[str, tuple[str, str]] = {
 }
 
 OPTIONS: dict[str, Option] = {
-    "preset": Option("ring", str, " | ".join(PRESETS)),
+    "preset": Option("ring", str, "named ring", choices=tuple(PRESETS)),
     "macs": Option("ring", int, "total MACs on the ring"),
     "fiber_km": Option("ring", float, "total fiber length"),
     "ttrt": Option("ring", float, "target token rotation time (ms)", presets.FIGURE_TTRT_MS),
@@ -146,16 +162,17 @@ OPTIONS: dict[str, Option] = {
     "service_interval_ms": Option(None, float, "required service interval (tightest wins)",
                                   repeat=True),
     "t_max_ms": Option("ring", float, "station T_max (165..167.77216)", analytical.T_MAX_MS),
-    "workload": Option("workload", str, "saturation or wic", "saturation"),
+    "workload": Option("workload", str, "traffic", "saturation", choices=("saturation", "wic")),
     "frame_bytes": Option("workload", int, "frame size (validate: the largest) in bytes"),
     "load_pct": Option("workload", float, "wic target utilization, percent"),
     "interburst_ms": Option("workload", float, "wic mean burst gap"),
     "duration_ms": Option("run", float, "simulated time per run", analytical.DEFAULT_DURATION_MS),
     "seed": Option("run", int, "base RNG seed", 1),
-    "figure": Option("sweep", str, "named recipe: " + ", ".join(presets.FIGURES)),
-    "var": Option("sweep", str, " | ".join(SWEEP_VARS)),
+    "figure": Option("sweep", str, "named recipe", choices=tuple(presets.FIGURES)),
+    "var": Option("sweep", str, "the swept input", choices=tuple(SWEEP_VARS)),
     "grid": Option("sweep", str, "comma-separated, strictly increasing values"),
-    "mode": Option("sweep", str, "analytical | simulate | both", "analytical"),
+    "mode": Option("sweep", str, "rows to compute", "analytical",
+                   choices=("analytical", "simulate", "both")),
     "replications": Option("sweep", int, "simulated repeats per point", 1),
     "config": Option(None, str, "INI config file; flags override its values"),
     "dump_config": Option(None, bool, "print the fully resolved configuration", False),
@@ -215,19 +232,24 @@ class Resolver:
             raise CliError(f"{self.args.command} needs {_flag(key)}")
         if value is None:
             value = opt.default if default is None else default
+        if opt.choices and value is not None and value not in opt.choices:
+            raise CliError(f"unknown {key} {value!r}; choices: {', '.join(opt.choices)}")
         self.resolved[key] = value
         return value
 
     def finish(self) -> Callable[[str], None]:
-        """Reject the flags given that the command did not read, then print
-        --dump-config: each key the command read and resolved to a value.
-        Returns how to print a line of the command's report: after a dump,
-        as a comment, so that the dump still reads back as a config file."""
+        """Reject the flags given that the command did not read, and an --out
+        path that cannot be written, then print --dump-config: each key the
+        command read and resolved to a value. Returns how to print a line of
+        the command's report: after a dump, as a comment, so that the dump
+        still reads back as a config file."""
         command = self.args.command
         unused = [_flag(key) for key in COMMANDS[command].options
                   if key not in self.resolved and getattr(self.args, key) is not None]
         if unused:
             raise CliError(f"{command} cannot use {', '.join(unused)} with these inputs")
+        if self.args.out:
+            _check_out(self.args.out)
         if not self.args.dump_config:
             return print
         lost = [_flag(key) for key in self.resolved  # a dump would read back without them
@@ -252,8 +274,6 @@ def _resolve_ring(res: Resolver, swept: str = "") -> tuple[str, int | None, floa
     macs = None if swept == "macs" else res.get("macs")
     fiber = None if swept == "fiber_km" else res.get("fiber_km")
     if preset_name:
-        if preset_name not in PRESETS:
-            raise CliError(f"unknown preset {preset_name!r}; choices: {', '.join(PRESETS)}")
         p = PRESETS[preset_name]
         macs = p.mac_count if macs is None else macs
         fiber = p.fiber_km if fiber is None else fiber
@@ -485,6 +505,7 @@ def _simulated_point(row: dict, sim, load_pct: float | None = None,
     config = ring(_simulable(row["mac_count"]), row["fiber_km"], row["ttrt_ms"])
     load = _build_workload(row, load_pct, interburst_ms)
     simcore.check_draw(load, config.n_stations, duration)
+    simcore.check_captures(config, load, duration)
     row.update(mode="simulated", frame_bytes=getattr(load, "frame_bytes", None),
                interburst_ms=getattr(load, "mean_interburst_ms", None),
                token_time_us=config.token_time_us, async_overflow=_fmt(config.async_overflow))
@@ -504,13 +525,11 @@ def cmd_simulate(res: Resolver) -> int:
                     ttrt_ms=res.get("ttrt"), duration_ms=duration, replication=0, seed=seed)
     if kind == "saturation":
         row["frame_bytes"] = res.get("frame_bytes", default=workload.DEFAULT_LARGE_FRAME_BYTES)
-    elif kind == "wic":
+    else:
         interburst = res.get("interburst_ms")
         row["load_pct"] = _load_pct(res) if interburst is None else None
         if row["load_pct"] is None and interburst is None:
             raise CliError("wic workload needs --load-pct or --interburst-ms")
-    else:
-        raise CliError(f"unknown workload {kind!r}; choices: saturation, wic")
     config, load = _simulated_point(row, sim, row["load_pct"], interburst)
     say = res.finish()
 
@@ -547,14 +566,10 @@ def _custom_sweep(res: Resolver) -> presets.Figure:
     var = res.get("var")
     if not var:
         raise CliError("give --figure or --var/--grid")
-    if var not in SWEEP_VARS:
-        raise CliError(f"unknown sweep variable {var!r}; choices: {', '.join(SWEEP_VARS)}")
     grid = res.get("grid")
     if not grid:
         raise CliError("--var needs --grid")
     mode = res.get("mode")
-    if mode not in ("analytical", "simulate", "both"):
-        raise CliError(f"unknown mode {mode!r}")
     key = SWEEP_VARS[var][1]
     # bursty traffic loads every station with the fixed WIC frame mix, so it
     # cannot follow a grid of active counts or frame sizes
@@ -658,12 +673,7 @@ def _sweep_rows(points: list[tuple]) -> list[dict]:
 
 def cmd_sweep(res: Resolver) -> int:
     figure = res.get("figure") or ""
-    if figure:
-        if figure not in presets.FIGURES:
-            raise CliError(f"unknown figure {figure!r}; choices: {', '.join(presets.FIGURES)}")
-        spec = presets.FIGURES[figure]
-    else:
-        spec = _custom_sweep(res)
+    spec = presets.FIGURES[figure] if figure else _custom_sweep(res)
     replications, sim = 1, None
     if spec.mode != "analytical":
         replications = res.get("replications")
@@ -797,6 +807,8 @@ def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
                 p.add_argument(_flag(key), action="store_true", default=None, help=opt.help)
                 continue
             text = opt.help
+            if opt.choices:
+                text += ": " + " | ".join(opt.choices)
             if opt.default is not None and key not in command.required:
                 text += f" (default {opt.default})"
             p.add_argument(_flag(key), type=opt.type, action="append" if opt.repeat else "store",

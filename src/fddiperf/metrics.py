@@ -10,9 +10,10 @@ warm-up mark, and access episodes if they open at or after it; a frame's
 bits are credited at its completion, and count toward throughput if it
 completes in (mark, end]. A run carries its workload, so its offered load
 and the access-delay bound of its sourced stations
-(`access_delay_bound_ms(result)`) are worked out from the run alone; the
-bound counts the access wait the run's end left open too. Per-station
-throughput is no report field: `station_throughput_mbps(result)` gives it.
+(`access_delay_bound_ms(result)`, the overflow model on the ring's walk
+time `RingConfig.walk_ns`) are worked out from the run alone; the bound
+counts the access wait the run's end left open too. Per-station throughput
+is no report field: `station_throughput_mbps(result)` gives it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import sub
 from . import analytical
 from .analytical import LINE_RATE_MBPS, RingParameters, record
 from .samples import AccessEpisodes
-from .simcore import NS_PER_MS, NS_PER_US, RunResult, _ns_from_ms, _ns_from_us
+from .simcore import NS_PER_MS, RunResult, _ns_from_ms, _starved
 
 _BOUND_SLACK_NS = 1  # integer-nanosecond comparisons need no real slack
 
@@ -97,23 +98,22 @@ class MetricsReport:
 
 def access_delay_bound_ms(result: RunResult) -> float | None:
     """Worst-case access delay of the run's sourced stations sending its
-    workload's largest frame, from the overflow model with the effective
-    idle rotation (latency plus per-hop token times) standing in for the
-    ring latency. None on an idle run, and when that rotation already
-    swallows the TTRT."""
+    workload's largest frame, from the overflow model with the ring's walk
+    time (`RingConfig.walk_ns`) standing in for the ring latency. None on an
+    idle run, and when the walk time already swallows the TTRT or, with
+    overflow off, leaves no room for that frame: then no token after lap 0
+    can start it, and its station may wait to the run's end."""
     cfg = result.config
     n_active = len(result.sourced_stations)
     max_frame_bytes = result.workload.max_frame_bytes if result.workload is not None else 0
-    if max_frame_bytes <= 0 or n_active < 1:
+    if max_frame_bytes <= 0 or n_active < 1 or _starved(cfg, max_frame_bytes):
         return None
-    token_us = _ns_from_us(cfg.token_time_us) / NS_PER_US  # as run charges each hop
-    d_eff_ms = cfg.ring_latency_ms + cfg.n_stations * token_us / 1000.0
     try:
         res = analytical.overflow_model(
             RingParameters(
                 n_active=n_active,
                 ttrt_ms=cfg.ttrt_ms,
-                ring_latency_ms=d_eff_ms,
+                ring_latency_ms=cfg.walk_ns / NS_PER_MS,
                 frame_time_ms=analytical.frame_time_ms(max_frame_bytes),
             )
         )

@@ -47,7 +47,7 @@ draw:
   per pass. A saturated ring keeps its keys as runs of stops that share
   one key, so a stretch, a read and the run's end cost O(runs); a bursty
   ring's busy passes read and set one key each, in a plain list. A ring's
-  layout (its hops, idle-rotation offsets and latency) is worked out once
+  layout (its hops, idle-rotation offsets and walk time) is worked out once
   per ring and cached, the rest of the set-up in whole-list operations,
   so a run's Python work grows with its captures, not with its stations.
 - A holding period is one step. A ring is saturated or bursty as a whole.
@@ -74,6 +74,9 @@ draw:
   ints in one array. `RunResult.response_samples` and `access_samples` are
   views that pair them; a saturated run keeps no frame times.
 
+`check_draw` and `check_captures` refuse a run too large to simulate: a
+bursty draw of too many frames, or a saturated run of too many captures.
+
 A RunResult carries the workload it simulated. A bursty run that the TTRT
 never bound (no holding cut short, every token usable) is also the run of
 that workload at any higher TTRT; `reuse_at` hands it out for one without
@@ -86,7 +89,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
 from itertools import accumulate, compress, repeat
-from operator import add, is_not, itemgetter, mul, neg, sub, truediv
+from operator import add, is_not, itemgetter, mul, neg, sub
 from types import SimpleNamespace
 
 from .analytical import (
@@ -96,7 +99,10 @@ from .analytical import (
     PROPAGATION_US_PER_KM,
     STATION_DELAY_US,
     TOKEN_TIME_US,
+    RingSaturatedError,
     check_finite,
+    frame_time_ms,
+    heavy_load,
     record,
 )
 from .samples import AccessEpisodes, ResponseSamples
@@ -108,6 +114,10 @@ NS_PER_BYTE = 80  # 8 bits at 100 Mbps
 # about 55 bytes each, some 0.55 GB. fig3's 90 % load draws about 46,000
 # over 1000 ms.
 MAX_DRAWN_FRAMES = 10_000_000
+
+# The most token captures a saturated run may be expected to make: at 4-9 us
+# each, a minute or so of simulation and 160 MB of access episodes.
+MAX_CAPTURES = 10_000_000
 
 # The share of each run discarded as warm-up.
 WARMUP_FRACTION = 0.10
@@ -177,10 +187,12 @@ class RingConfig:
         return len(self.segment_delays_us)
 
     @property
-    def ring_latency_ms(self) -> float:
-        """Propagation plus summed repeat delays (token time excluded), each
-        hop in the whole nanoseconds that `run` simulates."""
-        return _ring_layout(self)[-1]
+    def walk_ns(self) -> int:
+        """The walk time: one idle rotation in the whole ns `run` simulates,
+        each hop its propagation, the repeat delay and the token time. With
+        token_time_us 0 it is `analytical.ring_latency`'s D, each hop rounded
+        to a whole ns."""
+        return _ring_layout(self)[2]
 
 
 @record("at_ns completed_bits busy_ns station_bits")
@@ -263,13 +275,12 @@ def _ns_from_ms(ms: float, name: str = "ms") -> int:
 def _layout(segment_delays_us: tuple[float, ...], token_time_us: float) -> tuple:
     """A ring's hops (repeat delay and token time in) and stations' offsets in
     an idle rotation, in the whole nanoseconds `run` simulates and as tuples
-    no run can change; then that rotation and its latency (ms)."""
-    hop_ns = list(map(round, map(mul, segment_delays_us, repeat(NS_PER_US))))
+    no run can change; then that rotation, the walk time."""
+    hop_ns = map(round, map(mul, segment_delays_us, repeat(NS_PER_US)))
     repeat_ns = _ns_from_us(STATION_DELAY_US) + _ns_from_us(token_time_us, "token_time_us")
     hops = tuple(map(add, hop_ns, repeat(repeat_ns)))
     *offsets, period = accumulate(hops, initial=0)
-    latency_us = sum(map(truediv, hop_ns, repeat(NS_PER_US))) + len(hops) * STATION_DELAY_US
-    return hops, tuple(offsets), period, latency_us / 1000.0
+    return hops, tuple(offsets), period
 
 
 _last_layout: list = [None, None, None]  # the ring last looked up: hops, token time, layout
@@ -373,13 +384,21 @@ def _leading_passes(above, nst: int, k: int, c: int, period: int, bound: int, ca
     return cap
 
 
-def _trt_enforced(config: RingConfig, workload, period: int) -> bool:
-    """Whether the TTRT covers one idle rotation `period` of the ring (its
-    hops' propagation, repeat delays and token times), one more token time
-    and one maximum-size frame of the workload, so that every rotation
-    must stay below 2 x TTRT."""
+def _trt_enforced(config: RingConfig, workload) -> bool:
+    """Whether the TTRT covers the ring's walk time, one more token time and
+    one maximum-size frame of the workload, so that every rotation must stay
+    below 2 x TTRT."""
     max_frame_ns = (workload.max_frame_bytes if workload is not None else 0) * NS_PER_BYTE
-    return _ns_from_ms(config.ttrt_ms) >= period + _ns_from_us(config.token_time_us) + max_frame_ns
+    return (_ns_from_ms(config.ttrt_ms)
+            >= config.walk_ns + _ns_from_us(config.token_time_us) + max_frame_ns)
+
+
+def _starved(config: RingConfig, frame_bytes: int) -> bool:
+    """Whether no token after lap 0 can start a frame of frame_bytes: with
+    overflow off, when the walk time leaves less than its frame time of the
+    TTRT."""
+    return not config.async_overflow and (
+        config.walk_ns + frame_bytes * NS_PER_BYTE > _ns_from_ms(config.ttrt_ms))
 
 
 def certified(result: RunResult) -> bool:
@@ -424,9 +443,7 @@ def reuse_at(result: RunResult, config: RingConfig, workload) -> RunResult | Non
         return None
     if workload != result.workload or not certified(result):
         return None
-    period = _ring_layout(config)[2]
-    return result._replace(config=config,
-                           trt_bound_enforced=_trt_enforced(config, workload, period))
+    return result._replace(config=config, trt_bound_enforced=_trt_enforced(config, workload))
 
 
 def _duration_ns(duration_ms: float) -> int:
@@ -448,6 +465,29 @@ def check_draw(workload, n_stations: int, duration_ms: float) -> None:
             raise ValueError(f"a draw of about {frames:.3g} frames ({offered:.3g} Mbps "
                              f"offered for {duration_ms} ms) exceeds the "
                              f"{MAX_DRAWN_FRAMES} frames a run may draw")
+
+
+def check_captures(config: RingConfig, workload, duration_ms: float) -> None:
+    """The saturated twin of check_draw: refuse a saturated ring expected to
+    capture the token more than MAX_CAPTURES times up to the run's end, each
+    capture one step of `run`. The expectation is the overflow model's on the
+    ring's walk time, as the access bound takes it: efficiency x duration /
+    (k x F). A ring saturated by latency, or starved of usable tokens with
+    overflow off, makes no captures after lap 0."""
+    if not isinstance(workload, SaturationWorkload) or _starved(config, workload.frame_bytes):
+        return
+    f_ms = frame_time_ms(workload.frame_bytes)
+    stations = workload.stations
+    n_active = config.n_stations if stations is None else len(set(stations))
+    try:  # the overflow model's kernel, on inputs RingConfig has checked
+        efficiency, _, k = heavy_load(n_active, config.ttrt_ms, config.walk_ns / NS_PER_MS, f_ms)
+    except RingSaturatedError:
+        return
+    captures = efficiency * duration_ms / (k * f_ms)
+    if captures > MAX_CAPTURES:
+        raise ValueError(f"a saturated run of about {captures:.3g} token captures "
+                         f"({duration_ms} ms at TTRT {config.ttrt_ms} ms) exceeds the "
+                         f"{MAX_CAPTURES} captures a run may make")
 
 
 class Arrivals:
@@ -514,9 +554,9 @@ def run(
     zeroed) to t=duration. Deterministic given (config, workload, seed).
 
     The rotation-time bound (every rotation < 2 x TTRT) is enforced as a
-    hard error whenever the configured TTRT covers the effective ring
-    latency plus one maximum-size frame of the attached workload; outside
-    that regime violations are only counted.
+    hard error whenever the configured TTRT covers the ring's walk time, one
+    more token time and one maximum-size frame of the attached workload;
+    outside that regime violations are only counted.
 
     `arrivals`, the Arrivals of (workload, n_stations, seed, duration_ms),
     are drawn for the run when not given.
@@ -528,7 +568,7 @@ def run(
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     overflow = config.async_overflow
-    hops, pre, period, _ = _ring_layout(config)
+    hops, pre, period = _ring_layout(config)
 
     if arrivals is None:
         arrivals = Arrivals(workload, n, seed, duration_ms)
@@ -536,6 +576,8 @@ def run(
         raise ValueError("arrivals drawn for another workload, ring size, seed or run length")
     # per-stop state is indexed by position k in `stops`
     stops, sat = arrivals.stops, arrivals.sat
+    if sat:
+        check_captures(config, workload, duration_ms)
     times, burst_stop, burst_frames = arrivals.times, arrivals.burst_stop, arrivals.burst_frames
     frame_bytes = arrivals.frame_bytes
     nst = len(stops)
@@ -547,7 +589,7 @@ def run(
         offset = list(map(sub, map(pre.__getitem__, stops), repeat(pre[stops[0]])))
         leap = list(map(sub, [*offset[1:], period], offset))
 
-    trt_enforced = _trt_enforced(config, workload, period)
+    trt_enforced = _trt_enforced(config, workload)
     frame_ns = sat * NS_PER_BYTE  # a saturated stop's frame time
     # a saturated stop can use the token while its rotation is below gap
     gap = ttrt_ns if overflow else ttrt_ns - frame_ns + 1

@@ -40,7 +40,7 @@ from fddiperf.analytical import (
     frame_time_ms,
 )
 from fddiperf.presets import PRESETS, paper_round
-from fddiperf.simcore import RingConfig
+from fddiperf.simcore import NS_PER_MS, RingConfig
 from fddiperf.workload import SaturationWorkload, WicWorkload
 
 # (label, ttrt_ms, max_rotation_ms) per simulated acceptance run.
@@ -156,7 +156,7 @@ def test_criterion_4_simulator_cross_validation():
                 )
                 model = analytical.overflow_model(
                     RingParameters(
-                        n_active, ttrt, config.ring_latency_ms,
+                        n_active, ttrt, config.walk_ns / NS_PER_MS,
                         frame_time_ms(CROSSVAL_FRAME_BYTES),
                     )
                 )

@@ -556,6 +556,16 @@ def _no_draw(self, now_ns):
                   "--interburst-ms", "1e-6"],
                  "error: a draw of about 1e+11 frames (1.95e+08 Mbps offered for 1000.0 ms) "
                  "exceeds the 10000000 frames a run may draw", id="simulate-wic-draw"),
+    # a saturated run that would never end, refused before the dump prints
+    pytest.param(["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "1e300",
+                  "--dump-config"],
+                 "error: a saturated run of about 1.25e+299 token captures (1e+300 ms at TTRT "
+                 "8.0 ms) exceeds the 10000000 captures a run may make", id="simulate-captures"),
+    pytest.param(["sweep", "--var", "ttrt", "--grid", "4,165", "--preset", "largest", "--mode",
+                  "simulate", "--duration-ms", "1e9", "--dump-config"],
+                 "error: a saturated run of about 2.5e+08 token captures (1000000000.0 ms at "
+                 "TTRT 4.0 ms) exceeds the 10000000 captures a run may make",
+                 id="sweep-captures"),
     # over the standard's MAC limit, refused before the dump prints
     pytest.param(["simulate", "--macs", "2000", "--fiber-km", "1", "--ttrt", "8",
                   "--duration-ms", "5", "--dump-config"],
@@ -798,10 +808,21 @@ def test_analyze_refuses_a_bad_frame_size_before_printing(frame_bytes, capsys):
      "--dump-config"],
     ["sweep", "--var", "frame_size", "--grid", "100,9000", "--preset", "typical", "--mode",
      "simulate"],
+    # a value outside an option's choices, from a config file (its text here)
+    ["analyze", "--ttrt", "8", "--config", "[ring]\npreset = nope\n"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--config", "[workload]\nworkload = foo\n"],
+    ["sweep", "--grid", "1,2", "--preset", "big", "--config", "[sweep]\nvar = nope\n"],
+    ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big",
+     "--config", "[sweep]\nmode = fast\n"],
+    ["sweep", "--config", "[sweep]\nfigure = fig99\n"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(simcore, "run", lambda *a, **k: calls.append(a))
+    if argv[-1].startswith("["):  # a config file's text, passed as its path
+        config = tmp_path / "config.ini"
+        config.write_text(argv[-1])
+        argv = argv[:-1] + [str(config)]
     out = tmp_path / "out.csv"
     assert _run(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -811,6 +832,23 @@ def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert not out.exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("key,value,choices", [
+    ("var", "nope", "ttrt, extent, total_stations, active_macs, frame_size"),
+    ("mode", "fast", "analytical, simulate, both"),
+])
+def test_a_value_outside_its_choices_is_refused_with_them(key, value, choices, tmp_path, capsys):
+    # from a flag and from a config file alike
+    argv = ["sweep", "--grid", "4,8", "--preset", "big"]
+    if key == "mode":
+        argv += ["--var", "ttrt"]
+    config = tmp_path / "config.ini"
+    config.write_text(f"[sweep]\n{key} = {value}\n")
+    for given in ([f"--{key}", value], ["--config", str(config)]):
+        assert _run(argv + given) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown {key} {value!r}; choices: {choices}"]
 
 
 def test_dump_config_lists_the_keys_a_sweep_reads(tmp_path, capsys):
@@ -987,21 +1025,30 @@ def test_config_booleans_take_the_configparser_words(word, dumped, tmp_path, cap
         assert f"no_overflow = {dumped}\n" in captured.out
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run was simulated")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--preset", "typical", "--ttrt", "8"],
     ["simulate", "--preset", "typical", "--ttrt", "8", "--duration-ms", "5"],
     ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "typical"],
     ["table1"],
+    ["sweep", "--figure", "fig3"],
 ])
 @pytest.mark.parametrize("target,errno_", [("missing/x.csv", errno.ENOENT), (".", errno.EISDIR)],
                          ids=["missing-directory", "directory"])
 def test_an_out_path_that_cannot_be_opened_is_one_error_line(argv, target, errno_, tmp_path,
-                                                             capsys):
+                                                             monkeypatch, capsys):
+    # refused before the work: nothing simulated, no report printed
+    monkeypatch.setattr(simcore, "run", _no_run)
     path = str(tmp_path / target)
     assert _run(argv + ["--out", path]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == [f"error: cannot write {path!r}: {os.strerror(errno_)}"]
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: cannot write {path!r}: {os.strerror(errno_)}"]
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert os.listdir(tmp_path) == []  # no file made
 
 
 def test_closed_pipe_exits_141_without_a_traceback():

@@ -15,7 +15,12 @@ edge (`both-ttrt-saturated-marker`, `both-frame-size`,
 `simulate-largest-165` and `simulate-largest-165-no-overflow`) were
 recorded again, one frame fewer in the window, when the window became
 (mark, end]; each of their runs equals the pass-by-pass walk of
-`test_simcore_properties.py`.
+`test_simcore_properties.py`. The stdout of `simulate-saturation-largest`,
+`simulate-largest-8`, `simulate-largest-165` and
+`simulate-largest-165-no-overflow` was recorded again when the access bound
+took the ring's walk time in whole nanoseconds (`RingConfig.walk_ns`) in
+place of a float sum: its `access_bound_ms` line alone lost float noise
+(`7998.793000000024` -> `7998.793`, `164841.79300000003` -> `164841.793`).
 """
 
 from __future__ import annotations
@@ -163,7 +168,7 @@ EXPECTED: dict[str, tuple[int, str | None, str]] = {
     "simulate-saturation": (0, "869aa0b7b86174b1933640e2c0292867580c23fac88eb7b17479a1130aa8f990",
         "61a3e5fd20b4ada551084c37e3e2ec43cd2fa7de5b10be1effcaceaf03aa3910"),
     "simulate-saturation-largest": (0, "73fb373990539e5a6cdf4617514d0615232e097c61188de77dd9e4de98e25c47",
-        "947246ba5074090d1416e34dcf78fa1dff9ff396d44652bdd47997f4019da4db"),
+        "c489f1165d8d737f3f5e6c0540e922cc555a719ab8e6b888df1d3339ab4cba4a"),
     "simulate-wic-load-pct": (0, "e83ca4d2fd408bfe4455c19100946991cfbdf382b5255d8a1e9ef30c43e4e905",
         "912860f36901cce7432528ed3a0f433ed77dd9be4fd5d9ef2cbd9f549351aec3"),
     "simulate-wic-interburst": (0, "e32c76ca4569e2ed37b796100d32054d283833f9f4bba9588da07e8dad628a1e",
@@ -193,12 +198,12 @@ EXPECTED: dict[str, tuple[int, str | None, str]] = {
     "error-no-ring": (2, None,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "simulate-largest-8": (0, "3a50e349036904c52875fc4d5eb06363c6c0c6b4f95150353fb2f25a90ef3d8f",
-        "1ee83acedcbbf28ad2a3cd7e65757f68fcc79b62ff175746dfb190a7b325028e"),
+        "5399b39a673a603d603dd9288c2c57538915dddc6f2a2ac3347430b628faab72"),
     "simulate-largest-165": (0, "12219226e024d702711ce5f03afc11aa7b91f807e5aca5ee6ce7c773b2f20cd5",
-        "06d223af57411b6787103f1c25605522ef1b2aa5591ca7508bb128b9e9816ba6"),
+        "571b38da00a62f2874a3af5b2eb0203e8fdb6a4ecd8c113723334194aaf623cd"),
     "simulate-largest-165-no-overflow": (0,
         "2d411c5a1748f00242401c098f4cbf2626fc83c44d94b37af8d23ad90957071a",
-        "06d223af57411b6787103f1c25605522ef1b2aa5591ca7508bb128b9e9816ba6"),
+        "571b38da00a62f2874a3af5b2eb0203e8fdb6a4ecd8c113723334194aaf623cd"),
     "fig3-seed1": (0, "dd33fc64ffb30b1511d7c7655d23c2524ec8b9343fd315057458a5776d864c34",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "fig3-seed5": (0, "e117cd9ad51d560b3d5199b16e76e974de48ee1fdf7a8c61dbae1930246486d8",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fddiperf import analytical, simcore
-from fddiperf.analytical import TOKEN_TIME_US, RingParameters
+from fddiperf.analytical import RingParameters
 from fddiperf.metrics import (
     SampleStats, _response_stats, access_delay_bound_ms, reuse_at, station_throughput_mbps,
     summarize)
@@ -244,10 +244,23 @@ def test_summary_takes_its_bound_and_offered_load_from_the_run(name):
     cfg = result.config
     bound_ms = analytical.overflow_model(RingParameters(
         n_active=len(stations), ttrt_ms=8.0,
-        ring_latency_ms=cfg.ring_latency_ms + cfg.n_stations * TOKEN_TIME_US / 1000.0,
+        ring_latency_ms=cfg.walk_ns / NS_PER_MS,
         frame_time_ms=analytical.frame_time_ms(load.max_frame_bytes))).max_access_delay_ms
     assert rep.access_bound_ms == bound_ms
     assert rep.offered_load_mbps == offered
+
+
+@pytest.mark.parametrize("overflow", [True, False])
+def test_no_bound_when_no_token_can_start_the_largest_frame(overflow):
+    # a 1 us walk leaves 9 us of a 10 us TTRT, short of a 500-byte (40 us)
+    # frame: with overflow every other token is usable, a wait of 2 walks;
+    # without it no token can start the frame, and no wait bound holds
+    cfg = RingConfig.uniform(1, 0.0, 0.01, token_time_us=0.0, async_overflow=overflow)
+    result = run(cfg, SaturationWorkload(500, (0,)), duration_ms=1.0)
+    report = summarize(result)
+    assert report.access_bound_ms == (0.002 if overflow else None)
+    assert (result.open_access_ns == result.duration_ns) is not overflow
+    assert not report.access_bound_exceeded
 
 
 def test_station_throughput_shares():

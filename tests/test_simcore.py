@@ -19,9 +19,12 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fddiperf import metrics, simcore, workload
-from fddiperf.analytical import RingParameters, frame_time_ms, overflow_model
+from fddiperf.analytical import (
+    PROPAGATION_US_PER_KM, PhysicalRing, RingParameters, frame_time_ms, overflow_model,
+    ring_latency)
 from fddiperf.presets import FIG3_FIBER_KM, FIG3_STATIONS
 from fddiperf.simcore import NS_PER_MS, RingConfig, run
 from fddiperf.workload import SaturationWorkload, ScriptedWorkload, WicWorkload
@@ -54,7 +57,8 @@ def test_uniform_split_is_exact():
     cfg = RingConfig.uniform(16, 20.0, 8.0)
     total_ns = sum(round(u * 1000) for u in cfg.segment_delays_us)
     assert total_ns == round(20.0 * 5.085 * 1000)
-    assert cfg.ring_latency_ms == pytest.approx(0.1177, abs=1e-9)
+    # every hop: its propagation, the 1 us repeat delay and the 0.88 us token time
+    assert cfg.walk_ns == total_ns + 16 * (1000 + 880)
 
 
 def test_idle_ring_is_pure_repeater():
@@ -71,12 +75,19 @@ def test_idle_ring_is_pure_repeater():
     assert res.trt_violations == 0
 
 
-def test_ring_latency_is_the_simulated_rotation_on_uneven_hops():
-    # each 0.8475 us hop is simulated in whole nanoseconds, so the latency
-    # that bounds access delays must count the rounded hops, not the floats
-    cfg = RingConfig((0.8475,) * 6, 4.0, token_time_us=0.0)
-    res = run(cfg, None, duration_ms=1.0)
-    assert cfg.ring_latency_ms * NS_PER_MS == res.max_rotation_ns
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40),
+       st.just(0.0) | st.floats(0.0, 5.0))
+@example([0.8475] * 6, 0.0)
+def test_ring_latency_is_the_simulated_rotation_on_uneven_hops(hops_us, token_time_us):
+    # each hop is simulated in whole nanoseconds, so the walk time that bounds
+    # rotations and access delays counts the rounded hops, not the floats:
+    # with no token time it is the closed form's D, each hop rounded
+    cfg = RingConfig(tuple(hops_us), 4.0, token_time_us=token_time_us)
+    assert run(cfg, None, duration_ms=10.0).max_rotation_ns == cfg.walk_ns
+    if token_time_us == 0.0:
+        d_ms = ring_latency(PhysicalRing(sum(hops_us) / PROPAGATION_US_PER_KM, len(hops_us)))
+        assert abs(cfg.walk_ns - d_ms * NS_PER_MS) <= len(hops_us) / 2
     saturated = run(cfg, SaturationWorkload(1, (0,)), duration_ms=40.0)
     assert not metrics.summarize(saturated).access_bound_exceeded
 
@@ -109,7 +120,7 @@ def test_single_station_saturated_cycle():
     # measured efficiency matches the overflow model closely
     rep = metrics.summarize(res)
     model = overflow_model(
-        RingParameters(1, 5.0, cfg.ring_latency_ms, frame_time_ms(100))
+        RingParameters(1, 5.0, cfg.walk_ns / NS_PER_MS, frame_time_ms(100))
     )
     assert rep.efficiency == pytest.approx(model.efficiency, rel=1e-3)
     assert not rep.access_bound_exceeded
@@ -376,6 +387,24 @@ def test_a_draw_over_the_frame_bound_is_refused_before_drawing(monkeypatch):
     simcore.Arrivals(SaturationWorkload(), 2, 1, 10.0)
 
 
+def test_a_saturated_run_over_the_capture_bound_is_refused_before_running(monkeypatch):
+    # one station, a 1 us walk, TTRT 5 ms and 100-byte frames: 625 frames a
+    # capture, one capture per 5.002 ms cycle, so about 19.99 over 100 ms
+    cfg = _single_station_config()
+    load = SaturationWorkload(frame_bytes=100, stations=(0,))
+    monkeypatch.setattr(simcore, "MAX_CAPTURES", 20)
+    assert len(run(cfg, load, 100.0).access_samples) == 20
+    monkeypatch.setattr(simcore, "MAX_CAPTURES", 19)
+    with pytest.raises(ValueError, match=r"^a saturated run of about 20 token captures "
+                       r"\(100\.0 ms at TTRT 5\.0 ms\) exceeds the 19 captures a run may make$"):
+        run(cfg, load, 100.0)
+    # a ring saturated by latency, one whose 5 us TTRT leaves no room for an
+    # 8 us frame with overflow off, and bursty traffic make no captures by it
+    simcore.check_captures(cfg._replace(ttrt_ms=0.001), load, 1e300)
+    simcore.check_captures(cfg._replace(ttrt_ms=0.005, async_overflow=False), load, 1e300)
+    simcore.check_captures(cfg, WicWorkload(1.0), 1e300)
+
+
 def test_workload_binding_must_cover_ring():
     class BadWorkload:
         max_frame_bytes = 100
@@ -418,13 +447,13 @@ def _traced_lines(n_stations: int) -> tuple[int, int]:
 
 
 def test_the_ring_last_laid_out_is_found_without_hashing_its_hops():
-    # a run's summary reads the latency of the ring the run just laid out,
+    # a run's summary reads the walk time of the ring the run just laid out,
     # and a config at another TTRT shares its hop tuple: neither lookup
     # reaches the layout cache, whose key hashes every hop
     cfg = RingConfig.uniform(1000, 200.0, 8.0)
     run(cfg, SaturationWorkload(frame_bytes=100), duration_ms=10.0)
     before = simcore._layout.cache_info()
-    assert cfg._replace(ttrt_ms=20.0).ring_latency_ms == cfg.ring_latency_ms
+    assert cfg._replace(ttrt_ms=20.0).walk_ns == cfg.walk_ns
     assert simcore._layout.cache_info() == before
 
 

@@ -320,7 +320,7 @@ def _event_instants(fields, duration_ns):
 def test_saturated_random_rings(ring, frame_bytes, rotations):
     config, stations = ring
     load = SaturationWorkload(frame_bytes, stations) if stations else None  # None: idle
-    d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
+    d_ms = config.walk_ns / NS_PER_MS
     # below the ring latency, run for as many idle rotations instead
     result = run(config, load, duration_ms=rotations * max(config.ttrt_ms, d_ms), seed=0)
     walk = _walk(config, frame_bytes, stations, result.duration_ns)
@@ -354,7 +354,7 @@ def test_saturated_short_runs(ring, frame_bytes, rotations, after_holding):
     # from about the end of the first stop's holding of up to one TTRT
     config, stations = ring
     load = SaturationWorkload(frame_bytes, stations) if stations else None  # None: idle
-    d_ms = config.ring_latency_ms + config.n_stations * config.token_time_us / 1000.0
+    d_ms = config.walk_ns / NS_PER_MS
     duration_ms = rotations * d_ms + (config.ttrt_ms if after_holding else 0.0)
     result = run(config, load, duration_ms=duration_ms, seed=0)
     walk = _walk(config, frame_bytes, stations, result.duration_ns)
