@@ -35,7 +35,6 @@ closes it early.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import math
 import os
@@ -95,21 +94,23 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _check_out(path: str) -> None:
-    """Refuse an --out path before any work, as _write_rows words it, and
-    create or change no file: a directory, or a path in a directory that is
-    missing or may not be written. Anything else open refuses later."""
-    parent = os.path.dirname(path) or "."
-    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
-            else 0 if os.access(path if os.path.exists(path) else parent, os.W_OK)
-            else errno.EACCES)
-    if code:
-        raise CliError(f"cannot write {path!r}: {os.strerror(code)}")
+def _check_out(path: str) -> bool:
+    """Refuse an --out path that open refuses, as _write_rows words it,
+    before any work: open it to append, which truncates nothing. Returns
+    whether that made the file: main removes it if the command writes nothing."""
+    made = not os.path.lexists(path)
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc.strerror}") from None
+    return made
 
 
 def _write_rows(rows: list[dict], out_path: str | None) -> None:
     """The header and the rows as CSV: None as an empty cell, a float by its
-    repr, and any other value by str, as csv writes them."""
+    repr, and any other value by str, as csv writes them. The file is opened
+    to append and emptied only if it holds anything: on ext4, truncating a
+    file, even an empty one, makes its close wait for its blocks."""
     import csv
 
     def emit(fh) -> None:
@@ -119,10 +120,12 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
 
     if out_path:
         try:
-            fh = open(out_path, "w", newline="")
+            fh = open(out_path, "a", newline="")
         except OSError as exc:  # a closed stdout's BrokenPipeError still exits 141
             raise CliError(f"cannot write {out_path!r}: {exc.strerror}") from None
         with fh:
+            if fh.tell():
+                fh.truncate(0)
             emit(fh)
     else:
         emit(sys.stdout)
@@ -178,7 +181,7 @@ OPTIONS: dict[str, Option] = {
     "dump_config": Option(None, bool, "print the fully resolved configuration", False),
     "out": Option(None, str, "write CSV to this path"),
 }
-# Every subcommand takes these and may leave them unused.
+# Every subcommand takes these and may leave them unused; validate refuses --out.
 COMMON = ("config", "dump_config", "out")
 
 
@@ -202,6 +205,7 @@ class Resolver:
         self.args = args
         self._file: dict[str, str] = {}
         self.resolved: dict[str, object] = {}
+        self.out_made = False  # whether finish made the --out file (see main)
         if args.config:
             import configparser  # see _config_bool
             cp = configparser.ConfigParser()
@@ -249,7 +253,7 @@ class Resolver:
         if unused:
             raise CliError(f"{command} cannot use {', '.join(unused)} with these inputs")
         if self.args.out:
-            _check_out(self.args.out)
+            self.out_made = _check_out(self.args.out)
         if not self.args.dump_config:
             return print
         lost = [_flag(key) for key in self.resolved  # a dump would read back without them
@@ -739,6 +743,8 @@ def cmd_validate(res: Resolver) -> int:
         service_interval_ms=min(service) if service else None,
         t_max_ms=t_max,
     )
+    if res.args.out:  # a verdict is no CSV row
+        raise CliError("validate cannot use --out: it writes no CSV")
     say = res.finish()
 
     say(f"requested_ttrt_ms: {verdict.requested_ttrt_ms:g}")
@@ -819,8 +825,10 @@ def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    res = None
     try:
-        code = COMMANDS[args.command].run(Resolver(args))
+        res = Resolver(args)
+        code = COMMANDS[args.command].run(res)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except (CliError, ValueError, OverflowError) as exc:
@@ -831,6 +839,10 @@ def main(argv: list[str] | None = None) -> int:
         # cannot raise again, and exit as a process killed by SIGPIPE would.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        # a command that wrote no CSV, refused or failed, leaves no file
+        if res is not None and res.out_made and not os.stat(args.out).st_size:
+            os.remove(args.out)
 
 
 if __name__ == "__main__":

@@ -36,37 +36,31 @@ class SampleStats:
 
 
 def _response_stats(stops: list[tuple]) -> SampleStats | None:
-    """Statistics of the delays ends[i] - starts[i], i from first on, of each
-    (ends, starts, first) in stops, worked out stop by stop with no list of
-    every delay: the count, and the sum at C level. The p95 is by nearest
-    rank, the rank-th largest delay: only the delays at or above a threshold
-    a little below it, read from a strided sample, are sorted, one
-    comprehension per stop; when they are fewer than rank, all are. The
-    threshold is a delay, so the sorted tail ends with the largest."""
-    count = sum(len(ends) - first for ends, _, first in stops)
+    """Statistics of the delays from index first on of each (delays, first)
+    in stops, worked out stop by stop with no list of every delay: the
+    count, and the sum at C level. The p95 is by nearest rank, the rank-th
+    largest delay: only the delays at or above a threshold a little below
+    it, read from a strided sample, are sorted, one comprehension per stop;
+    when they are fewer than rank, all are. The threshold is a delay, so the
+    sorted tail ends with the largest."""
+    count = sum(len(delays) - first for delays, first in stops)
     if not count:
         return None
-
-    def delays(step: int = 1) -> list:
-        """Each stop's delays, every step-th of them all counted across the
-        stops in order, as if they were one sequence."""
-        out, skip = [], 0
-        for ends, starts, first in stops:
-            lo = first + skip
-            out.append(map(sub, islice(ends, lo, None, step), islice(starts, lo, len(ends), step)))
-            skip = (lo - len(ends)) % step
-        return out
-
-    total = sum(sum(islice(ends, first, None)) - sum(islice(starts, first, len(ends)))
-                for ends, starts, first in stops)
+    total = sum(sum(islice(delays, first, None)) for delays, first in stops)
     rank = count - max(0, math.ceil(0.95 * count) - 1)
-    sample = sorted(chain.from_iterable(delays(max(1, count // 256))))
+    # every step-th delay of them all, counted across the stops in order
+    step, sample, skip = max(1, count // 256), [], 0
+    for delays, first in stops:
+        lo = first + skip
+        sample += delays[lo::step]
+        skip = (lo - len(delays)) % step
+    sample.sort()
     threshold = sample[len(sample) * 7 // 8]
     tail = []
-    for stop in delays():
-        tail += [d for d in stop if d >= threshold]
+    for delays, first in stops:
+        tail += [d for d in islice(delays, first, None) if d >= threshold]
     if len(tail) < rank:
-        tail = list(chain.from_iterable(delays()))
+        tail = list(chain.from_iterable(islice(delays, first, None) for delays, first in stops))
     tail.sort()
     return SampleStats(mean_ms=total / count / NS_PER_MS, max_ms=tail[-1] / NS_PER_MS,
                        count=count, p95_ms=tail[-rank] / NS_PER_MS)

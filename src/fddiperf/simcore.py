@@ -68,11 +68,16 @@ draw:
   ends an idle segment and a capture always ends an overhead segment. The
   run keeps only per-stop bits: its totals of bits and frames are worked
   out from them, or from the response samples, at the end.
-- Per sent frame a bursty run keeps one fact, its completion time, 8 bytes
-  in its stop's array: a stop sends its frames in the order they arrived,
-  so the frame's arrival is read from the draw; an access episode is two
-  ints in one array. `RunResult.response_samples` and `access_samples` are
+- Per sent frame a bursty run keeps one fact, its response time, 8 bytes
+  in its stop's array, which has a slot for each of the stop's drawn
+  frames until the run's end drops those never sent: a stop sends its
+  frames in the order they arrived, so the frame's arrival is read from
+  the draw; an access episode is two ints in one array. `RunResult.response_samples` and `access_samples` are
   views that pair them; a saturated run keeps no frame times.
+- The draw and the samples are typed arrays, built from lists once: times
+  in ns as unsigned 64-bit ints, frame sizes in two bytes, about 14 bytes
+  per drawn WIC frame in all. The bursts are put in time order by sorting
+  one int key per burst, time x stops + stop, decoded by C-level maps.
 
 `check_draw` and `check_captures` refuse a run too large to simulate: a
 bursty draw of too many frames, or a saturated run of too many captures.
@@ -88,8 +93,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
-from itertools import accumulate, compress, repeat
-from operator import add, is_not, itemgetter, mul, neg, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, floordiv, is_not, mod, mul, neg, sub
 from types import SimpleNamespace
 
 from .analytical import (
@@ -110,9 +115,14 @@ from .workload import WIC_MEAN_FRAME_BYTES, SaturationWorkload
 
 NS_PER_BYTE = 80  # 8 bits at 100 Mbps
 
-# The most frames a run's bursts may hold, drawn ahead of it: at a peak of
-# about 55 bytes each, some 0.55 GB. fig3's 90 % load draws about 46,000
-# over 1000 ms.
+# The typecode of the arrays of instants and times in ns, none below 0: an
+# unsigned 64-bit long, which array converts from an int at C speed, where
+# the platform has one; else "q", which it converts through argument parsing.
+NS = "L" if array("L").itemsize == 8 else "q"
+
+# The most frames a run's bursts may hold, drawn ahead of it: at about 14
+# bytes each and a peak of 27 while drawn, some 0.27 GB. fig3's 90 % load
+# draws about 46,000 over 1000 ms.
 MAX_DRAWN_FRAMES = 10_000_000
 
 # The most token captures a saturated run may be expected to make: at 4-9 us
@@ -500,8 +510,8 @@ class Arrivals:
     `sat` bytes. On a bursty ring (`sat` 0) burst b comes at times[b] to
     stop burst_stop[b] with burst_frames[b] frames, in time order; a burst
     of no frames changes nothing and is not kept. Stop k's frames arrive at
-    frame_at[k], a burst's frames sharing its time's int, and have
-    frame_bytes[k] bytes."""
+    frame_at[k], a burst's frames at its time, and have frame_bytes[k]
+    bytes. All are typed arrays: 8 bytes per time and 2 per frame size."""
 
     __slots__ = ("key", "stops", "sat", "times", "burst_stop", "burst_frames", "frame_at",
                  "frame_bytes", "__weakref__")
@@ -522,23 +532,59 @@ class Arrivals:
         self.stops = stops or [0]
         if feeds:
             check_draw(workload, n, duration_ms)
-        bursts = []  # (time, stop, frames), stop by stop
-        self.frame_at, self.frame_bytes = [], []
+        stop_times, counts = [], []  # each stop's burst times and frames per burst
+        self.frame_bytes = []
         for k, feed in enumerate(feeds):
-            at_k, bytes_k = [], []
-            burst = feed.next_burst(0)
-            while burst is not None and burst[0] <= duration_ns:
+            times, frames, sizes_k = [], [], []
+            next_burst = feed.next_burst
+            burst = next_burst(0)
+            while burst is not None:
                 at, sizes = burst
+                if at > duration_ns:
+                    break
                 if sizes:
-                    bursts.append((at, k, len(sizes)))
-                    at_k += [at] * len(sizes)
-                    bytes_k += sizes
-                burst = feed.next_burst(at)
-            self.frame_at.append(at_k)
-            self.frame_bytes.append(bytes_k)
-        bursts.sort(key=itemgetter(0))
-        self.times, self.burst_stop, self.burst_frames = (list(map(itemgetter(i), bursts))
-                                                          for i in range(3))
+                    times.append(at)
+                    frames.append(len(sizes))
+                    sizes_k += sizes
+                burst = next_burst(at)
+            stop_times.append(array(NS, times))
+            counts.append(frames)
+            self.frame_bytes.append(array("H", sizes_k))
+        # a burst's key is time * nst + stop, one for a stop's bursts at one
+        # time; made after the draw, their ints, freed below, pin no memory
+        # that it keeps
+        nst, keys = len(feeds), []
+        for k, times in enumerate(stop_times):
+            keys += map(add, map(mul, times, repeat(nst)), repeat(k))
+        keys.sort()
+        self.times = array(NS, map(floordiv, keys, repeat(nst)))
+        self.burst_stop = array("I", map(mod, keys, repeat(nst)))
+        del keys  # before the frames' arrivals, the largest column, are spread
+        self.burst_frames = _burst_frames(counts, self.burst_stop)
+        self.frame_at = list(map(_each_frame, stop_times, counts))
+
+
+def _each_frame(times: array, frames: list[int]) -> array:
+    """The arrival of each frame of bursts at `times` of `frames` frames: a
+    burst's time once per frame. Bursts of one size, as WIC's are, are
+    spread by slice assignment at C speed."""
+    size = frames[0] if frames else 0
+    if frames.count(size) < len(frames):
+        return array(NS, chain.from_iterable(map(repeat, times, frames)))
+    at = array(NS, [0]) * (size * len(times))
+    for i in range(size):
+        at[i::size] = times
+    return at
+
+
+def _burst_frames(counts: list[list[int]], stops: array) -> array:
+    """The frames of each burst of the stops in `stops`, each stop's bursts
+    in order, from each stop's `counts`; bursts of one size, as WIC's are,
+    at C speed."""
+    sizes = set(chain.from_iterable(counts))
+    if len(sizes) == 1:
+        return array("I", sizes) * len(stops)
+    return array("I", map(next, map(list(map(iter, counts)).__getitem__, stops)))
 
 
 def run(
@@ -579,7 +625,7 @@ def run(
     if sat:
         check_captures(config, workload, duration_ms)
     times, burst_stop, burst_frames = arrivals.times, arrivals.burst_stop, arrivals.burst_frames
-    frame_bytes = arrivals.frame_bytes
+    frame_at, frame_bytes = arrivals.frame_at, arrivals.frame_bytes
     nst = len(stops)
     # offset[k]: stop k's offset from stop 0 in an idle rotation; leap[k]:
     # the token's travel time from stop k to the next
@@ -599,9 +645,12 @@ def run(
         raise ValueError("warm-up must end before the run does")
     boundary = None
 
-    # Bursts from `arrivals` are taken in from times[b] on.
+    # Bursts from `arrivals` are taken in from times[b] = next_at on, and
+    # next_at is end_ns once all are: no burst is past the end.
+    end_ns = duration_ns + 1
     b = 0
     n_bursts = len(times)
+    next_at = times[0] if n_bursts else end_ns
 
     # Rotation clocks as lap-clock keys: key[k] is stop k's last arrival
     # less offset[k]; before lap 0 every stop last saw the token at t = 0.
@@ -626,8 +675,10 @@ def run(
     nonempty = 0
 
     bits = [0] * nst
-    done = [] if sat else [array("q") for _ in range(nst)]  # see ResponseSamples
-    episodes = array("q")  # see AccessEpisodes
+    # stop k's frame h has its response time at done[k][h], cut at the run's
+    # end to the frames sent (see ResponseSamples)
+    done = [array(NS, [0]) * len(f) for f in frame_bytes]
+    episodes = array(NS)  # see AccessEpisodes
     rotation_count = 0
     max_rotation = 0
     trt_violations = 0
@@ -647,30 +698,28 @@ def run(
     k = 0
     t = pre[stops[0]]
     frame_start = 0
-    end_ns = duration_ns + 1
     limit = 0  # first instant at which the slow path below must run
 
     while True:
         if t >= limit:
             # the token event at t sees every burst at or before t
-            due = range(b, bisect_right(times, t, b))  # no burst is past the end
-            b = due.stop
-            for x in due:
-                kb = burst_stop[x]
+            while next_at <= t and b < n_bursts:
+                kb = burst_stop[b]
                 if not queued[kb]:
-                    at = times[x]
                     if holding < 0 and not nonempty:  # the ring's idle segment ends
-                        idle_total += at - seg_start
-                        seg_start = at
+                        idle_total += next_at - seg_start
+                        seg_start = next_at
                     nonempty += 1
-                    want_since[kb] = at  # a holder's queue holds its frame in flight
-                queued[kb] += burst_frames[x]
+                    want_since[kb] = next_at  # a holder's queue holds its frame in flight
+                queued[kb] += burst_frames[b]
+                b += 1
+                next_at = times[b] if b < n_bursts else end_ns
             if boundary is None and t > mark_ns:  # the events at the mark are all in
                 boundary = _snapshot(mark_ns, bits, busy_total, holding, hold_start,
                                      frame_start, frame_ns, stops, n)
             if t > duration_ns:
                 break
-            limit = times[b] if b < n_bursts else end_ns
+            limit = next_at
             if boundary is None and mark_ns < limit:
                 limit = mark_ns + 1
 
@@ -754,11 +803,11 @@ def run(
 
         # stop k holds the token; its frame(s) complete at t
         if not sat:
-            q_bytes, completed = frame_bytes[k], done[k].append
+            q_at, q_bytes, delays = frame_at[k], frame_bytes[k], done[k]
             h = head[k]  # the frame at h completes at t
             end = h + queued[k]
             while True:
-                completed(t)
+                delays[h] = t - q_at[h]
                 h += 1
                 more = h != end and (
                     t < hold_end if overflow else t + q_bytes[h] * NS_PER_BYTE <= hold_end)
@@ -804,6 +853,8 @@ def run(
             f"overhead {overhead_total} != duration {duration_ns}"
         )
 
+    for delays, sent in zip(done, head):
+        del delays[sent:]
     response_samples = ResponseSamples(arrivals, done)
     return RunResult(
         config=config,

@@ -125,7 +125,7 @@ class WicGenerator:
         p = DEFAULT_SMALL_FRACTION
         # random.Random.expovariate(rate), spelt out: the same float from the same draw
         gap_ms = -_log(1.0 - draw()) / self._rate
-        return now_ns + int(round(gap_ms * NS_PER_MS)), [  # DEFAULT_BURST_SIZE frames
+        return now_ns + round(gap_ms * NS_PER_MS), [  # DEFAULT_BURST_SIZE frames
             small if draw() < p else large,
             small if draw() < p else large,
             small if draw() < p else large,
@@ -178,6 +178,17 @@ class ScriptedWorkload:
 
     Meant for hand-computable traces in tests and demos.
     """
+
+    def _check(self) -> None:
+        # a run's draw keeps each time as an unsigned count of ns, each frame size in 16 bits
+        for bursts in self.script.values():
+            for t_ms, sizes in bursts:
+                if not 0 <= t_ms < math.inf:
+                    raise ValueError(f"burst times must be finite and at least 0 ms, got {t_ms!r}")
+                for size in sizes:
+                    if not (isinstance(size, int) and 0 <= size <= 0xFFFF):
+                        raise ValueError("frame sizes must be whole bytes from 0 to 65535, "
+                                         f"got {size!r}")
 
     @property
     def max_frame_bytes(self) -> int:

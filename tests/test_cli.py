@@ -815,6 +815,7 @@ def test_analyze_refuses_a_bad_frame_size_before_printing(frame_bytes, capsys):
     ["sweep", "--var", "ttrt", "--grid", "4,8", "--preset", "big",
      "--config", "[sweep]\nmode = fast\n"],
     ["sweep", "--config", "[sweep]\nfigure = fig99\n"],
+    ["validate", "--ttrt", "8", "--max-ring"],  # it writes no CSV for --out
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []
@@ -894,15 +895,14 @@ def test_dump_config_reruns_to_the_same_csv(argv, tmp_path, capsys):
 ])
 def test_whole_dump_config_output_reads_back(argv, tmp_path, capsys):
     first, again, cfg = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "d.ini"
-    code = _run(argv + ["--dump-config", "--out", str(first)])
+    writes = argv[0] != "validate"  # validate writes no CSV and refuses --out
+    code = _run(argv + ["--dump-config", *["--out", str(first)] * writes])
     out = capsys.readouterr().out
     cfg.write_text(out)  # the report follows the dump as comments
-    assert _run([argv[0], "--config", str(cfg), "--out", str(again)]) == code
+    assert _run([argv[0], "--config", str(cfg), *["--out", str(again)] * writes]) == code
     report = [line[2:] for line in out.splitlines(keepends=True) if line.startswith("# ")]
     assert report and capsys.readouterr().out == "".join(report)
-    if argv[0] == "validate":  # it writes no CSV
-        assert not first.exists() and not again.exists()
-    else:
+    if writes:
         assert again.read_bytes() == first.read_bytes()
 
 
@@ -1036,11 +1036,13 @@ def _no_run(*args, **kwargs):
     ["table1"],
     ["sweep", "--figure", "fig3"],
 ])
-@pytest.mark.parametrize("target,errno_", [("missing/x.csv", errno.ENOENT), (".", errno.EISDIR)],
-                         ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("target,errno_", [("missing/x.csv", errno.ENOENT), (".", errno.EISDIR),
+                                            ("/proc/x.csv", errno.ENOENT)],
+                         ids=["missing-directory", "directory", "refused-by-open"])
 def test_an_out_path_that_cannot_be_opened_is_one_error_line(argv, target, errno_, tmp_path,
                                                              monkeypatch, capsys):
-    # refused before the work: nothing simulated, no report printed
+    # refused before the work: nothing simulated, no report printed; /proc
+    # passes a check of the directory alone, and only open refuses it
     monkeypatch.setattr(simcore, "run", _no_run)
     path = str(tmp_path / target)
     assert _run(argv + ["--out", path]) == 2

@@ -2,7 +2,8 @@
 both modes, a bursty sweep, and analyze / simulate / validate on their own.
 
 For each case the exit code, the sha256 of the CSV bytes written with
---out (None when no file is written) and the sha256 of stdout are pinned.
+--out (None when no file is written) and the sha256 of stdout are pinned;
+validate, which refuses --out, runs without it.
 The three saturated largest-ring runs the benchmark times were recorded
 later, before lap 0 of a run was taken in closed form, and the four fig3
 runs at their default 1000 ms later still, before the simulator dropped
@@ -222,7 +223,8 @@ def _sha(data: bytes) -> str:
 def run_case(argv: tuple[str, ...], tmp_path, capsys) -> tuple[int, str | None, str]:
     out = tmp_path / "out.csv"
     capsys.readouterr()
-    rc = cli.main([*argv, "--out", str(out)])
+    # validate writes no CSV and refuses --out
+    rc = cli.main([*argv, *["--out", str(out)] * (argv[0] != "validate")])
     stdout = capsys.readouterr().out
     csv_sha = _sha(out.read_bytes()) if out.exists() else None
     return rc, csv_sha, _sha(stdout.encode())

@@ -41,7 +41,7 @@ def _result_with_samples(duration_ms=100.0, responses=(), accesses=()):
         station_bits=(0, 0),
         # one stop per (arrival, completion) pair
         response_samples=ResponseSamples(SimpleNamespace(frame_at=[[a] for a, _ in responses]),
-                                         [[c] for _, c in responses]),
+                                         [[c - a] for a, c in responses]),
         access_samples=_episodes(accesses),
         rotation_count=1,
         max_rotation_ns=100,
@@ -62,16 +62,13 @@ def _result_with_samples(duration_ms=100.0, responses=(), accesses=()):
 def _stats(delays: list[int], n_stops: int = 1, seed: int = 0) -> SampleStats | None:
     """_response_stats of the delays, split over n_stops stops in order. Each
     stop opens with up to two frames that arrived before the mark, with
-    delays far above the rest, and ends with up to two frames never sent."""
+    delays far above the rest."""
     rng = random.Random(seed)
     cuts = sorted(rng.randrange(len(delays) + 1) for _ in range(n_stops - 1))
     stops = []
     for lo, hi in zip([0, *cuts], [*cuts, len(delays)]):
         first = 0 if n_stops == 1 else rng.randrange(3)
-        at = sorted(rng.randrange(10**6) for _ in range(first + hi - lo + rng.randrange(3)))
-        ends = array("q", [a + 10**12 for a in at[:first]])
-        ends.extend(map(int.__add__, at[first:], delays[lo:hi]))
-        stops.append((ends, at, first))
+        stops.append((array("q", [10**12] * first + delays[lo:hi]), first))
     return _response_stats(stops)
 
 

@@ -7,6 +7,10 @@ exactly, credit every bit to a sourced station, keep each rotation below
 access delay below the closed-form bound. A saturated ring with overflow
 must also match the overflow model within (2D + 2F) / W: one latency D at
 each edge of the measured window W and one frame F credited at each edge.
+On saturated and bursty rings alike, windows shorter than one frame among
+them, a window's efficiency stays at most 1 + F / W, F the workload's
+largest frame: only the frame in flight at the mark counts bits sent before
+it.
 
 A saturated run must also be the run of a pass-by-pass reference walk, on
 rings whose TTRT reaches below the ring latency, both over tens of
@@ -403,6 +407,33 @@ def test_bursty_random_rings(ring, utilization, duration_ms, seed):
     load = WicWorkload.for_utilization(utilization, len(stations), stations=stations)
     result = run(config, load, duration_ms=duration_ms, seed=seed)
     _check_run(result, stations)
+
+
+@RANDOM_RINGS
+@given(rings(min_sourced=1, max_stations=MAX_MAC_COUNT),
+       st.none() | st.integers(1, MAX_FRAME_BYTES), st.floats(0.05, 0.99),
+       st.floats(0.01, 6.0), st.floats(0.0, 0.999), st.integers(0, 99))
+# `simulate --preset typical --ttrt 8 --duration-ms 5`: efficiency 1.00124
+# over a 4.5 ms window, within 1 + 0.04096 / 4.5 for its 512-byte frames
+@example((RingConfig.uniform(20, 4.0, 8.0), tuple(range(20))), 512, 0.5, 0.625, WARMUP_FRACTION,
+         1)
+def test_window_efficiency_is_at_most_one_frame_over_the_line_rate(ring, frame_bytes, utilization,
+                                                                   ttrts, warmup, seed):
+    # A frame's bits count at its completion, and one token means one frame
+    # in flight: only the frame in flight at the mark can count bits sent
+    # before it. So a window of W ns holds less than W + F ns of sending, F
+    # the workload's largest frame, on saturated (frame_bytes) and bursty
+    # (None) rings, over runs of up to six TTRTs, windows shorter than one
+    # frame among them.
+    config, stations = ring
+    load = (WicWorkload.for_utilization(utilization, len(stations), stations=stations)
+            if frame_bytes is None else SaturationWorkload(frame_bytes, stations))
+    result = run(config, load, ttrts * config.ttrt_ms, seed, warmup)
+    window_ns = result.duration_ns - result.boundary.at_ns
+    frame_ns = load.max_frame_bytes * NS_PER_BYTE
+    sent_ns = (result.completed_bits - result.boundary.completed_bits) * NS_PER_BYTE // 8
+    assert sent_ns < window_ns + frame_ns
+    assert summarize(result).efficiency <= 1 + frame_ns / window_ns
 
 
 @RANDOM_RINGS

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -156,6 +157,22 @@ def test_scripted_workload_replays_in_order():
     assert first == (1 * NS_PER_MS, [4500])
     assert second == (2 * NS_PER_MS, [100, 512])
     assert gen.next_burst(second[0]) is None
+
+
+@pytest.mark.parametrize("script,message", [
+    ({0: [(-0.001, [100])]}, "burst times must be finite and at least 0 ms, got -0.001"),
+    ({0: [(math.nan, [100])]}, "burst times must be finite and at least 0 ms, got nan"),
+    ({0: [(math.inf, [100])]}, "burst times must be finite and at least 0 ms, got inf"),
+    ({0: [(1.0, [100, 65536])]}, "frame sizes must be whole bytes from 0 to 65535, got 65536"),
+    ({0: [(1.0, [-1])]}, "frame sizes must be whole bytes from 0 to 65535, got -1"),
+    ({0: [(1.0, [100.0])]}, "frame sizes must be whole bytes from 0 to 65535, got 100.0"),
+])
+def test_scripted_workload_holds_what_a_draw_can(script, message):
+    # a draw keeps each time as an unsigned count of ns and each frame size
+    # in 16 bits; what they cannot hold is refused when the script is built
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScriptedWorkload(script)
+    assert ScriptedWorkload({0: [(0.0, [0, 65535])]}).max_frame_bytes == 65535
 
 
 # At a mean gap of 3e12 ms one ulp of a gap is over 100 ns, so a gap that is
