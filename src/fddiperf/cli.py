@@ -94,23 +94,12 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _check_out(path: str) -> bool:
-    """Refuse an --out path that open refuses, as _write_rows words it,
-    before any work: open it to append, which truncates nothing. Returns
-    whether that made the file: main removes it if the command writes nothing."""
-    made = not os.path.lexists(path)
-    try:
-        os.close(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
-    except OSError as exc:
-        raise CliError(f"cannot write {path!r}: {exc.strerror}") from None
-    return made
-
-
-def _write_rows(rows: list[dict], out_path: str | None) -> None:
+def _write_rows(rows: list[dict], out_path: str | None, *, out=None) -> None:
     """The header and the rows as CSV: None as an empty cell, a float by its
-    repr, and any other value by str, as csv writes them. The file is opened
-    to append and emptied only if it holds anything: on ext4, truncating a
-    file, even an empty one, makes its close wait for its blocks."""
+    repr, and any other value by str, as csv writes them. To stdout, or to
+    `out`, the file at out_path that Resolver.finish opened to append, which
+    is emptied first if it holds anything (a pipe or a tty never does) and
+    closed after."""
     import csv
 
     def emit(fh) -> None:
@@ -119,14 +108,10 @@ def _write_rows(rows: list[dict], out_path: str | None) -> None:
         writer.writerows(map(itemgetter(*CSV_COLUMNS), rows))
 
     if out_path:
-        try:
-            fh = open(out_path, "a", newline="")
-        except OSError as exc:  # a closed stdout's BrokenPipeError still exits 141
-            raise CliError(f"cannot write {out_path!r}: {exc.strerror}") from None
-        with fh:
-            if fh.tell():
-                fh.truncate(0)
-            emit(fh)
+        with out:
+            if os.fstat(out.fileno()).st_size:
+                out.truncate(0)
+            emit(out)
     else:
         emit(sys.stdout)
 
@@ -205,7 +190,8 @@ class Resolver:
         self.args = args
         self._file: dict[str, str] = {}
         self.resolved: dict[str, object] = {}
-        self.out_made = False  # whether finish made the --out file (see main)
+        self.out = None  # the --out file, once finish opens it
+        self.out_made = False  # whether that made it (see main)
         if args.config:
             import configparser  # see _config_bool
             cp = configparser.ConfigParser()
@@ -242,18 +228,24 @@ class Resolver:
         return value
 
     def finish(self) -> Callable[[str], None]:
-        """Reject the flags given that the command did not read, and an --out
-        path that cannot be written, then print --dump-config: each key the
-        command read and resolved to a value. Returns how to print a line of
-        the command's report: after a dump, as a comment, so that the dump
-        still reads back as a config file."""
+        """Reject the flags given that the command did not read, open the
+        --out file or refuse a path that cannot be opened, then print
+        --dump-config: each key the command read and resolved to a value.
+        Returns how to print a line of the command's report: after a dump,
+        as a comment, so that the dump still reads back as a config file."""
         command = self.args.command
         unused = [_flag(key) for key in COMMANDS[command].options
                   if key not in self.resolved and getattr(self.args, key) is not None]
         if unused:
             raise CliError(f"{command} cannot use {', '.join(unused)} with these inputs")
-        if self.args.out:
-            self.out_made = _check_out(self.args.out)
+        path = self.args.out
+        if path:  # opened to append, which truncates nothing, before any work
+            self.out_made = not os.path.lexists(path)
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            except OSError as exc:
+                raise CliError(f"cannot write {path!r}: {exc.strerror}") from None
+            self.out = os.fdopen(fd, "a", newline="")
         if not self.args.dump_config:
             return print
         lost = [_flag(key) for key in self.resolved  # a dump would read back without them
@@ -436,7 +428,7 @@ def cmd_analyze(res: Resolver) -> int:
         say(f"overflow_efficiency: {row['efficiency']!r}")
         say(f"overflow_max_access_delay_ms: {row['max_access_delay_ms']!r}")
     if res.args.out:
-        _write_rows([row], res.args.out)
+        _write_rows([row], res.args.out, out=res.out)
     return 0
 
 
@@ -544,7 +536,7 @@ def cmd_simulate(res: Resolver) -> int:
             say(f"{label}: {text}")
         row.update(cells)
     if res.args.out:
-        _write_rows([row], res.args.out)
+        _write_rows([row], res.args.out, out=res.out)
     return 1 if report.access_bound_exceeded or not report.trt_bound_ok else 0
 
 
@@ -687,7 +679,7 @@ def cmd_sweep(res: Resolver) -> int:
         sim = _sim_settings(res, any_ttrt=bool(figure))
     points = _sweep_points(spec, figure, sim, replications)
     res.finish()
-    _write_rows(_sweep_rows(points), res.args.out)
+    _write_rows(_sweep_rows(points), res.args.out, out=res.out)
     return 0
 
 
@@ -711,7 +703,7 @@ def cmd_table1(res: Resolver) -> int:
             error=None if r.matches else "golden_mismatch",
         )
         for r in rows
-    ], res.args.out)
+    ], res.args.out, out=res.out)
     mismatches = [r for r in rows if not r.matches]
     if mismatches:
         print("golden table mismatches:", file=sys.stderr)
@@ -840,9 +832,15 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     finally:
-        # a command that wrote no CSV, refused or failed, leaves no file
-        if res is not None and res.out_made and not os.stat(args.out).st_size:
-            os.remove(args.out)
+        # _write_rows closes the file; a command that wrote no CSV, refused
+        # or failed, leaves no file it made
+        if res is not None and res.out and not res.out.closed:
+            res.out.close()
+            if res.out_made:
+                try:
+                    os.remove(args.out)
+                except FileNotFoundError:  # moved away meanwhile
+                    pass
 
 
 if __name__ == "__main__":

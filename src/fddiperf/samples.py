@@ -72,8 +72,8 @@ class ResponseSamples(_Pairs):
 
 class AccessEpisodes(_Pairs):
     """A run's access episodes as (start, capture) pairs in the order of
-    their captures, read-only, kept as two ints each in one flat array of
-    64-bit ints: 16 bytes an episode. len builds no pairs, iteration one at
+    their captures, read-only, kept as two ints each in one flat
+    array('q'): 16 bytes an episode. len builds no pairs, iteration one at
     a time; `starts` and `captures` are the two columns as arrays."""
 
     __slots__ = ("_flat",)

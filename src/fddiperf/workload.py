@@ -125,7 +125,7 @@ class WicGenerator:
         p = DEFAULT_SMALL_FRACTION
         # random.Random.expovariate(rate), spelt out: the same float from the same draw
         gap_ms = -_log(1.0 - draw()) / self._rate
-        return now_ns + round(gap_ms * NS_PER_MS), [  # DEFAULT_BURST_SIZE frames
+        return now_ns + int(round(gap_ms * NS_PER_MS)), [  # DEFAULT_BURST_SIZE frames
             small if draw() < p else large,
             small if draw() < p else large,
             small if draw() < p else large,

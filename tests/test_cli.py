@@ -1053,6 +1053,59 @@ def test_an_out_path_that_cannot_be_opened_is_one_error_line(argv, target, errno
     assert os.listdir(tmp_path) == []  # no file made
 
 
+def _read_fifo(path, got):
+    with open(path, "rb") as fh:
+        got.append(fh.read())
+
+
+@pytest.mark.parametrize("kind", ["new-file", "longer-file", "pipe", "fifo"])
+def test_out_writes_one_csv_to_a_file_a_pipe_or_a_fifo(kind, tmp_path, capsys):
+    # --out is opened once, before the work: a file it held is replaced, not
+    # left with a tail, and a path that cannot seek or truncate takes the CSV
+    import threading
+
+    argv = ["analyze", "--preset", "typical", "--ttrt", "8", "--out"]
+    assert _run(argv + [str(tmp_path / "expected.csv")]) == 0
+    expected = (tmp_path / "expected.csv").read_bytes()
+    path = tmp_path / "out.csv"
+    if kind == "new-file":
+        assert _run(argv + [str(path)]) == 0
+        got = path.read_bytes()
+    elif kind == "longer-file":
+        path.write_bytes(b"x" * 100_000)
+        assert _run(argv + [str(path)]) == 0
+        got = path.read_bytes()
+    elif kind == "pipe":
+        r, w = os.pipe()  # one row of CSV fits its buffer
+        try:
+            assert _run(argv + [f"/dev/fd/{w}"]) == 0
+        finally:
+            os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            got = fh.read()
+    else:
+        os.mkfifo(path)
+        read = []
+        reader = threading.Thread(target=_read_fifo, args=(path, read))
+        reader.start()
+        assert _run(argv + [str(path)]) == 0
+        reader.join(timeout=60)
+        got = read[0]
+    assert got == expected
+    assert capsys.readouterr().err == ""
+
+
+def test_a_command_that_writes_no_csv_keeps_the_out_file_it_found(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    assert _run(["analyze", "--preset", "largest", "--ttrt", "1", "--out", str(path)]) == 1
+    assert cli.SATURATED_MARKER in capsys.readouterr().err
+    assert path.read_text() == "kept\n"
+    path.unlink()
+    assert _run(["analyze", "--preset", "largest", "--ttrt", "1", "--out", str(path)]) == 1
+    assert not path.exists()  # nor leaves one it made
+
+
 def test_closed_pipe_exits_141_without_a_traceback():
     # about 300 KB of CSV: far more than a 64 KiB pipe buffer holds
     grid = ",".join(f"{4 + i / 10:.1f}" for i in range(1500))
