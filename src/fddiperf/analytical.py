@@ -129,18 +129,23 @@ class AnalyticalResult:
 
 def ring_latency(ring: PhysicalRing) -> float:
     """Idle-token circulation time in ms: fiber propagation plus the summed
-    per-MAC repeat delays."""
-    us = ring.fiber_km * PROPAGATION_US_PER_KM + ring.mac_count * STATION_DELAY_US
-    return us / _MS_TO_US
+    per-MAC repeat delays; refused when a finite extent overflows it."""
+    ms = (ring.fiber_km * PROPAGATION_US_PER_KM + ring.mac_count * STATION_DELAY_US) / _MS_TO_US
+    check_finite(ring_latency_ms=ms)
+    return ms
 
 
 def heavy_load(n_active: int, ttrt_ms: float, ring_latency_ms: float,
                frame_time_ms: float | None = None) -> tuple[float, float, int | None]:
     """(efficiency, max access delay in ms, frames per opportunity) under
     heavy load: the basic model when frame_time_ms is None (no frame count),
-    else the overflow model. The arguments are a RingParameters' fields,
-    unchecked. Raises RingSaturatedError when ttrt <= ring_latency; a clamped
-    zero would hide an unusable configuration from parameter sweeps."""
+    else the overflow model. The arguments are a RingParameters' fields, of
+    which the TTRT is checked, in the record's words. Raises
+    RingSaturatedError when ttrt <= ring_latency, as a clamped zero would hide
+    an unusable configuration from sweeps, and ValueError when n_active x
+    TTRT overflows."""
+    if not 0 < ttrt_ms < math.inf:
+        RingParameters(n_active, ttrt_ms, ring_latency_ms, frame_time_ms)  # raises
     t_us = ttrt_ms * _MS_TO_US
     d_us = ring_latency_ms * _MS_TO_US
     if t_us <= d_us:
@@ -148,19 +153,24 @@ def heavy_load(n_active: int, ttrt_ms: float, ring_latency_ms: float,
             f"TTRT {ttrt_ms} ms does not exceed ring latency {ring_latency_ms} ms"
         )
     n = n_active
+    k = None
     if frame_time_ms is None:
+        eff = n * (t_us - d_us) / (n * t_us + d_us)
         delay_us = (n - 1) * t_us + 2.0 * d_us
-        return n * (t_us - d_us) / (n * t_us + d_us), delay_us / _MS_TO_US, None
-    # Asynchronous overflow: the frame in progress when the holding budget
-    # expires is completed, so each opportunity carries k whole frames, k*F
-    # being the budget rounded up to a frame boundary.
-    ratio = (t_us - d_us) / (frame_time_ms * _MS_TO_US)
-    k = round(ratio)
-    if not (k >= 1 and abs(ratio - k) <= _FRAME_SNAP_REL * k):
-        k = max(1, math.ceil(ratio))
-    kf_us = k * frame_time_ms * _MS_TO_US
-    return (n * kf_us / (n * (kf_us + d_us) + d_us),
-            ((n - 1) * (kf_us + d_us) + 2.0 * d_us) / _MS_TO_US, k)
+    else:
+        # Asynchronous overflow: the frame in progress when the holding
+        # budget expires is completed, so each opportunity carries k whole
+        # frames, k*F being the budget rounded up to a frame boundary.
+        ratio = (t_us - d_us) / (frame_time_ms * _MS_TO_US)
+        k = round(ratio)
+        if not (k >= 1 and abs(ratio - k) <= _FRAME_SNAP_REL * k):
+            k = max(1, math.ceil(ratio))
+        kf_us = k * frame_time_ms * _MS_TO_US
+        eff = n * kf_us / (n * (kf_us + d_us) + d_us)
+        delay_us = (n - 1) * (kf_us + d_us) + 2.0 * d_us
+    if not eff > 0:  # T > D makes it positive unless n_active * T overflowed
+        raise ValueError(f"ttrt_ms {ttrt_ms} overflows the closed form with {n_active} active MACs")
+    return eff, delay_us / _MS_TO_US, k
 
 
 def efficiency(p: RingParameters) -> float:
@@ -290,7 +300,10 @@ def validate_ttrt(
 
 
 def frame_time_ms(frame_bytes: int) -> float:
-    """On-wire time of a frame at the 100 Mbps line rate."""
-    if frame_bytes <= 0:
+    """On-wire time of a frame at the 100 Mbps line rate, refused above the
+    standard's largest frame, MAX_FRAME_BYTES."""
+    if not frame_bytes > 0:
         raise ValueError(f"frame_bytes must be > 0, got {frame_bytes}")
+    if frame_bytes > MAX_FRAME_BYTES:
+        raise ValueError(f"frame_bytes must be <= {MAX_FRAME_BYTES}, got {frame_bytes}")
     return frame_bytes * 8 / (LINE_RATE_MBPS * 1000.0)

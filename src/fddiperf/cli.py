@@ -10,19 +10,20 @@ Subcommands:
 
 Each option's flag, INI section, type, help, default and choices are
 declared once, in OPTIONS, and COMMANDS lists the options each subcommand
-takes. Each field
-of a simulated report is declared once too, in _report_fields: simulate's
-stdout line and the CSV cells of a simulated row. simulate and every sweep
-fill a simulated row's run inputs with one function, _simulated_point,
-before --dump-config prints, and its metric cells from _report_fields after
-the run. Values may come from an INI config file (--config), whose keys
-must name an option in its own section; explicit flags override file
-values. A command reads every option it uses before it computes anything,
-and rejects a flag it was given but did not use, or an --out path it
-cannot write. --dump-config prints each
-key the command read, resolved, for provenance. Every sweep runs through
-one engine, and its output echoes every input including the seed, so any
-CSV row can be reproduced on its own.
+takes. Each field of a simulated report is declared once too, in
+_report_fields: simulate's stdout line and the CSV cells of a simulated
+row. simulate and every sweep fill a simulated row's run inputs with one
+function, _simulated_point, before --dump-config prints, and its metric
+cells from _report_fields after the run. Values may come from an INI
+config file (--config), whose keys must name an option in its own section;
+explicit flags override file values. A command reads every option it uses
+before it computes anything, and rejects a flag it was given but did not
+use, or an --out path it cannot write; a TTRT, frame size or ring latency
+outside the closed form's domain is refused by the `analytical` function
+that uses it, in its words, and a simulated frame size in the same words.
+--dump-config prints each key the command read, resolved, for provenance.
+Every sweep runs through one engine, and its output echoes every input
+including the seed, so any CSV row can be reproduced on its own.
 
 Only the commands that simulate import simcore, workload and metrics, and
 only those that write rows import csv.
@@ -43,7 +44,7 @@ from collections.abc import Callable
 from operator import itemgetter
 
 from . import analytical, presets
-from .analytical import PhysicalRing, RingParameters, RingSaturatedError, record
+from .analytical import PhysicalRing, RingSaturatedError, record
 from .presets import PRESETS, paper_round
 
 CSV_COLUMNS = [
@@ -305,29 +306,7 @@ def _base_row(**kwargs) -> dict:
 
 
 def _ring_latency_ms(fiber_km: float, mac_count: int) -> float:
-    d_ms = analytical.ring_latency(PhysicalRing(fiber_km=fiber_km, mac_count=mac_count))
-    analytical.check_finite(ring_latency_ms=d_ms)  # a finite extent can overflow it
-    return d_ms
-
-
-def _heavy_load(n_active: int, ttrt_ms: float, d_ms: float, frame_time_ms: float | None = None):
-    """analytical.heavy_load on a row's inputs, its active count, frame time
-    and latency checked as they were read. A TTRT RingParameters refuses
-    fails with the record's own error, a TTRT that overflows the model by name."""
-    if not 0 < ttrt_ms < math.inf:
-        RingParameters(n_active, ttrt_ms, d_ms, frame_time_ms)  # raises
-    out = analytical.heavy_load(n_active, ttrt_ms, d_ms, frame_time_ms)
-    if not out[0] > 0:  # T > D makes it positive unless n_active * T overflowed
-        raise CliError(f"ttrt_ms {ttrt_ms} overflows the closed form with {n_active} active MACs")
-    return out
-
-
-def _frame_time_ms(frame_bytes: int) -> float:
-    """analytical.frame_time_ms of a frame size read from the command line,
-    refused above the standard's largest frame, as the simulator refuses it."""
-    if frame_bytes > analytical.MAX_FRAME_BYTES:
-        raise CliError(f"frame_bytes must be <= {analytical.MAX_FRAME_BYTES}, got {frame_bytes}")
-    return analytical.frame_time_ms(frame_bytes)
+    return analytical.ring_latency(PhysicalRing(fiber_km=fiber_km, mac_count=mac_count))
 
 
 def _analytical_row(row: dict, d_ms: float) -> dict:
@@ -337,9 +316,9 @@ def _analytical_row(row: dict, d_ms: float) -> dict:
     swallows the TTRT."""
     row["mode"] = "analytical"
     frame_bytes = row["frame_bytes"]
-    frame_ms = None if frame_bytes is None else _frame_time_ms(frame_bytes)
+    frame_ms = None if frame_bytes is None else analytical.frame_time_ms(frame_bytes)
     try:
-        eff, delay_ms, k = _heavy_load(row["n_active"], row["ttrt_ms"], d_ms, frame_ms)
+        eff, delay_ms, k = analytical.heavy_load(row["n_active"], row["ttrt_ms"], d_ms, frame_ms)
     except RingSaturatedError:
         row["error"] = SATURATED_MARKER
         return row
@@ -397,14 +376,14 @@ def cmd_analyze(res: Resolver) -> int:
     n_active = _active(res.get("active"), macs)
     frame_bytes = res.get("frame_bytes")
     if frame_bytes is not None:
-        _frame_time_ms(frame_bytes)
+        analytical.frame_time_ms(frame_bytes)
     row = _base_row(preset=preset_name, mac_count=macs, fiber_km=fiber, n_active=n_active,
                     ttrt_ms=ttrt, frame_bytes=frame_bytes)
     # every refusal comes before --dump-config prints
     d_ms = _ring_latency_ms(fiber, macs)
     saturated = None
     try:
-        eff, delay_ms, _ = _heavy_load(n_active, ttrt, d_ms)
+        eff, delay_ms, _ = analytical.heavy_load(n_active, ttrt, d_ms)
     except RingSaturatedError as exc:
         saturated = exc
     else:
@@ -637,8 +616,6 @@ def _sweep_points(spec: presets.Figure, figure: str, sim, replications: int) -> 
                     points.append((_analytical_row(dict(point) if sim else point, d_ms), None))
                 if not sim:
                     continue
-                if point["frame_bytes"] is not None:
-                    _frame_time_ms(point["frame_bytes"])  # in the closed form's words
                 config, load = _simulated_point(point, sim, load_pct)
                 if point["ttrt_ms"] <= latency(point["fiber_km"], point["mac_count"]):
                     point["error"] = SATURATED_MARKER
@@ -724,7 +701,8 @@ def cmd_validate(res: Resolver) -> int:
         _, macs, fiber = _resolve_ring(res)
         ring = PhysicalRing(fiber_km=fiber, mac_count=macs)
     sync_ms = sum(res.get("sync_ms") or [0.0])
-    max_frame_ms = _frame_time_ms(res.get("frame_bytes", default=analytical.MAX_FRAME_BYTES))
+    max_frame_ms = analytical.frame_time_ms(
+        res.get("frame_bytes", default=analytical.MAX_FRAME_BYTES))
     t_max = res.get("t_max_ms")
     service = res.get("service_interval_ms")
     verdict = analytical.validate_ttrt(  # refuses its inputs before --dump-config prints

@@ -10,10 +10,10 @@ warm-up mark, and access episodes if they open at or after it; a frame's
 bits are credited at its completion, and count toward throughput if it
 completes in (mark, end]. A run carries its workload, so its offered load
 and the access-delay bound of its sourced stations
-(`access_delay_bound_ms(result)`, the overflow model on the ring's walk
-time `RingConfig.walk_ns`) are worked out from the run alone; the bound
-counts the access wait the run's end left open too. Per-station throughput
-is no report field: `station_throughput_mbps(result)` gives it.
+(`access_delay_bound_ms(result)`, from `simcore.walk_model`) are worked
+out from the run alone; the bound counts the access wait the run's end
+left open too. Per-station throughput is no report field:
+`station_throughput_mbps(result)` gives it.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import math
 from itertools import chain, compress, islice
 from operator import sub
 
-from . import analytical
-from .analytical import LINE_RATE_MBPS, RingParameters, record
+from .analytical import LINE_RATE_MBPS, record
 from .samples import AccessEpisodes
-from .simcore import NS_PER_MS, RunResult, _ns_from_ms, _starved
+from .simcore import NS_PER_MS, RunResult, _ns_from_ms, walk_model
 
 _BOUND_SLACK_NS = 1  # integer-nanosecond comparisons need no real slack
 
@@ -69,7 +68,8 @@ def _response_stats(stops: list[tuple]) -> SampleStats | None:
 def _access_stats(episodes: AccessEpisodes, mark_ns: int) -> SampleStats | None:
     """Statistics of the waits of the episodes that opened at or after
     mark_ns, from the episodes' two columns at C level, with no list of
-    waits; no p95."""
+    waits; no p95. The columns are views of the run's array, which copy
+    nothing and die with this call."""
     starts, captures = episodes.starts, episodes.captures
     kept = list(map(mark_ns.__le__, starts))
     count = sum(kept)
@@ -92,28 +92,14 @@ class MetricsReport:
 
 def access_delay_bound_ms(result: RunResult) -> float | None:
     """Worst-case access delay of the run's sourced stations sending its
-    workload's largest frame, from the overflow model with the ring's walk
-    time (`RingConfig.walk_ns`) standing in for the ring latency. None on an
-    idle run, and when the walk time already swallows the TTRT or, with
-    overflow off, leaves no room for that frame: then no token after lap 0
-    can start it, and its station may wait to the run's end."""
-    cfg = result.config
-    n_active = len(result.sourced_stations)
+    workload's largest frame, from `simcore.walk_model`. None on an idle run,
+    and where the walk model is None: then no token after lap 0 can start
+    that frame, and its station may wait to the run's end."""
     max_frame_bytes = result.workload.max_frame_bytes if result.workload is not None else 0
-    if max_frame_bytes <= 0 or n_active < 1 or _starved(cfg, max_frame_bytes):
+    if max_frame_bytes <= 0:
         return None
-    try:
-        res = analytical.overflow_model(
-            RingParameters(
-                n_active=n_active,
-                ttrt_ms=cfg.ttrt_ms,
-                ring_latency_ms=cfg.walk_ns / NS_PER_MS,
-                frame_time_ms=analytical.frame_time_ms(max_frame_bytes),
-            )
-        )
-    except analytical.RingSaturatedError:
-        return None
-    return res.max_access_delay_ms
+    model = walk_model(result.config, len(result.sourced_stations), max_frame_bytes)
+    return None if model is None else model.max_access_delay_ms
 
 
 def station_throughput_mbps(result: RunResult) -> tuple[float, ...]:

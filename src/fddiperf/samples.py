@@ -74,7 +74,9 @@ class AccessEpisodes(_Pairs):
     """A run's access episodes as (start, capture) pairs in the order of
     their captures, read-only, kept as two ints each in one flat
     array('q'): 16 bytes an episode. len builds no pairs, iteration one at
-    a time; `starts` and `captures` are the two columns as arrays."""
+    a time; `starts` and `captures` are the two columns as strided
+    memoryviews of the array, which copy nothing. A live view keeps the
+    array from being resized; nothing appends to a finished run's episodes."""
 
     __slots__ = ("_flat",)
 
@@ -92,9 +94,9 @@ class AccessEpisodes(_Pairs):
         return zip(flat, flat)
 
     @property
-    def starts(self) -> array:
-        return self._flat[::2]
+    def starts(self) -> memoryview:
+        return memoryview(self._flat)[::2]
 
     @property
-    def captures(self) -> array:
-        return self._flat[1::2]
+    def captures(self) -> memoryview:
+        return memoryview(self._flat)[1::2]

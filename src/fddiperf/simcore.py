@@ -72,15 +72,17 @@ draw:
   in its stop's array, which has a slot for each of the stop's drawn
   frames until the run's end drops those never sent: a stop sends its
   frames in the order they arrived, so the frame's arrival is read from
-  the draw; an access episode is two ints in one array. `RunResult.response_samples` and `access_samples` are
-  views that pair them; a saturated run keeps no frame times.
+  the draw; an access episode is two ints in one array.
+  `RunResult.response_samples` and `access_samples` are views that pair
+  them; a saturated run keeps no frame times.
 - The draw and the samples are typed arrays, built from lists once: times
   in ns as unsigned 64-bit ints, frame sizes in two bytes, about 14 bytes
   per drawn WIC frame in all. The bursts are put in time order by sorting
   one int key per burst, time x stops + stop, decoded by C-level maps.
 
 `check_draw` and `check_captures` refuse a run too large to simulate: a
-bursty draw of too many frames, or a saturated run of too many captures.
+bursty draw of too many frames, or a saturated run of more captures than
+`walk_model`, the overflow model on the ring's walk time, expects.
 
 A RunResult carries the workload it simulated. A bursty run that the TTRT
 never bound (no holding cut short, every token usable) is also the run of
@@ -97,6 +99,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, is_not, mod, mul, neg, sub
 from types import SimpleNamespace
 
+from . import analytical  # its overflow_model read through the module, as a tracer wraps it
 from .analytical import (
     DEFAULT_DURATION_MS,
     NS_PER_MS,
@@ -104,10 +107,7 @@ from .analytical import (
     PROPAGATION_US_PER_KM,
     STATION_DELAY_US,
     TOKEN_TIME_US,
-    RingSaturatedError,
     check_finite,
-    frame_time_ms,
-    heavy_load,
     record,
 )
 from .samples import AccessEpisodes, ResponseSamples
@@ -403,14 +403,6 @@ def _trt_enforced(config: RingConfig, workload) -> bool:
             >= config.walk_ns + _ns_from_us(config.token_time_us) + max_frame_ns)
 
 
-def _starved(config: RingConfig, frame_bytes: int) -> bool:
-    """Whether no token after lap 0 can start a frame of frame_bytes: with
-    overflow off, when the walk time leaves less than its frame time of the
-    TTRT."""
-    return not config.async_overflow and (
-        config.walk_ns + frame_bytes * NS_PER_BYTE > _ns_from_ms(config.ttrt_ms))
-
-
 def certified(result: RunResult) -> bool:
     """Whether the TTRT never bound the run: see reuse_at."""
     workload = result.workload
@@ -477,23 +469,37 @@ def check_draw(workload, n_stations: int, duration_ms: float) -> None:
                              f"{MAX_DRAWN_FRAMES} frames a run may draw")
 
 
+def walk_model(config: RingConfig, n_active: int,
+               frame_bytes: int) -> analytical.AnalyticalResult | None:
+    """`analytical.overflow_model` of n_active stations sending frames of
+    frame_bytes, any size a script holds, with the ring's walk time in place
+    of its latency: Sevcik & Johnson's (1987) cycle-time bound. None where
+    no token after lap 0 can start such a frame: when the walk time swallows
+    the TTRT or, with overflow off, leaves less than the frame's time of it."""
+    walk_ns, frame_ns = config.walk_ns, frame_bytes * NS_PER_BYTE
+    if not config.async_overflow and walk_ns + frame_ns > _ns_from_ms(config.ttrt_ms):
+        return None
+    try:  # frame_ns / NS_PER_MS is analytical.frame_time_ms, bit for bit
+        return analytical.overflow_model(analytical.RingParameters(
+            n_active, config.ttrt_ms, walk_ns / NS_PER_MS, frame_ns / NS_PER_MS))
+    except analytical.RingSaturatedError:
+        return None
+
+
 def check_captures(config: RingConfig, workload, duration_ms: float) -> None:
     """The saturated twin of check_draw: refuse a saturated ring expected to
     capture the token more than MAX_CAPTURES times up to the run's end, each
-    capture one step of `run`. The expectation is the overflow model's on the
-    ring's walk time, as the access bound takes it: efficiency x duration /
-    (k x F). A ring saturated by latency, or starved of usable tokens with
-    overflow off, makes no captures after lap 0."""
-    if not isinstance(workload, SaturationWorkload) or _starved(config, workload.frame_bytes):
+    capture one step of `run`: walk_model's efficiency x duration / (k x F),
+    as the access bound takes it. With no model, no capture follows lap 0."""
+    if not isinstance(workload, SaturationWorkload):
         return
-    f_ms = frame_time_ms(workload.frame_bytes)
     stations = workload.stations
     n_active = config.n_stations if stations is None else len(set(stations))
-    try:  # the overflow model's kernel, on inputs RingConfig has checked
-        efficiency, _, k = heavy_load(n_active, config.ttrt_ms, config.walk_ns / NS_PER_MS, f_ms)
-    except RingSaturatedError:
+    model = walk_model(config, n_active, workload.frame_bytes)
+    if model is None:
         return
-    captures = efficiency * duration_ms / (k * f_ms)
+    f_ms = workload.frame_bytes * NS_PER_BYTE / NS_PER_MS
+    captures = model.efficiency * duration_ms / (model.frames_per_opportunity * f_ms)
     if captures > MAX_CAPTURES:
         raise ValueError(f"a saturated run of about {captures:.3g} token captures "
                          f"({duration_ms} ms at TTRT {config.ttrt_ms} ms) exceeds the "

@@ -27,7 +27,7 @@ import math
 import random
 from math import log as _log
 
-from .analytical import LINE_RATE_MBPS, MAX_FRAME_BYTES, NS_PER_MS, check_finite, record
+from .analytical import LINE_RATE_MBPS, NS_PER_MS, check_finite, frame_time_ms, record
 
 # The measured WIC mix; the mean's evaluation order fixes every derived gap.
 DEFAULT_BURST_SIZE = 5
@@ -141,8 +141,7 @@ class SaturationWorkload:
     limit."""
 
     def _check(self) -> None:
-        if not 0 < self.frame_bytes <= MAX_FRAME_BYTES:
-            raise ValueError(f"frame size {self.frame_bytes} outside (0, {MAX_FRAME_BYTES}] bytes")
+        frame_time_ms(self.frame_bytes)  # refuses a size outside (0, MAX_FRAME_BYTES]
         _check_stations(self.stations)
 
     @property

@@ -30,11 +30,13 @@ from fddiperf.analytical import (
     basic_model,
     efficiency,
     frame_time_ms,
+    heavy_load,
     max_access_delay,
     overflow_model,
     ring_latency,
     validate_ttrt,
 )
+from fddiperf.workload import SaturationWorkload
 
 
 def brute_force_frames(ttrt_ms: float, d_ms: float, frame_ms: float) -> int:
@@ -381,6 +383,37 @@ def test_frame_time():
     assert frame_time_ms(100) == pytest.approx(0.008, abs=1e-15)
     with pytest.raises(ValueError):
         frame_time_ms(0)
+
+
+_OVERFLOWS = "ttrt_ms 1e+305 overflows the closed form with 10 active MACs"
+
+
+# Each closed-form input is refused by the function that uses it, in one
+# set of words for the CLI, the records and the simulator's workload.
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: heavy_load(10, math.nan, 0.1), "ttrt_ms must be finite, got nan",
+                 id="ttrt-nan"),
+    pytest.param(lambda: heavy_load(10, math.inf, 0.1, 0.04), "ttrt_ms must be finite, got inf",
+                 id="ttrt-inf"),
+    pytest.param(lambda: heavy_load(10, 0.0, 0.1), "ttrt_ms must be > 0, got 0.0", id="ttrt-0"),
+    pytest.param(lambda: heavy_load(10, -1.0, 0.1, 0.04), "ttrt_ms must be > 0, got -1.0",
+                 id="ttrt-negative"),
+    # n_active x TTRT overflows, in the basic model and in the overflow model
+    pytest.param(lambda: heavy_load(10, 1e305, 0.1), _OVERFLOWS, id="overflow-basic"),
+    pytest.param(lambda: heavy_load(10, 1e305, 0.1, 0.04096), _OVERFLOWS, id="overflow-frames"),
+    pytest.param(lambda: frame_time_ms(4501), "frame_bytes must be <= 4500, got 4501",
+                 id="frame-4501"),
+    pytest.param(lambda: ring_latency(PhysicalRing(1e308, 10)),
+                 "ring_latency_ms must be finite, got inf", id="latency-inf"),
+    pytest.param(lambda: SaturationWorkload(5000), "frame_bytes must be <= 4500, got 5000",
+                 id="saturation-5000"),
+    pytest.param(lambda: SaturationWorkload(0), "frame_bytes must be > 0, got 0",
+                 id="saturation-0"),
+])
+def test_a_closed_form_input_is_refused_where_it_is_used(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_efficiency_bounds():

@@ -666,6 +666,17 @@ _TEN_MACS = ["--macs", "10", "--fiber-km", "1"]
      "mac_count must be in [0, 1000], got -1"),
     (["sweep", "--var", "ttrt", "--grid", "4,8", "--macs", "-1", "--fiber-km", "1"],
      "mac_count must be in [0, 1000], got -1"),
+    # the simulator's workload and validate refuse them in the same words
+    (["simulate", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "5000"],
+     "frame_bytes must be <= 4500, got 5000"),
+    (["simulate", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "0"],
+     "frame_bytes must be > 0, got 0"),
+    (["validate", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8"],
+     "ring_latency_ms must be finite, got inf"),
+    # a simulated point's ring is checked before its workload
+    (["sweep", "--var", "ttrt", "--grid", "1,8", "--preset", "typical", "--frame-bytes", "5000",
+      "--mode", "simulate"],
+     f"ttrt_ms 1.0 {_OUTSIDE_WINDOW}"),
 ])
 def test_closed_form_refusal_is_one_error_line(argv, line, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -816,6 +827,11 @@ def test_analyze_refuses_a_bad_frame_size_before_printing(frame_bytes, capsys):
      "--config", "[sweep]\nmode = fast\n"],
     ["sweep", "--config", "[sweep]\nfigure = fig99\n"],
     ["validate", "--ttrt", "8", "--max-ring"],  # it writes no CSV for --out
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "5000"],
+    ["simulate", "--preset", "typical", "--ttrt", "8", "--frame-bytes", "0"],
+    ["validate", "--macs", "10", "--fiber-km", "1e308", "--ttrt", "8"],
+    ["sweep", "--var", "ttrt", "--grid", "1,8", "--preset", "typical", "--frame-bytes", "5000",
+     "--mode", "simulate"],
 ])
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     calls = []
